@@ -210,7 +210,8 @@ def apply(
 def trace_path(topology: Topology, rules: RuleTable, key: FlowKey) -> list[NodeId]:
     """Node sequence a packet for ``key`` takes, by walking the rule table.
 
-    Raises if the walk MISSes or exceeds the switch count (a loop).
+    Raises if the walk MISSes or exceeds ``topology.hop_limit`` (a loop),
+    the same bound the engine's walk uses.
     """
     src_host = topology.host_of_ip.get(key.src)
     dst_host = topology.host_of_ip.get(key.dst)
@@ -218,10 +219,9 @@ def trace_path(topology: Topology, rules: RuleTable, key: FlowKey) -> list[NodeI
         raise MitigationError(f"unknown endpoint in {key.src}->{key.dst}")
     node, in_port = topology.peer(src_host, HOST_PORT)
     path = [src_host]
-    limit = sum(1 for n in topology.nodes if n.is_switch) + 2
     while node.is_switch:
         path.append(node)
-        if len(path) > limit:
+        if len(path) > topology.hop_limit:
             raise MitigationError(f"forwarding loop for {key.src}->{key.dst}: {path}")
         port = forward(rules, node, key, in_port)
         if port is MISS:

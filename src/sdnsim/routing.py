@@ -139,18 +139,20 @@ class RuleTable:
         self, switch: NodeId, src: str, dst: str, in_port: int | None = None
     ) -> RuleEntry | None:
         """Highest-priority matching entry, or None."""
-        candidates = list(self._index.get((switch, src, dst), ()))
-        candidates += self._index.get((switch, None, dst), ())
         best: RuleEntry | None = None
-        for entry in candidates:
-            if not entry.rule.matches(src, dst, in_port):
-                continue
-            if (
-                best is None
-                or entry.rule.priority > best.rule.priority
-                or (entry.rule.priority == best.rule.priority and entry.seq < best.seq)
-            ):
-                best = entry
+        for bucket in (
+            self._index.get((switch, src, dst), ()),
+            self._index.get((switch, None, dst), ()),
+        ):
+            for entry in bucket:
+                if not entry.rule.matches(src, dst, in_port):
+                    continue
+                if (
+                    best is None
+                    or entry.rule.priority > best.rule.priority
+                    or (entry.rule.priority == best.rule.priority and entry.seq < best.seq)
+                ):
+                    best = entry
         return best
 
     def has_dst_rule(self, switch: NodeId, dst: str) -> bool:

@@ -12,6 +12,11 @@ FIFO queue, and drops the excess. Queued packets resume their walk when the
 link's budget readmits them on a later tick. Unused budget does not carry
 over, and a packet larger than one tick's budget never passes. Every tick,
 per-link accounting must balance exactly: entered = passed + queued + dropped.
+
+A packet that crosses more than ``Topology.hop_limit`` switches is a
+forwarding loop and raises :class:`SimulationError`. Mitigation changes the
+topology only between ticks, so the bound and the index of constrained links
+are refreshed once per tick rather than per packet.
 """
 
 from __future__ import annotations
@@ -115,6 +120,7 @@ class CounterSet(dict):
 @dataclass
 class _QueuedPacket:
     key: FlowKey
+    tally: FlowTally
     size: int
     node: NodeId   # where the packet resumes (far end of the link)
     in_port: int
@@ -235,7 +241,9 @@ class SimState:
     residues: dict[NodeId, float] = field(default_factory=dict)
     link_states: dict[Link, LinkState] = field(default_factory=dict)
     attack_logged: bool = False
-    _constrained: dict[tuple[NodeId, int], Link] = field(default_factory=dict)
+    hop_limit: int = 0
+    # node -> {local port: state of the constrained link on that port}
+    _constrained: dict[NodeId, dict[int, LinkState]] = field(default_factory=dict)
 
     @property
     def time(self) -> float:
@@ -247,22 +255,22 @@ class SimState:
         return self.link_states[link]
 
     def refresh_links(self) -> None:
-        """Re-index constrained links; mitigation may add them between ticks."""
+        """Re-index constrained links and the hop limit; mitigation may
+        change the topology between ticks."""
         self._constrained = {}
         for link in self.topology.links:
             if link.constrained:
-                self._constrained[(link.a, link.a_port)] = link
-                self._constrained[(link.b, link.b_port)] = link
-                self.link_state(link)
-
-    def hop_limit(self) -> int:
-        return sum(1 for n in self.topology.nodes if n.is_switch) + 2
+                ls = self.link_state(link)
+                self._constrained.setdefault(link.a, {})[link.a_port] = ls
+                self._constrained.setdefault(link.b, {})[link.b_port] = ls
+        self.hop_limit = self.topology.hop_limit
 
 
-def _deliver(state: SimState, key: FlowKey, size: int, host: NodeId) -> None:
+def _deliver(
+    state: SimState, key: FlowKey, tally: FlowTally, size: int, host: NodeId
+) -> None:
     if state.topology.ip_of.get(host) != key.dst:
         raise SimulationError(f"packet for {key.dst} delivered to {host}")
-    tally = state.record.tally(key)
     tally.delivered_packets += 1
     tally.delivered_bytes += size
     if host == state.topology.server:
@@ -271,14 +279,14 @@ def _deliver(state: SimState, key: FlowKey, size: int, host: NodeId) -> None:
             _emit(state, host, key.src, profile.response_size)
 
 
-def _walk(state: SimState, key: FlowKey, size: int, node: NodeId, in_port: int) -> None:
+def _walk(
+    state: SimState, key: FlowKey, tally: FlowTally, size: int, node: NodeId, in_port: int
+) -> None:
     """Forward one packet hop by hop until a host, a queue, or a drop."""
-    tally = state.record.tally(key)
-    limit = state.hop_limit()
     hops = 0
     while True:
         if not node.is_switch:
-            _deliver(state, key, size, node)
+            _deliver(state, key, tally, size, node)
             return
         entry = state.rules.lookup(node, key.src, key.dst, in_port)
         if entry is None:
@@ -287,16 +295,17 @@ def _walk(state: SimState, key: FlowKey, size: int, node: NodeId, in_port: int) 
             return
         entry.packets += 1
         entry.bytes += size
-        peer, peer_in = state.topology.peer(node, entry.rule.out_port)
-        link = state._constrained.get((node, entry.rule.out_port))
-        if link is not None:
-            ls = state.link_state(link)
+        out_port = entry.rule.out_port
+        peer, peer_in = state.topology.peer(node, out_port)
+        constrained = state._constrained.get(node)
+        ls = constrained.get(out_port) if constrained else None
+        if ls is not None:
             ls.entered_packets += 1
             ls.entered_bytes += size
             ls.t_entered += 1
             if ls.queue or ls.budget < size:
-                if len(ls.queue) < link.queue_cap:
-                    ls.queue.append(_QueuedPacket(key, size, peer, peer_in))
+                if len(ls.queue) < ls.link.queue_cap:
+                    ls.queue.append(_QueuedPacket(key, tally, size, peer, peer_in))
                 else:
                     ls.dropped_packets += 1
                     ls.dropped_bytes += size
@@ -310,7 +319,7 @@ def _walk(state: SimState, key: FlowKey, size: int, node: NodeId, in_port: int) 
             ls.t_passed += 1
         node, in_port = peer, peer_in
         hops += 1
-        if hops > limit:
+        if hops > state.hop_limit:
             raise SimulationError(f"forwarding loop for {key.src}->{key.dst}")
 
 
@@ -325,7 +334,7 @@ def _emit(state: SimState, src_host: NodeId, dst_ip: str, size: int) -> None:
         state.record.events.append(
             {"t": state.time, "event": "packet_in", "src": key.src, "dst": key.dst}
         )
-    _walk(state, key, size, edge, edge_in)
+    _walk(state, key, tally, size, edge, edge_in)
 
 
 def step(state: SimState) -> SimState:
@@ -348,7 +357,7 @@ def step(state: SimState) -> SimState:
             ls.passed_packets += 1
             ls.passed_bytes += pkt.size
             ls.t_passed += 1
-            _walk(state, pkt.key, pkt.size, pkt.node, pkt.in_port)
+            _walk(state, pkt.key, pkt.tally, pkt.size, pkt.node, pkt.in_port)
 
     server = state.topology.server
     server_ip = state.topology.ip_of.get(server) if server else None

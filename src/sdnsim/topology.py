@@ -6,6 +6,13 @@ Every perimeter core switch carries exactly one edge switch, giving
 on edge ports 80, 81, ... (their own side is always port 1); an edge switch's
 port 1 is its uplink into the core. Scrubber switches are attached later
 through :func:`attach_switch`.
+
+:class:`Topology` keeps an adjacency index, ``node -> {local port: (peer,
+peer port)}``, that :meth:`Topology.add_link` fills, and a switch count that
+:meth:`Topology.add_node` keeps. Port, neighbor and peer queries therefore
+cost O(degree) rather than O(links), and the forwarding hop limit
+(:attr:`Topology.hop_limit`) costs O(1). Add nodes and links only through
+those two methods; anything else leaves the index and the count stale.
 """
 
 from __future__ import annotations
@@ -43,6 +50,15 @@ class NodeId:
 
     kind: NodeKind
     index: tuple[int, ...]
+    # The fields never change, so the hash is computed once. Its value is
+    # the generated dataclass hash, hash((kind, index)).
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def core(i: int, j: int) -> "NodeId":
@@ -130,7 +146,9 @@ class Topology:
     host_of_ip: dict[str, NodeId] = field(default_factory=dict)
     server: NodeId | None = None
     attackers: set[NodeId] = field(default_factory=set)
-    _peer: dict[tuple[NodeId, int], tuple[NodeId, int]] = field(default_factory=dict)
+    switch_count: int = 0
+    # node -> {local port: (peer, peer port)}, one entry per link end.
+    _ports: dict[NodeId, dict[int, tuple[NodeId, int]]] = field(default_factory=dict)
 
     # -- construction -----------------------------------------------------
 
@@ -138,17 +156,19 @@ class Topology:
         if node in self.nodes:
             raise TopologyError(f"duplicate node {node}")
         self.nodes.add(node)
+        if node.is_switch:
+            self.switch_count += 1
 
     def add_link(self, link: Link) -> None:
-        for node, port in link.endpoints():
+        (na, pa), (nb, pb) = ends = link.endpoints()
+        for node, port in ends:
             if node not in self.nodes:
                 raise TopologyError(f"link endpoint {node} not in topology")
-            if (node, port) in self._peer:
+            if port in self._ports.get(node, ()):
                 raise TopologyError(f"port {port} already in use on {node}")
-        (na, pa), (nb, pb) = link.endpoints()
         self.links.append(link)
-        self._peer[(na, pa)] = (nb, pb)
-        self._peer[(nb, pb)] = (na, pa)
+        self._ports.setdefault(na, {})[pa] = (nb, pb)
+        self._ports.setdefault(nb, {})[pb] = (na, pa)
 
     def register_host(self, host: NodeId, ip: str) -> None:
         if ip in self.host_of_ip:
@@ -158,21 +178,25 @@ class Topology:
 
     # -- queries ----------------------------------------------------------
 
+    @property
+    def hop_limit(self) -> int:
+        """Switch hops past which a forwarding walk counts as a loop.
+
+        A loop-free walk visits each switch at most once, except the edge
+        switch that a scrubber detour enters twice.
+        """
+        return self.switch_count + 2
+
     def peer(self, node: NodeId, port: int) -> tuple[NodeId, int]:
         try:
-            return self._peer[(node, port)]
+            return self._ports[node][port]
         except KeyError:
             raise TopologyError(f"no link on {node} port {port}") from None
 
     def neighbors(self, node: NodeId) -> list[tuple[NodeId, int]]:
         """Adjacent (peer, local_port) pairs, sorted by local port."""
-        out = [
-            (peer, port)
-            for (own, port), (peer, _) in self._peer.items()
-            if own == node
-        ]
-        out.sort(key=lambda item: item[1])
-        return out
+        ports = self._ports.get(node, {})
+        return [(ports[port][0], port) for port in sorted(ports)]
 
     def port_toward(self, node: NodeId, other: NodeId) -> int:
         """Lowest-numbered local port whose link reaches ``other``."""
@@ -182,7 +206,7 @@ class Topology:
         raise TopologyError(f"{node} has no link toward {other}")
 
     def used_ports(self, node: NodeId) -> set[int]:
-        return {port for (own, port) in self._peer if own == node}
+        return set(self._ports.get(node, ()))
 
     def by_kind(self, kind: NodeKind) -> list[NodeId]:
         return sorted(n for n in self.nodes if n.kind is kind)
@@ -261,25 +285,27 @@ def build_grid(n: int, m: int, k: int) -> Topology:
         next_port[node] = port + 1
         return port
 
-    for i in range(n):
-        for j in range(m):
-            topo.add_node(NodeId.core(i, j))
+    # One instance per node, shared by the node set and every link, so that
+    # dict lookups on nodes match by identity before falling back to __eq__.
+    cores = {(i, j): NodeId.core(i, j) for i in range(n) for j in range(m)}
+    for core in cores.values():
+        topo.add_node(core)
 
     # 4-neighbor mesh: link each core to its right and down neighbor.
     for i in range(n):
         for j in range(m):
-            here = NodeId.core(i, j)
+            here = cores[(i, j)]
             if j + 1 < m:
-                right = NodeId.core(i, j + 1)
+                right = cores[(i, j + 1)]
                 topo.add_link(Link(here, take_port(here), right, take_port(right)))
             if i + 1 < n:
-                down = NodeId.core(i + 1, j)
+                down = cores[(i + 1, j)]
                 topo.add_link(Link(here, take_port(here), down, take_port(down)))
 
     for u, (i, j) in enumerate(perimeter_positions(n, m)):
         edge = NodeId.edge(u)
         topo.add_node(edge)
-        core = NodeId.core(i, j)
+        core = cores[(i, j)]
         # Edge port 1 is the uplink; the core side takes its next free port.
         topo.add_link(Link(edge, take_port(edge), core, take_port(core)))
         for slot in range(k):

@@ -25,6 +25,15 @@ def bfs_distances(topology, start):
     return dist
 
 
+def link_ends(topology):
+    """(node, port) -> (peer, peer port) over the raw link list."""
+    ends = {}
+    for link in topology.links:
+        ends[(link.a, link.a_port)] = (link.b, link.b_port)
+        ends[(link.b, link.b_port)] = (link.a, link.a_port)
+    return ends
+
+
 def is_connected(topology):
     some_node = next(iter(topology.nodes))
     return len(bfs_distances(topology, some_node)) == len(topology.nodes)
@@ -57,3 +66,16 @@ def destination_tree_ok(topology, rules, dst_ip):
 @pytest.fixture(scope="session")
 def session_start():
     return SESSION_START
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "session_last: run after every other collected test"
+    )
+
+
+def pytest_collection_modifyitems(items):
+    """Move ``session_last`` tests to the end of the run, so that a check on
+    elapsed time since SESSION_START covers the whole session."""
+    last = [item for item in items if item.get_closest_marker("session_last")]
+    items[:] = [item for item in items if item not in last] + last

@@ -287,6 +287,9 @@ def test_criterion_8_determinism(reference_attack):
     assert first[1] == second[1]
 
 
+@pytest.mark.session_last
 @criterion(9, "suite runtime")
 def test_criterion_9_suite_runtime():
+    # Runs after every other test of the session (see conftest), so this is
+    # the whole suite's time from collection on, not just this module's.
     assert time.monotonic() - SESSION_START < 60.0

@@ -3,13 +3,16 @@ import json
 import pytest
 
 from sdnsim.routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, handle_packet_in
+from sdnsim.mitigation import MitigationError, trace_path
 from sdnsim.simnet import (
     SimConfig,
+    SimState,
     SimulationError,
     TrafficKind,
     TrafficProfile,
     legit_rate,
     run,
+    step,
 )
 from sdnsim.topology import Link, NodeId, attach_switch, build_grid
 
@@ -263,3 +266,32 @@ def test_config_validation():
         SimConfig(duration=7.0, poll_interval=5.0, tick=2.0)
     with pytest.raises(ValueError):
         SimConfig(poll_interval=3.0, tick=2.0)
+
+
+# -- forwarding-loop check -------------------------------------------------
+
+def test_two_switch_rule_cycle_is_a_forwarding_loop():
+    topo, rules, profiles, cfg, server, client = simple_scenario()
+    c_ip, s_ip = topo.ip_of[client], topo.ip_of[server]
+    edge = topo.edge_of_host(client)
+    core, _ = topo.peer(edge, 1)
+    # edge -> core -> edge -> ... : the request never reaches the server.
+    rules.install(FlowRule(edge, c_ip, s_ip, topo.port_toward(edge, core), BASE_PRIORITY))
+    rules.install(FlowRule(core, None, s_ip, topo.port_toward(core, edge), BASE_PRIORITY))
+    state = SimState(topo, rules, profiles, cfg)
+    with pytest.raises(SimulationError, match="forwarding loop"):
+        step(state)
+    # The rule-table walker applies the same bound.
+    with pytest.raises(MitigationError, match="forwarding loop"):
+        trace_path(topo, rules, FlowKey(c_ip, s_ip))
+
+
+def test_hop_limit_follows_an_attached_scrubber():
+    topo, rules, profiles, cfg, server, client = simple_scenario()
+    state = step(SimState(topo, rules, profiles, cfg))
+    before = state.hop_limit
+    assert before == topo.switch_count + 2
+    scrub, edge = NodeId.scrubber(0), topo.edge_of_host(server)
+    attach_switch(topo, scrub, [Link(edge, 200, scrub, 1)])
+    step(state)
+    assert state.hop_limit == before + 1

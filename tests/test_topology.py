@@ -1,5 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sdnsim.analytics import DetectionReport
+from sdnsim.mitigation import apply, plan_scrubber
+from sdnsim.routing import FlowKey, RuleTable, handle_packet_in
 from sdnsim.topology import (
     HOST_FACING_BASE,
     Link,
@@ -13,7 +18,7 @@ from sdnsim.topology import (
     perimeter_positions,
 )
 
-from conftest import bfs_distances, is_connected
+from conftest import bfs_distances, is_connected, link_ends
 
 
 def test_reference_grid_counts():
@@ -154,3 +159,65 @@ def test_node_names_are_unique():
     topo = build_grid(3, 4, 3)
     names = [n.name for n in topo.nodes]
     assert len(names) == len(set(names))
+
+
+# -- adjacency index -------------------------------------------------------
+
+def _attach_scrubber_for(topo, client):
+    """Detour one client's flow through a scrubber via mitigation.apply."""
+    rules = RuleTable()
+    client_ip, server_ip = topo.ip_of[client], topo.ip_of[topo.server]
+    handle_packet_in(rules, topo, FlowKey(client_ip, server_ip))
+    report = DetectionReport(
+        target=server_ip,
+        aggregate_byte_rate=1e6,
+        threshold=1e4,
+        attack=True,
+        suspicious_sources=[client_ip],
+    )
+    apply(plan_scrubber(report, topo, rules), topo, rules)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    m=st.integers(2, 6),
+    k=st.integers(1, 4),
+    client=st.none() | st.integers(min_value=1),
+)
+def test_adjacency_index_matches_link_list(n, m, k, client):
+    topo = build_grid(n, m, k)
+    if client is not None:
+        hosts = [h for h in topo.hosts() if h != topo.server]
+        _attach_scrubber_for(topo, hosts[client % len(hosts)])
+        assert len(topo.scrubbers()) == 1
+
+    ends = link_ends(topo)
+    for node in topo.nodes:
+        own = sorted((port, peer) for (at, port), (peer, _) in ends.items() if at == node)
+        assert topo.neighbors(node) == [(peer, port) for port, peer in own]
+        assert topo.used_ports(node) == {port for port, _ in own}
+        for port, peer in own:
+            assert topo.peer(node, port) == ends[(node, port)]
+            assert topo.port_toward(node, peer) == min(p for p, q in own if q == peer)
+    # A host's only link goes to its edge switch, never to a core.
+    with pytest.raises(TopologyError):
+        topo.port_toward(topo.hosts()[0], topo.core_switches()[0])
+
+    switches = sum(1 for node in topo.nodes if node.kind is not NodeKind.HOST)
+    assert topo.switch_count == switches
+    assert topo.hop_limit == switches + 2
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    a=st.tuples(st.sampled_from(NodeKind), st.tuples(st.integers(0, 9), st.integers(0, 9))),
+    b=st.tuples(st.sampled_from(NodeKind), st.tuples(st.integers(0, 9), st.integers(0, 9))),
+)
+def test_node_id_hash_equality_and_order_follow_the_fields(a, b):
+    x, y = NodeId(*a), NodeId(*b)
+    assert hash(x) == hash(a)
+    assert hash(NodeId(*a)) == hash(x)
+    assert NodeId(*a) == x and NodeId(*a) is not x
+    assert (x == y) == (a == b)
+    assert (x < y) == (a < b)
