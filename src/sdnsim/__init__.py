@@ -1,13 +1,12 @@
 """Deterministic SDN simulator with volumetric-attack detection and mitigation."""
 
-from .routing import MISS, FlowKey, FlowRule, RuleTable, forward, handle_packet_in, shortest_path
+from .routing import FlowKey, FlowRule, RuleTable, handle_packet_in, shortest_path
 from .simnet import RunRecord, SimConfig, SimState, TrafficKind, TrafficProfile, legit_rate, run, step
 from .topology import Link, NodeId, NodeKind, Topology, attach_switch, build_grid
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MISS",
     "FlowKey",
     "FlowRule",
     "Link",
@@ -22,7 +21,6 @@ __all__ = [
     "TrafficProfile",
     "attach_switch",
     "build_grid",
-    "forward",
     "handle_packet_in",
     "legit_rate",
     "run",

@@ -29,17 +29,6 @@ class DetectionReport:
     suspicious_sources: list[str] = field(default_factory=list)
     rationale: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "aggregate_byte_rate": self.aggregate_byte_rate,
-            "threshold": self.threshold,
-            "attack": self.attack,
-            "suspicious_clusters": self.suspicious_clusters,
-            "suspicious_sources": self.suspicious_sources,
-            "rationale": self.rationale,
-        }
-
 
 def cluster_sharpness(centroid, std) -> float:
     """Mean coefficient of variation over dimensions with nonzero centroid."""

@@ -23,15 +23,6 @@ class FeatureVector:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.pkt_rate_up, self.pkt_rate_down, self.byte_rate_up, self.byte_rate_down)
 
-    def to_dict(self) -> dict:
-        return {
-            "client": self.client,
-            "pkt_rate_up": self.pkt_rate_up,
-            "pkt_rate_down": self.pkt_rate_down,
-            "byte_rate_up": self.byte_rate_up,
-            "byte_rate_down": self.byte_rate_down,
-        }
-
 
 def build_features(
     deltas: list[DeltaRecord], server: str, interval: float

@@ -26,15 +26,6 @@ class GaussComponent:
     count: int
     degenerate: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std": self.std,
-            "weight": self.weight,
-            "count": self.count,
-            "degenerate": self.degenerate,
-        }
-
 
 def silverman_bandwidth(values) -> float:
     """Rule-of-thumb kernel bandwidth 1.06 * std * n^(-1/5)."""

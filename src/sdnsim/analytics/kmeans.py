@@ -3,7 +3,7 @@
 Initialization is farthest-point: the first center is the feature of the
 canonically smallest client address, each next center the point maximizing
 its distance to the chosen set (address order breaks ties). Runs are
-therefore reproducible for a fixed feature order regardless of the seed.
+therefore reproducible for a fixed feature order; no random seed is involved.
 Clusters that lose all members during iteration are dropped and k shrinks.
 """
 
@@ -42,27 +42,16 @@ class Clustering:
 def kmeans(
     features: list[FeatureVector],
     k: int,
-    seed: int = 0,
     max_iter: int = 100,
-    scale: bool = False,
 ) -> Clustering:
-    """Cluster feature vectors into at most k groups.
-
-    ``scale`` divides every dimension by its maximum before measuring
-    distances; centroids and stds are always reported in original units.
-    """
+    """Cluster feature vectors into at most k groups."""
     if not features:
         raise ValueError("no features to cluster")
     if k < 1 or k > len(features):
         raise ValueError(f"k must be in [1, {len(features)}], got {k}")
 
     clients = [f.client for f in features]
-    raw = np.array([f.as_tuple() for f in features], dtype=float)
-    points = raw.copy()
-    if scale:
-        peaks = points.max(axis=0)
-        peaks[peaks == 0.0] = 1.0
-        points = points / peaks
+    points = np.array([f.as_tuple() for f in features], dtype=float)
 
     order = sorted(range(len(clients)), key=lambda i: ip_key(clients[i]))
 
@@ -95,16 +84,16 @@ def kmeans(
         )
 
     final_k = len(centroids)
-    raw_centroids = []
-    raw_stds = []
+    means = []
+    stds = []
     members: list[list[str]] = []
     for c in range(final_k):
         mask = labels == c
-        raw_centroids.append(tuple(float(v) for v in raw[mask].mean(axis=0)))
-        raw_stds.append(tuple(float(v) for v in raw[mask].std(axis=0)))
+        means.append(tuple(float(v) for v in points[mask].mean(axis=0)))
+        stds.append(tuple(float(v) for v in points[mask].std(axis=0)))
         members.append(sorted((clients[i] for i in np.flatnonzero(mask)), key=ip_key))
     assignment = {clients[i]: int(labels[i]) for i in range(len(clients))}
-    return Clustering(final_k, raw_centroids, assignment, members, raw_stds, history)
+    return Clustering(final_k, means, assignment, members, stds, history)
 
 
 def compare_clusterings(

@@ -4,7 +4,13 @@ A scenario is a flat JSON document (unknown keys are rejected so typos in
 sweep scripts fail loudly). ``run`` executes it and writes two artifacts
 into the output directory: ``stats.csv`` (the raw poll samples) and
 ``report.json`` (rule dumps, per-poll analytics, mitigation plan, final
-tallies). Both are byte-stable for a fixed config and seed.
+tallies). Both are byte-stable for a fixed config; its ``seed`` is recorded
+metadata, since the simulation draws no random numbers.
+
+Report records whose serialized form is exactly their dataclass fields
+(config, samples, deltas, features, Gaussian components, verdicts, flow
+tallies) are written as ``vars(record)``; classes whose report form differs
+from their fields keep a ``to_dict``.
 
 Exit codes: 0 clean run, 2 configuration problems, 3 internal invariant
 violations.
@@ -16,91 +22,62 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from . import analytics, mitigation, simnet, telemetry
 from .routing import RoutingError, RuleTable
-from .simnet import SimConfig, SimulationError, TrafficKind, TrafficProfile, legit_rate
+from .simnet import SimConfig, SimulationError, TrafficKind, TrafficProfile, legit_rate, tick_errors
 from .telemetry import CounterRegressionError, StatStore
-from .topology import NodeId, TopologyError, build_grid, parse_host_name
+from .topology import MAX_HOSTS_PER_EDGE, NodeId, TopologyError, build_grid, parse_host_name
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 
-DEFAULTS = {
-    "grid_n": 3,
-    "grid_m": 4,
-    "hosts_per_edge": 3,
-    "server_edge": 0,
-    "server_slot": 0,
-    "client_matrix": 5,
-    "base_rate": 2.0,
-    "request_bytes": 200,
-    "response_bytes": 1000,
-    "attackers": [],
-    "attacker_rate": None,
-    "attack_start": 20.0,
-    "duration": 60.0,
-    "tick": 1.0,
-    "poll_interval": 5.0,
-    "seed": 1,
-    "threshold": None,
-    "k_clusters": 5,
-    "bandwidth": None,
-    "output_dir": "out",
-}
+
+def _bounded(default, minimum, maximum=None):
+    """A numeric config field: its default and its valid range."""
+    return field(default=default, metadata={"range": (minimum, maximum)})
 
 
 @dataclass
 class ScenarioConfig:
-    grid_n: int
-    grid_m: int
-    hosts_per_edge: int
-    server_edge: int
-    server_slot: int
-    client_matrix: int
-    base_rate: float
-    request_bytes: int
-    response_bytes: int
-    attackers: list[str]
-    attacker_rate: float
-    attack_start: float
-    duration: float
-    tick: float
-    poll_interval: float
-    seed: int
-    threshold: float
-    k_clusters: int
-    bandwidth: float | None
-    output_dir: str
-    designed_legit_aggregate: float = field(default=0.0)
+    """The config document's fields with their defaults and ranges, plus
+    the designed legitimate aggregate that validation derives.
 
-    def to_dict(self) -> dict:
-        return {
-            "grid_n": self.grid_n,
-            "grid_m": self.grid_m,
-            "hosts_per_edge": self.hosts_per_edge,
-            "server_edge": self.server_edge,
-            "server_slot": self.server_slot,
-            "client_matrix": self.client_matrix,
-            "base_rate": self.base_rate,
-            "request_bytes": self.request_bytes,
-            "response_bytes": self.response_bytes,
-            "attackers": list(self.attackers),
-            "attacker_rate": self.attacker_rate,
-            "attack_start": self.attack_start,
-            "duration": self.duration,
-            "tick": self.tick,
-            "poll_interval": self.poll_interval,
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "k_clusters": self.k_clusters,
-            "bandwidth": self.bandwidth,
-            "output_dir": self.output_dir,
-            "designed_legit_aggregate": self.designed_legit_aggregate,
-        }
+    A field typed ``int`` takes integers only; a field defaulting to None
+    may be left null, and validation then derives its value.
+    """
+
+    grid_n: int = _bounded(3, 2)
+    grid_m: int = _bounded(4, 2)
+    hosts_per_edge: int = _bounded(3, 1, MAX_HOSTS_PER_EDGE)
+    server_edge: int = _bounded(0, 0)
+    server_slot: int = _bounded(0, 0)
+    client_matrix: int = _bounded(5, 1)
+    base_rate: float = _bounded(2.0, 1e-9)
+    request_bytes: int = _bounded(200, 1)
+    response_bytes: int = _bounded(1000, 1)
+    attackers: list[str] = field(default_factory=list)
+    attacker_rate: float | None = _bounded(None, 1e-9)
+    attack_start: float = _bounded(20.0, 0)
+    duration: float = _bounded(60.0, 0)
+    tick: float = _bounded(1.0, 1e-9)
+    poll_interval: float = _bounded(5.0, 1e-9)
+    seed: int = _bounded(1, 0)  # recorded in the report; nothing draws from it
+    threshold: float | None = _bounded(None, 1e-9)
+    k_clusters: int = _bounded(5, 1)
+    bandwidth: float | None = _bounded(None, 1e-9)
+    output_dir: str = "out"
+    designed_legit_aggregate: float = field(default=0.0, init=False)
+
+
+DEFAULTS = {
+    f.name: f.default_factory() if f.default is MISSING else f.default
+    for f in fields(ScenarioConfig)
+    if f.init
+}
 
 
 def matrix_rates(n_clients: int, k_matrix: int, base: float) -> list[float]:
@@ -116,7 +93,12 @@ def matrix_rates(n_clients: int, k_matrix: int, base: float) -> list[float]:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # NaN, the infinities and integers beyond the float range are rejected.
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
 def validate_config(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
@@ -135,52 +117,35 @@ def validate_config(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
     values = dict(DEFAULTS)
     values.update({k: v for k, v in raw.items() if k in DEFAULTS})
 
-    def number(name, minimum=None, integer=False, nullable=False):
-        v = values[name]
+    for f in fields(ScenarioConfig):
+        if "range" not in f.metadata:
+            continue
+        name, v = f.name, values[f.name]
+        minimum, maximum = f.metadata["range"]
+        integer = f.type == "int"  # annotations are strings in this module
         if v is None:
-            if nullable:
-                return None
-            errors.append(f"{name} must be set")
-            return None
-        if not _is_number(v) or (integer and not isinstance(v, int)):
+            if f.default is not None:
+                errors.append(f"{name} must be set")
+        elif not _is_number(v) or (integer and not isinstance(v, int)):
             errors.append(f"{name} must be {'an integer' if integer else 'a number'}")
-            return None
-        if minimum is not None and v < minimum:
+            values[name] = None
+        elif v < minimum:
             errors.append(f"{name} must be >= {minimum}")
-            return None
-        return v
-
-    n = number("grid_n", minimum=2, integer=True)
-    m = number("grid_m", minimum=2, integer=True)
-    k = number("hosts_per_edge", minimum=1, integer=True)
-    server_edge = number("server_edge", minimum=0, integer=True)
-    server_slot = number("server_slot", minimum=0, integer=True)
-    k_matrix = number("client_matrix", minimum=1, integer=True)
-    base_rate = number("base_rate", minimum=1e-9)
-    request_bytes = number("request_bytes", minimum=1, integer=True)
-    response_bytes = number("response_bytes", minimum=1, integer=True)
-    attacker_rate = number("attacker_rate", minimum=1e-9, nullable=True)
-    attack_start = number("attack_start", minimum=0)
-    duration = number("duration", minimum=0)
-    tick = number("tick", minimum=1e-9)
-    poll_interval = number("poll_interval", minimum=1e-9)
-    seed = number("seed", minimum=0, integer=True)
-    threshold = number("threshold", minimum=1e-9, nullable=True)
-    k_clusters = number("k_clusters", minimum=1, integer=True)
-    bandwidth = number("bandwidth", minimum=1e-9, nullable=True)
+            values[name] = None
+        elif maximum is not None and v > maximum:
+            errors.append(f"{name} must be <= {maximum}")
+            values[name] = None
 
     output_dir = values["output_dir"]
     if not isinstance(output_dir, str) or not output_dir:
         errors.append("output_dir must be a non-empty string")
 
+    tick = values["tick"]
     if tick is not None:
-        for name, value in (("duration", duration), ("poll_interval", poll_interval)):
-            if value is None:
-                continue
-            ratio = value / tick
-            if abs(ratio - round(ratio)) > 1e-9:
-                errors.append(f"{name} must be a multiple of tick")
+        errors += tick_errors(tick, values["duration"], values["poll_interval"])
 
+    n, m, k = values["grid_n"], values["grid_m"], values["hosts_per_edge"]
+    server_edge, server_slot = values["server_edge"], values["server_slot"]
     edge_count = 2 * n + 2 * m - 4 if n is not None and m is not None else None
     if edge_count is not None and server_edge is not None and server_edge >= edge_count:
         errors.append(f"server_edge must be < {edge_count}")
@@ -215,22 +180,19 @@ def validate_config(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
     if errors:
         return None, errors
 
-    n_hosts = k * edge_count
-    n_legit = n_hosts - 1 - len(attackers)
-    rates = matrix_rates(n_legit, k_matrix, base_rate)
-    designed = sum(rates) * request_bytes
-    if attacker_rate is None:
+    n_legit = k * edge_count - 1 - len(attackers)
+    rates = matrix_rates(n_legit, values["client_matrix"], values["base_rate"])
+    designed = sum(rates) * values["request_bytes"]
+    if values["attacker_rate"] is None:
         # Default: 10x the triangular profile's top rate.
-        attacker_rate = 10.0 * base_rate * (2 * k_matrix - 1)
-    if threshold is None:
-        threshold = 10.0 * designed
-    cfg = ScenarioConfig(
-        n, m, k, server_edge, server_slot, k_matrix, float(base_rate),
-        request_bytes, response_bytes, list(attackers), float(attacker_rate),
-        float(attack_start), float(duration), float(tick), float(poll_interval),
-        seed, float(threshold), k_clusters,
-        float(bandwidth) if bandwidth is not None else None, output_dir,
-    )
+        values["attacker_rate"] = 10.0 * values["base_rate"] * (2 * values["client_matrix"] - 1)
+    if values["threshold"] is None:
+        values["threshold"] = 10.0 * designed
+    for f in fields(ScenarioConfig):
+        if f.init and f.type.startswith("float") and values[f.name] is not None:
+            values[f.name] = float(values[f.name])
+    values["attackers"] = list(attackers)
+    cfg = ScenarioConfig(**values)
     cfg.designed_legit_aggregate = designed
     return cfg, []
 
@@ -263,7 +225,6 @@ def build_scenario(cfg: ScenarioConfig):
     sim_cfg = SimConfig(
         tick=cfg.tick,
         duration=cfg.duration,
-        seed=cfg.seed,
         attack_start=cfg.attack_start,
         poll_interval=cfg.poll_interval,
     )
@@ -294,7 +255,7 @@ class ScenarioPipeline:
 
     def on_poll(self, state, t: float, samples) -> None:
         deltas = telemetry.delta(self.store, samples)
-        entry: dict = {"t": t, "deltas": [d.to_dict() for d in deltas]}
+        entry: dict = {"t": t, "deltas": [vars(d) for d in deltas]}
 
         # Detection looks at the target's own edge switch so the two polled
         # edges of a flow are not double-counted.
@@ -308,19 +269,19 @@ class ScenarioPipeline:
         }
 
         vectors = analytics.build_features(local, self.server_ip, self.cfg.poll_interval)
-        entry["features"] = [v.to_dict() for v in vectors]
+        entry["features"] = [vars(v) for v in vectors]
         clustering = None
         report = None
         if vectors:
             k = min(self.cfg.k_clusters, len(vectors))
-            clustering = analytics.kmeans(vectors, k, seed=self.cfg.seed)
+            clustering = analytics.kmeans(vectors, k)
             report = analytics.detect(
                 byte_rate, self.cfg.threshold, clustering, self.server_ip
             )
             up_rates = [v.byte_rate_up for v in vectors]
             if len(up_rates) >= 2:
                 entry["gaussian"] = [
-                    c.to_dict()
+                    vars(c)
                     for c in analytics.decompose_gaussian_1d(up_rates, self.cfg.bandwidth)
                 ]
             else:
@@ -336,7 +297,7 @@ class ScenarioPipeline:
             entry["gaussian"] = None
             entry["new_clusters"] = None
         entry["clustering"] = clustering.to_dict() if clustering else None
-        entry["detection"] = report.to_dict() if report else None
+        entry["detection"] = vars(report) if report else None
         self.polls.append(entry)
 
         if report is None or not report.attack:
@@ -380,7 +341,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
 
     telemetry.write_stats_csv(record.samples, out_dir / "stats.csv")
     report = {
-        "config": cfg.to_dict(),
+        "config": vars(cfg),
         "topology": topo.to_dict(),
         "polls": pipeline.polls,
         "mitigation": pipeline.plan.to_dict() if pipeline.plan else None,
@@ -414,7 +375,7 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run a scenario config")
     run_p.add_argument("--config", required=True, help="path to a JSON scenario")
     run_p.add_argument("--out", help="output directory (overrides config)")
-    run_p.add_argument("--seed", type=int, help="seed (overrides config)")
+    run_p.add_argument("--seed", type=int, help="seed to record in the report (overrides config)")
 
     init_p = sub.add_parser("init-config", help="emit a scenario template")
     init_p.add_argument("--template", default="reference", choices=sorted(TEMPLATES))
@@ -440,10 +401,12 @@ def main(argv=None) -> int:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.out is not None:
-        raw["output_dir"] = args.out
-    if args.seed is not None:
-        raw["seed"] = args.seed
+    # Overrides apply to a JSON object only; validation rejects anything else.
+    if isinstance(raw, dict):
+        if args.out is not None:
+            raw["output_dir"] = args.out
+        if args.seed is not None:
+            raw["seed"] = args.seed
 
     cfg, errors = validate_config(raw)
     if errors:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analytics.detect import DetectionReport
-from .routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, forward, MISS
+from .routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable
 from .telemetry import ip_key
 from .topology import (
     HOST_PORT,
@@ -25,6 +25,7 @@ from .topology import (
     Link,
     NodeId,
     Topology,
+    TopologyError,
     attach_switch,
 )
 
@@ -62,17 +63,7 @@ class MitigationPlan:
         return {
             "scrubber": self.scrubber.name,
             "attach_to": self.attach_to.name,
-            "links": [
-                {
-                    "a": l.a.name,
-                    "a_port": l.a_port,
-                    "b": l.b.name,
-                    "b_port": l.b_port,
-                    "capacity": l.capacity,
-                    "queue_cap": l.queue_cap,
-                }
-                for l in self.links
-            ],
+            "links": [link.to_dict() for link in self.links],
             "rule_edits": [e.to_dict() for e in self.rule_edits],
             "target": self.target,
             "suspicious_sources": self.suspicious_sources,
@@ -166,21 +157,11 @@ def plan_scrubber(
 def apply(
     plan: MitigationPlan, topology: Topology, rules: RuleTable
 ) -> tuple[Topology, RuleTable]:
-    """Apply a plan atomically: everything is validated before any mutation."""
-    if plan.scrubber in topology.nodes:
-        raise MitigationError(f"{plan.scrubber} already exists")
-    claimed: set[tuple[NodeId, int]] = set()
-    for link in plan.links:
-        for node, port in link.endpoints():
-            if node != plan.scrubber and node not in topology.nodes:
-                raise MitigationError(f"link endpoint {node} missing")
-            if (node, port) in claimed or (
-                node != plan.scrubber and port in topology.used_ports(node)
-            ):
-                raise MitigationError(f"port {port} on {node} unavailable")
-            claimed.add((node, port))
+    """Apply a plan atomically: everything is validated before any mutation.
 
-    # Dry-run the edit sequence against the current table.
+    The rule edits are dry-run first; :func:`attach_switch` then validates
+    the scrubber and its links before it changes the topology.
+    """
     pending: dict[tuple, bool] = {}
     for edit in plan.rule_edits:
         r = edit.rule
@@ -192,7 +173,10 @@ def apply(
             raise MitigationError(f"cannot add duplicate rule {r.dump()}")
         pending[ident] = edit.op == "add"
 
-    attach_switch(topology, plan.scrubber, plan.links)
+    try:
+        attach_switch(topology, plan.scrubber, plan.links)
+    except TopologyError as exc:
+        raise MitigationError(str(exc)) from exc
     removed: dict[tuple[NodeId, str | None, str], tuple[int, int]] = {}
     for edit in plan.rule_edits:
         r = edit.rule
@@ -210,8 +194,8 @@ def apply(
 def trace_path(topology: Topology, rules: RuleTable, key: FlowKey) -> list[NodeId]:
     """Node sequence a packet for ``key`` takes, by walking the rule table.
 
-    Raises if the walk MISSes or exceeds ``topology.hop_limit`` (a loop),
-    the same bound the engine's walk uses.
+    Raises if a switch has no matching rule or the walk exceeds
+    ``topology.hop_limit`` (a loop), the same bound the engine's walk uses.
     """
     src_host = topology.host_of_ip.get(key.src)
     dst_host = topology.host_of_ip.get(key.dst)
@@ -223,9 +207,9 @@ def trace_path(topology: Topology, rules: RuleTable, key: FlowKey) -> list[NodeI
         path.append(node)
         if len(path) > topology.hop_limit:
             raise MitigationError(f"forwarding loop for {key.src}->{key.dst}: {path}")
-        port = forward(rules, node, key, in_port)
-        if port is MISS:
-            raise MitigationError(f"MISS at {node} for {key.src}->{key.dst}")
-        node, in_port = topology.peer(node, port)
+        entry = rules.lookup(node, key.src, key.dst, in_port)
+        if entry is None:
+            raise MitigationError(f"no rule at {node} for {key.src}->{key.dst}")
+        node, in_port = topology.peer(node, entry.rule.out_port)
     path.append(node)
     return path

@@ -21,17 +21,6 @@ class RoutingError(ValueError):
     pass
 
 
-class _Miss:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "MISS"
-
-
-#: Sentinel returned by :func:`forward` when no rule matches.
-MISS = _Miss()
-
-
 @dataclass(frozen=True)
 class FlowKey:
     src: str
@@ -261,12 +250,3 @@ def handle_packet_in(
     )
     return written
 
-
-def forward(
-    rules: RuleTable, at: NodeId, key: FlowKey, in_port: int | None = None
-):
-    """Datapath lookup: out port of the best matching rule, or MISS."""
-    entry = rules.lookup(at, key.src, key.dst, in_port)
-    if entry is None:
-        return MISS
-    return entry.rule.out_port

@@ -55,11 +55,26 @@ class TrafficProfile:
             raise ValueError("packet sizes must be positive")
 
 
+def tick_errors(tick: float, duration: float | None, poll_interval: float | None) -> list[str]:
+    """Violations of the tick rule for a positive ``tick``: ``duration`` and
+    ``poll_interval`` are whole multiples of it, and ``poll_interval`` is at
+    least one tick. A ``None`` value is not checked."""
+    errors = []
+    for name, value in (("duration", duration), ("poll_interval", poll_interval)):
+        if value is None:
+            continue
+        ratio = value / tick
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
+            errors.append(f"{name} must be a multiple of tick")
+        elif name == "poll_interval" and round(ratio) < 1:
+            errors.append("poll_interval must be at least one tick")
+    return errors
+
+
 @dataclass(frozen=True)
 class SimConfig:
     tick: float = 1.0
     duration: float = 60.0
-    seed: int = 0
     attack_start: float = 20.0
     poll_interval: float = 5.0
 
@@ -70,10 +85,9 @@ class SimConfig:
             raise ValueError("duration must be >= 0")
         if self.poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
-        for name, value in (("duration", self.duration), ("poll_interval", self.poll_interval)):
-            ratio = value / self.tick
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise ValueError(f"{name} must be a multiple of tick")
+        errors = tick_errors(self.tick, self.duration, self.poll_interval)
+        if errors:
+            raise ValueError(errors[0])
 
     @property
     def steps(self) -> int:
@@ -95,26 +109,6 @@ def legit_rate(i: int, j: int, k: int, base: float) -> float:
     if base <= 0:
         raise ValueError("base rate must be positive")
     return base * (i + j + 1)
-
-
-class CounterSet(dict):
-    """Snapshot of cumulative per-rule counters.
-
-    Keys are (switch name, match_src, match_dst, priority); values are
-    (packets, bytes). Counters are monotone non-decreasing across snapshots
-    of a running simulation.
-    """
-
-    @classmethod
-    def snapshot(cls, rules: RuleTable) -> "CounterSet":
-        out = cls()
-        for entry in rules.all_entries():
-            r = entry.rule
-            out[(r.switch.name, r.match_src, r.match_dst, r.priority)] = (
-                entry.packets,
-                entry.bytes,
-            )
-        return out
 
 
 @dataclass
@@ -176,18 +170,6 @@ class FlowTally:
     missed_packets: int = 0
     missed_bytes: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "emitted_packets": self.emitted_packets,
-            "emitted_bytes": self.emitted_bytes,
-            "delivered_packets": self.delivered_packets,
-            "delivered_bytes": self.delivered_bytes,
-            "dropped_packets": self.dropped_packets,
-            "dropped_bytes": self.dropped_bytes,
-            "missed_packets": self.missed_packets,
-            "missed_bytes": self.missed_bytes,
-        }
-
 
 @dataclass
 class RunRecord:
@@ -198,7 +180,9 @@ class RunRecord:
     flow_snapshots: list[dict] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     flows: dict[tuple[str, str], FlowTally] = field(default_factory=dict)
-    counters: CounterSet = field(default_factory=CounterSet)
+    # (switch name, match_src, match_dst, priority) -> (packets, bytes) at
+    # the end of the run
+    counters: dict[tuple, tuple[int, int]] = field(default_factory=dict)
     link_stats: list[dict] = field(default_factory=list)
 
     def tally(self, key: FlowKey) -> FlowTally:
@@ -210,11 +194,11 @@ class RunRecord:
     def to_dict(self) -> dict:
         return {
             "poll_times": self.poll_times,
-            "samples": [s.to_dict() for s in self.samples],
+            "samples": [vars(s) for s in self.samples],
             "flow_snapshots": self.flow_snapshots,
             "events": self.events,
             "flows": {
-                f"{src}->{dst}": tally.to_dict()
+                f"{src}->{dst}": vars(tally)
                 for (src, dst), tally in sorted(
                     self.flows.items(),
                     key=lambda kv: (telemetry.ip_key(kv[0][0]), telemetry.ip_key(kv[0][1])),
@@ -431,7 +415,13 @@ def run(
             if on_poll is not None:
                 on_poll(state, t, samples)
 
-    state.record.counters = CounterSet.snapshot(rules)
+    state.record.counters = {
+        (e.rule.switch.name, e.rule.match_src, e.rule.match_dst, e.rule.priority): (
+            e.packets,
+            e.bytes,
+        )
+        for e in rules.all_entries()
+    }
     state.record.link_stats = [
         state.link_states[link].to_dict()
         for link in sorted(state.link_states, key=lambda l: (l.a, l.a_port))

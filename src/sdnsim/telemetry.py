@@ -31,16 +31,6 @@ class StatSample:
     packets_total: int
     bytes_total: int
 
-    def to_dict(self) -> dict:
-        return {
-            "timestamp": self.timestamp,
-            "switch": self.switch,
-            "src": self.src,
-            "dst": self.dst,
-            "packets_total": self.packets_total,
-            "bytes_total": self.bytes_total,
-        }
-
 
 @dataclass(frozen=True)
 class DeltaRecord:
@@ -52,23 +42,11 @@ class DeltaRecord:
     d_bytes: int
     interval: float
 
-    def to_dict(self) -> dict:
-        return {
-            "interval_end": self.interval_end,
-            "switch": self.switch,
-            "src": self.src,
-            "dst": self.dst,
-            "d_packets": self.d_packets,
-            "d_bytes": self.d_bytes,
-            "interval": self.interval,
-        }
-
 
 @dataclass
 class StatStore:
-    """Append-only sample log plus last-seen totals per (switch, src, dst)."""
+    """Last-seen totals per (switch, src, dst) and the time of the last poll."""
 
-    samples: list[StatSample] = field(default_factory=list)
     last_seen: dict[tuple[str, str, str], tuple[int, int]] = field(default_factory=dict)
     last_poll_time: float = 0.0
 
@@ -121,7 +99,6 @@ def delta(store: StatStore, samples: list[StatSample]) -> list[DeltaRecord]:
         records.append(
             DeltaRecord(t, sample.switch, sample.src, sample.dst, d_p, d_b, interval)
         )
-    store.samples.extend(samples)
     store.last_poll_time = t
     return records
 

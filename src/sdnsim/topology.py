@@ -135,6 +135,10 @@ class Link:
     def endpoints(self) -> tuple[tuple[NodeId, int], tuple[NodeId, int]]:
         return (self.a, self.a_port), (self.b, self.b_port)
 
+    def to_dict(self) -> dict:
+        """The fields, with node ids replaced by their names."""
+        return {**vars(self), "a": self.a.name, "b": self.b.name}
+
 
 @dataclass
 class Topology:
@@ -234,17 +238,7 @@ class Topology:
                 {"name": n.name, "kind": n.kind.name.lower()}
                 for n in sorted(self.nodes)
             ],
-            "links": [
-                {
-                    "a": link.a.name,
-                    "a_port": link.a_port,
-                    "b": link.b.name,
-                    "b_port": link.b_port,
-                    "capacity": link.capacity,
-                    "queue_cap": link.queue_cap,
-                }
-                for link in self.links
-            ],
+            "links": [link.to_dict() for link in self.links],
             "roles": {
                 "server": self.server.name if self.server else None,
                 "attackers": sorted(a.name for a in self.attackers),

@@ -160,7 +160,7 @@ def test_criterion_4_clustering_recovery():
         ] + [
             FeatureVector(f"10.0.1.{i}", *np.abs(row)) for i, row in enumerate(small)
         ]
-        clustering = kmeans(features, 2, seed=seed)
+        clustering = kmeans(features, 2)
         assert clustering.k == 2
         big_label = clustering.assignment["10.0.0.0"]
         small_label = clustering.assignment["10.0.1.0"]

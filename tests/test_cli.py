@@ -1,8 +1,17 @@
+import contextlib
+import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdnsim.cli import (
     DEFAULTS,
     EXIT_CONFIG,
+    EXIT_INVARIANT,
     EXIT_OK,
     build_scenario,
     main,
@@ -13,6 +22,7 @@ from sdnsim.cli import (
 )
 from sdnsim.simnet import TrafficKind
 from sdnsim.telemetry import StatStore, delta, read_stats_csv
+from sdnsim.topology import MAX_HOSTS_PER_EDGE
 
 
 def small_raw(**overrides):
@@ -135,7 +145,7 @@ def test_csv_replay_reproduces_report_deltas(tmp_path):
     replayed = []
     for t in sorted({s.timestamp for s in samples}):
         batch = [s for s in samples if s.timestamp == t]
-        replayed.extend(d.to_dict() for d in delta(store, batch))
+        replayed.extend(vars(d) for d in delta(store, batch))
     reported = [d for p in report["polls"] for d in p["deltas"]]
     assert replayed == reported
 
@@ -236,3 +246,140 @@ def test_seed_override_recorded(tmp_path):
     main(["run", "--config", str(config_path), "--out", str(out), "--seed", "99"])
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["seed"] == 99
+
+
+# -- bad documents end with exit 2, never a traceback ----------------------
+
+def run_document(doc, out) -> tuple[int, str]:
+    """``sdnsim run`` on a raw JSON document; returns (exit code, stderr)."""
+    config_path = Path(out).parent / "scenario.json"
+    config_path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(config_path), "--out", str(out)])
+    return code, err.getvalue()
+
+
+def test_poll_interval_below_tick_exits_2(tmp_path):
+    code, err = run_document({"poll_interval": 1e-9}, tmp_path / "out")
+    assert code == EXIT_CONFIG
+    assert "poll_interval must be at least one tick" in err
+
+
+def test_hosts_per_edge_capped_at_topology_limit(tmp_path):
+    assert validate_config({"hosts_per_edge": MAX_HOSTS_PER_EDGE})[1] == []
+    cfg, errors = validate_config({"hosts_per_edge": MAX_HOSTS_PER_EDGE + 1})
+    assert cfg is None
+    assert errors == [f"hosts_per_edge must be <= {MAX_HOSTS_PER_EDGE}"]
+    code, err = run_document({"hosts_per_edge": MAX_HOSTS_PER_EDGE + 1}, tmp_path / "out")
+    assert code == EXIT_CONFIG
+    assert "hosts_per_edge must be <=" in err
+
+
+BAD_VALUES = st.sampled_from([None, True, "1", [1], {"a": 1}]) | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf")]
+)
+# Every config key but output_dir, which `--out` always sets.
+TYPED_KEYS = [key for key in DEFAULTS if key != "output_dir"]
+
+
+@st.composite
+def small_documents(draw):
+    """A valid scenario on a small grid that runs one to three ticks."""
+    tick = draw(st.sampled_from([1.0, 0.5, 1e-9]))
+    return {
+        "grid_n": draw(st.integers(2, 3)),
+        "grid_m": draw(st.integers(2, 3)),
+        "hosts_per_edge": draw(st.integers(2, 3)),
+        "attackers": draw(st.sampled_from([[], ["h1s1"]])),
+        "attack_start": 0.0,
+        "tick": tick,
+        "duration": draw(st.integers(1, 3)) * tick,
+        "poll_interval": draw(st.integers(1, 2)) * tick,
+    }
+
+
+# One field out of range; duration and poll_interval are given in ticks.
+# None of these lengthens a run past three ticks.
+OUT_OF_RANGE = st.sampled_from([
+    ("grid_n", 1),
+    ("hosts_per_edge", 0),
+    ("hosts_per_edge", MAX_HOSTS_PER_EDGE + 1),
+    ("hosts_per_edge", 150),
+    ("attackers", ["h0s0"]),
+    ("attackers", ["h9s9"]),
+    ("attackers", ["x"]),
+    ("attackers", ["h1s1", "h1s1"]),
+    ("tick", 1e-12),
+    ("tick", 0.0),
+    ("tick", -1.0),
+    ("duration", -1.0),
+    ("duration", 1.5),
+    ("poll_interval", 1e-9),  # under one tick
+    ("poll_interval", 0.5),
+    ("poll_interval", 0.0),
+    ("poll_interval", -1.0),
+])
+
+
+@st.composite
+def config_documents(draw):
+    """Valid small scenarios, the same with one field out of range or with
+    badly typed fields, and top-level values that are not objects."""
+    doc = draw(small_documents())
+    branch = draw(st.sampled_from(["valid", "range", "type", "not an object"]))
+    if branch == "range":
+        key, value = draw(OUT_OF_RANGE)
+        doc[key] = value * doc["tick"] if key in ("duration", "poll_interval") else value
+    elif branch == "type":
+        for key in draw(st.lists(st.sampled_from(TYPED_KEYS), min_size=1, max_size=3)):
+            doc[key] = draw(BAD_VALUES)
+    elif branch == "not an object":
+        return draw(st.sampled_from([[], [doc], "doc", 3, None]))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=config_documents())
+@example(doc={"poll_interval": 1e-9})
+@example(doc={"hosts_per_edge": MAX_HOSTS_PER_EDGE + 1})
+@example(doc={"base_rate": float("inf"), "duration": 1.0})
+def test_no_traceback_on_any_config_document(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_document(doc, Path(tmp) / "out")
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INVARIANT)
+    if code != EXIT_OK:
+        assert err
+
+
+# -- artifacts pinned across commits ----------------------------------------
+
+# sha256 of stats.csv + report.json (report's output_dir echo normalized)
+# for small_raw(), and of `sdnsim init-config --template reference`. Any
+# change to these artifacts must update the constants and say why.
+SMALL_RAW_DIGEST = "7dc6d501c6655d80ce722e5255ca2ebedfc7448854ca175cc9685aef0da2df3c"
+REFERENCE_TEMPLATE_DIGEST = "6fabaca1e4c5a2b8f59b8bdcc651f5da1a87a121a6c70476358c0d1939b8bb1f"
+
+
+def artifact_digest(out) -> str:
+    echo = b'"output_dir": ' + json.dumps(str(out)).encode()
+    report = (out / "report.json").read_bytes()
+    assert report.count(echo) == 1
+    digest = hashlib.sha256((out / "stats.csv").read_bytes())
+    digest.update(report.replace(echo, b'"output_dir": "<out>"'))
+    return digest.hexdigest()
+
+
+def test_artifacts_match_pinned_digests(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg, _ = validate_config(small_raw(output_dir=str(out)))
+    assert run_scenario(cfg) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["mitigation"] is not None
+    assert any(p["detection"] and p["gaussian"] and p["new_clusters"] is not None
+               for p in report["polls"])
+    assert artifact_digest(out) == SMALL_RAW_DIGEST
+
+    assert main(["init-config", "--template", "reference"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_TEMPLATE_DIGEST

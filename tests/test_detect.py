@@ -66,7 +66,7 @@ def test_identical_clusters_all_flagged_deterministically():
     for report in reports:
         # all clusters sit exactly at the mean intensity and median sharpness
         assert report.suspicious_clusters == [0, 1, 2]
-    assert reports[0].to_dict() == reports[1].to_dict()
+    assert reports[0] == reports[1]
 
 
 def test_single_cluster_flagged_with_low_confidence():

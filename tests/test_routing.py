@@ -4,12 +4,10 @@ import pytest
 
 from sdnsim.routing import (
     BASE_PRIORITY,
-    MISS,
     FlowKey,
     FlowRule,
     RoutingError,
     RuleTable,
-    forward,
     handle_packet_in,
     shortest_path,
 )
@@ -75,10 +73,10 @@ def test_first_flow_installs_both_directions(grid):
     assert written, "fresh flow must install rules"
 
     path = shortest_path(grid, client, server)
-    # forward lookup succeeds on every switch of the path, both directions
+    # lookup succeeds on every switch of the path, both directions
     for node in path[1:-1]:
-        assert forward(rules, node, key) is not MISS
-        assert forward(rules, node, key.reversed()) is not MISS
+        assert rules.lookup(node, key.src, key.dst) is not None
+        assert rules.lookup(node, key.dst, key.src) is not None
     # per-flow rules on both edge switches, both directions
     for edge, fkey in (
         (path[1], key),
@@ -137,9 +135,9 @@ def test_installed_flows_walk_at_bfs_distance(grid):
         node, in_port = grid.peer(src, 1)
         hops = 1
         while node.is_switch:
-            port = forward(rules, node, key, in_port)
-            assert port is not MISS
-            node, in_port = grid.peer(node, port)
+            entry = rules.lookup(node, key.src, key.dst, in_port)
+            assert entry is not None
+            node, in_port = grid.peer(node, entry.rule.out_port)
             hops += 1
         assert node == dst
         return hops
@@ -185,19 +183,19 @@ def test_identical_sequences_build_identical_tables(grid):
     assert tables[0] == tables[1]
 
 
-# -- forward ---------------------------------------------------------------
+# -- lookup ----------------------------------------------------------------
 
 def test_forward_empty_table_misses(grid):
     rules = RuleTable()
     key = flow(grid, NodeId.host(0, 0), NodeId.host(1, 0))
-    assert forward(rules, NodeId.edge(0), key) is MISS
+    assert rules.lookup(NodeId.edge(0), key.src, key.dst) is None
 
 
 def test_forward_single_dst_rule(grid):
     rules = RuleTable()
     rule = FlowRule(NodeId.edge(0), None, "10.0.1.0", 1, BASE_PRIORITY)
     rules.install(rule)
-    assert forward(rules, NodeId.edge(0), FlowKey("10.0.0.0", "10.0.1.0")) == 1
+    assert rules.lookup(NodeId.edge(0), "10.0.0.0", "10.0.1.0").rule.out_port == 1
 
 
 def test_higher_priority_wins(grid):
@@ -205,7 +203,7 @@ def test_higher_priority_wins(grid):
     edge = NodeId.edge(0)
     rules.install(FlowRule(edge, "10.0.0.0", "10.0.1.0", 1, 20001))
     rules.install(FlowRule(edge, "10.0.0.0", "10.0.1.0", 200, 30001))
-    assert forward(rules, edge, FlowKey("10.0.0.0", "10.0.1.0")) == 200
+    assert rules.lookup(edge, "10.0.0.0", "10.0.1.0").rule.out_port == 200
 
 
 def test_priority_tie_older_rule_wins(grid):
@@ -213,17 +211,16 @@ def test_priority_tie_older_rule_wins(grid):
     edge = NodeId.edge(0)
     rules.install(FlowRule(edge, None, "10.0.1.0", 3, BASE_PRIORITY))
     rules.install(FlowRule(edge, "10.0.0.0", "10.0.1.0", 7, BASE_PRIORITY))
-    assert forward(rules, edge, FlowKey("10.0.0.0", "10.0.1.0")) == 3
+    assert rules.lookup(edge, "10.0.0.0", "10.0.1.0").rule.out_port == 3
 
 
 def test_in_port_qualified_rule_only_matches_that_port(grid):
     rules = RuleTable()
     edge = NodeId.edge(0)
     rules.install(FlowRule(edge, None, "10.0.1.0", 80, 40003, in_port=201))
-    key = FlowKey("10.0.0.0", "10.0.1.0")
-    assert forward(rules, edge, key, in_port=201) == 80
-    assert forward(rules, edge, key, in_port=1) is MISS
-    assert forward(rules, edge, key) is MISS
+    assert rules.lookup(edge, "10.0.0.0", "10.0.1.0", in_port=201).rule.out_port == 80
+    assert rules.lookup(edge, "10.0.0.0", "10.0.1.0", in_port=1) is None
+    assert rules.lookup(edge, "10.0.0.0", "10.0.1.0") is None
 
 
 def test_duplicate_rule_install_rejected(grid):

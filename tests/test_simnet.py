@@ -266,6 +266,9 @@ def test_config_validation():
         SimConfig(duration=7.0, poll_interval=5.0, tick=2.0)
     with pytest.raises(ValueError):
         SimConfig(poll_interval=3.0, tick=2.0)
+    # 1e-9 ticks is a whole multiple within the tolerance, but zero ticks
+    with pytest.raises(ValueError, match="at least one tick"):
+        SimConfig(tick=1.0, poll_interval=1e-9)
 
 
 # -- forwarding-loop check -------------------------------------------------
