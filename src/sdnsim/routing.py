@@ -49,15 +49,6 @@ class FlowRule:
     priority: int
     in_port: int | None = None
 
-    def matches(self, src: str, dst: str, in_port: int | None) -> bool:
-        if self.match_dst != dst:
-            return False
-        if self.match_src is not None and self.match_src != src:
-            return False
-        if self.in_port is not None and self.in_port != in_port:
-            return False
-        return True
-
     def dump(self) -> dict:
         return {
             "switch": self.switch.name,
@@ -81,13 +72,13 @@ class RuleEntry:
 
 @dataclass
 class RuleTable:
-    """Per-switch rule lists; the controller's entire state.
+    """The controller's entire state: one index of installed rules, keyed
+    by (switch, match_src, match_dst), each bucket in installation order.
 
     Lookup picks the highest-priority matching rule, ties broken by
     installation order (older first).
     """
 
-    _by_switch: dict[NodeId, list[RuleEntry]] = field(default_factory=dict)
     _index: dict[tuple[NodeId, str | None, str], list[RuleEntry]] = field(
         default_factory=dict
     )
@@ -98,7 +89,6 @@ class RuleTable:
             raise RoutingError(f"duplicate rule on {rule.switch}: {rule.dump()}")
         entry = RuleEntry(rule, self._next_seq)
         self._next_seq += 1
-        self._by_switch.setdefault(rule.switch, []).append(entry)
         self._index.setdefault(
             (rule.switch, rule.match_src, rule.match_dst), []
         ).append(entry)
@@ -112,7 +102,6 @@ class RuleTable:
             raise RoutingError(
                 f"no rule ({match_src}, {match_dst}, prio {priority}) on {switch}"
             )
-        self._by_switch[switch].remove(entry)
         self._index[(switch, match_src, match_dst)].remove(entry)
         return entry
 
@@ -134,7 +123,9 @@ class RuleTable:
             self._index.get((switch, None, dst), ()),
         ):
             for entry in bucket:
-                if not entry.rule.matches(src, dst, in_port):
+                # The bucket key fixed switch, src and dst; in_port is left.
+                rule_in = entry.rule.in_port
+                if rule_in is not None and rule_in != in_port:
                     continue
                 if (
                     best is None
@@ -147,14 +138,9 @@ class RuleTable:
     def has_dst_rule(self, switch: NodeId, dst: str) -> bool:
         return bool(self._index.get((switch, None, dst)))
 
-    def entries_at(self, switch: NodeId) -> list[RuleEntry]:
-        return list(self._by_switch.get(switch, ()))
-
     def all_entries(self) -> list[RuleEntry]:
-        out: list[RuleEntry] = []
-        for switch in sorted(self._by_switch):
-            out.extend(self._by_switch[switch])
-        return out
+        """Every installed entry, in no promised order."""
+        return [entry for bucket in self._index.values() for entry in bucket]
 
     def dump(self) -> list[dict]:
         """Rule lines sorted by (switch, priority desc, install order)."""

@@ -10,8 +10,9 @@ Constrained links model the scrubber throttle: a link passes at most
 ``capacity * tick`` bytes per tick, holds up to ``queue_cap`` packets in a
 FIFO queue, and drops the excess. Queued packets resume their walk when the
 link's budget readmits them on a later tick. Unused budget does not carry
-over, and a packet larger than one tick's budget never passes. Every tick,
-per-link accounting must balance exactly: entered = passed + queued + dropped.
+over, and a packet larger than one tick's budget never passes. Each link
+keeps one set of cumulative counters, and at the end of every tick they must
+balance exactly: entered = passed + dropped + queued.
 
 A packet that crosses more than ``Topology.hop_limit`` switches is a
 forwarding loop and raises :class:`SimulationError`. Mitigation changes the
@@ -122,7 +123,7 @@ class _QueuedPacket:
 
 @dataclass
 class LinkState:
-    """Per constrained link: FIFO queue, per-tick budget, tallies."""
+    """Per constrained link: FIFO queue, per-tick budget, cumulative tallies."""
 
     link: Link
     queue: deque = field(default_factory=deque)
@@ -133,18 +134,12 @@ class LinkState:
     passed_bytes: int = 0
     dropped_packets: int = 0
     dropped_bytes: int = 0
-    # tick-local accounting, reset each tick
-    t_entered: int = 0
-    t_passed: int = 0
-    t_dropped: int = 0
-    t_queue_start: int = 0
 
-    def start_tick(self, tick: float) -> None:
-        self.budget = self.link.capacity * tick
-        self.t_entered = 0
-        self.t_passed = 0
-        self.t_dropped = 0
-        self.t_queue_start = len(self.queue)
+    def pass_packet(self, size: int) -> None:
+        """Spend ``size`` bytes of this tick's budget on a passing packet."""
+        self.budget -= size
+        self.passed_packets += 1
+        self.passed_bytes += size
 
     def to_dict(self) -> dict:
         return {
@@ -233,18 +228,15 @@ class SimState:
     def time(self) -> float:
         return self.step_index * self.cfg.tick
 
-    def link_state(self, link: Link) -> LinkState:
-        if link not in self.link_states:
-            self.link_states[link] = LinkState(link)
-        return self.link_states[link]
-
     def refresh_links(self) -> None:
         """Re-index constrained links and the hop limit; mitigation may
         change the topology between ticks."""
         self._constrained = {}
         for link in self.topology.links:
             if link.constrained:
-                ls = self.link_state(link)
+                ls = self.link_states.get(link)
+                if ls is None:
+                    ls = self.link_states[link] = LinkState(link)
                 self._constrained.setdefault(link.a, {})[link.a_port] = ls
                 self._constrained.setdefault(link.b, {})[link.b_port] = ls
         self.hop_limit = self.topology.hop_limit
@@ -286,21 +278,16 @@ def _walk(
         if ls is not None:
             ls.entered_packets += 1
             ls.entered_bytes += size
-            ls.t_entered += 1
             if ls.queue or ls.budget < size:
                 if len(ls.queue) < ls.link.queue_cap:
                     ls.queue.append(_QueuedPacket(key, tally, size, peer, peer_in))
                 else:
                     ls.dropped_packets += 1
                     ls.dropped_bytes += size
-                    ls.t_dropped += 1
                     tally.dropped_packets += 1
                     tally.dropped_bytes += size
                 return
-            ls.budget -= size
-            ls.passed_packets += 1
-            ls.passed_bytes += size
-            ls.t_passed += 1
+            ls.pass_packet(size)
         node, in_port = peer, peer_in
         hops += 1
         if hops > state.hop_limit:
@@ -332,15 +319,12 @@ def step(state: SimState) -> SimState:
     # before any drain, since a drained packet may cross another link.
     ordered_links = sorted(state.link_states, key=lambda l: (l.a, l.a_port))
     for link in ordered_links:
-        state.link_states[link].start_tick(cfg.tick)
+        state.link_states[link].budget = link.capacity * cfg.tick
     for link in ordered_links:
         ls = state.link_states[link]
         while ls.queue and ls.queue[0].size <= ls.budget:
             pkt = ls.queue.popleft()
-            ls.budget -= pkt.size
-            ls.passed_packets += 1
-            ls.passed_bytes += pkt.size
-            ls.t_passed += 1
+            ls.pass_packet(pkt.size)
             _walk(state, pkt.key, pkt.tally, pkt.size, pkt.node, pkt.in_port)
 
     server = state.topology.server
@@ -360,11 +344,10 @@ def step(state: SimState) -> SimState:
         for _ in range(count):
             _emit(state, host, server_ip, profile.request_size)
 
-    # Exact per-tick conservation: drained packets count as passed, so
-    # entered = passed + dropped + growth of the queue.
+    # Exact conservation, checked every tick from an empty start: every
+    # packet that entered has passed, been dropped, or is still queued.
     for ls in state.link_states.values():
-        queued_delta = len(ls.queue) - ls.t_queue_start
-        if ls.t_entered != ls.t_passed + ls.t_dropped + queued_delta:
+        if ls.entered_packets != ls.passed_packets + ls.dropped_packets + len(ls.queue):
             raise SimulationError(
                 f"link accounting leak on {ls.link.a.name}:{ls.link.a_port}"
             )

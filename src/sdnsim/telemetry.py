@@ -12,6 +12,8 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .topology import NodeKind
+
 
 class CounterRegressionError(RuntimeError):
     """A cumulative counter went backwards; cannot occur in a correct run."""
@@ -58,15 +60,14 @@ def poll(state, t: float) -> list[StatSample]:
     flow yields exactly one sample per switch per poll.
     """
     merged: dict[tuple[str, str, str], list[int]] = {}
-    for edge in state.topology.edge_switches():
-        for entry in state.rules.entries_at(edge):
-            rule = entry.rule
-            if rule.match_src is None:
-                continue
-            key = (edge.name, rule.match_src, rule.match_dst)
-            bucket = merged.setdefault(key, [0, 0])
-            bucket[0] += entry.packets
-            bucket[1] += entry.bytes
+    for entry in state.rules.all_entries():
+        rule = entry.rule
+        if rule.match_src is None or rule.switch.kind is not NodeKind.EDGE:
+            continue
+        key = (rule.switch.name, rule.match_src, rule.match_dst)
+        bucket = merged.setdefault(key, [0, 0])
+        bucket[0] += entry.packets
+        bucket[1] += entry.bytes
     ordered = sorted(merged, key=lambda k: (k[0], ip_key(k[1]), ip_key(k[2])))
     return [
         StatSample(t, sw, src, dst, merged[(sw, src, dst)][0], merged[(sw, src, dst)][1])

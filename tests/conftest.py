@@ -44,8 +44,9 @@ def destination_tree_ok(topology, rules, dst_ip):
     next_hop = {}
     for core in topology.core_switches():
         dst_rules = [
-            e for e in rules.entries_at(core)
-            if e.rule.match_src is None and e.rule.match_dst == dst_ip
+            e for e in rules.all_entries()
+            if e.rule.switch == core
+            and e.rule.match_src is None and e.rule.match_dst == dst_ip
         ]
         if len(dst_rules) > 1:
             return False

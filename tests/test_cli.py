@@ -339,14 +339,30 @@ def config_documents(draw):
     return doc
 
 
+def reject_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
 @settings(max_examples=200, deadline=None)
 @given(doc=config_documents())
 @example(doc={"poll_interval": 1e-9})
 @example(doc={"hosts_per_edge": MAX_HOSTS_PER_EDGE + 1})
 @example(doc={"base_rate": float("inf"), "duration": 1.0})
+# finite, in-range inputs whose derived rates overflow
+@example(doc={"base_rate": 1e307, "duration": 0})
+@example(doc={"grid_n": 2, "grid_m": 2, "hosts_per_edge": 1,
+              "attackers": ["h0s1", "h0s2", "h0s3"], "base_rate": 1e307,
+              "attack_start": 0, "duration": 1})
+@example(doc={"base_rate": 10**308, "duration": 0})
+@example(doc={"client_matrix": 10**308, "duration": 0})
+@example(doc={"base_rate": 1e300, "tick": 1e10, "duration": 1e10, "poll_interval": 1e10})
 def test_no_traceback_on_any_config_document(doc):
     with tempfile.TemporaryDirectory() as tmp:
         code, err = run_document(doc, Path(tmp) / "out")
+        if code == EXIT_OK:
+            # strict JSON: NaN and Infinity are not JSON values
+            json.loads((Path(tmp) / "out" / "report.json").read_text(),
+                       parse_constant=reject_constant)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INVARIANT)
     if code != EXIT_OK:
         assert err

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdnsim.routing import (
     BASE_PRIORITY,
@@ -106,8 +109,9 @@ def test_shared_core_suffix_adds_no_duplicate_dst_rules(grid):
     server_ip = grid.ip_of[server]
     for core in grid.core_switches():
         dst_rules = [
-            e for e in rules.entries_at(core)
-            if e.rule.match_src is None and e.rule.match_dst == server_ip
+            e for e in rules.all_entries()
+            if e.rule.switch == core
+            and e.rule.match_src is None and e.rule.match_dst == server_ip
         ]
         assert len(dst_rules) <= 1
 
@@ -221,6 +225,66 @@ def test_in_port_qualified_rule_only_matches_that_port(grid):
     assert rules.lookup(edge, "10.0.0.0", "10.0.1.0", in_port=201).rule.out_port == 80
     assert rules.lookup(edge, "10.0.0.0", "10.0.1.0", in_port=1) is None
     assert rules.lookup(edge, "10.0.0.0", "10.0.1.0") is None
+
+
+ORACLE_SWITCHES = [NodeId.edge(0), NodeId.edge(1), NodeId.scrubber(0)]
+ORACLE_ADDRS = ["10.0.0.0", "10.0.0.1", "10.0.1.0"]
+ORACLE_PORTS = [None, 1, 201]
+
+oracle_rules = st.builds(
+    FlowRule,
+    switch=st.sampled_from(ORACLE_SWITCHES),
+    match_src=st.sampled_from([None] + ORACLE_ADDRS),
+    match_dst=st.sampled_from(ORACLE_ADDRS),
+    out_port=st.integers(1, 4),
+    priority=st.sampled_from([BASE_PRIORITY, 30001, 40003]),
+    in_port=st.sampled_from(ORACLE_PORTS),
+)
+
+
+def brute_force_lookup(entries, switch, src, dst, in_port):
+    """Highest priority wins, then the older install; an in_port rule
+    matches only that port."""
+    hits = [
+        e for e in entries
+        if e.rule.switch == switch
+        and e.rule.match_dst == dst
+        and e.rule.match_src in (None, src)
+        and e.rule.in_port in (None, in_port)
+    ]
+    return min(hits, key=lambda e: (-e.rule.priority, e.seq), default=None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=st.lists(
+    st.one_of(oracle_rules, st.integers(0, 63)),  # install a rule / delete one
+    max_size=20,
+))
+def test_lookup_matches_a_brute_force_scan(ops):
+    rules = RuleTable()
+    installed: list[FlowRule] = []  # in installation order
+    for op in ops:
+        if isinstance(op, FlowRule):
+            slot = (op.switch, op.match_src, op.match_dst, op.priority)
+            if any((r.switch, r.match_src, r.match_dst, r.priority) == slot
+                   for r in installed):
+                with pytest.raises(RoutingError):
+                    rules.install(op)
+                continue
+            rules.install(op)
+            installed.append(op)
+        elif installed:
+            gone = installed.pop(op % len(installed))
+            rules.delete(gone.switch, gone.match_src, gone.match_dst, gone.priority)
+
+        entries = rules.all_entries()
+        assert [e.rule for e in sorted(entries, key=lambda e: e.seq)] == installed
+        for switch, src, dst, in_port in itertools.product(
+            ORACLE_SWITCHES, ORACLE_ADDRS, ORACLE_ADDRS, ORACLE_PORTS
+        ):
+            assert rules.lookup(switch, src, dst, in_port) is brute_force_lookup(
+                entries, switch, src, dst, in_port
+            )
 
 
 def test_duplicate_rule_install_rejected(grid):

@@ -1,6 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdnsim.routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, handle_packet_in
 from sdnsim.mitigation import MitigationError, trace_path
@@ -250,6 +253,50 @@ def test_queued_packets_deliver_on_later_ticks():
     assert tally.delivered_packets == 4
     (link_stats,) = record.link_stats
     assert link_stats["queued_packets"] == 8
+
+
+def test_link_gate_catches_a_packet_lost_from_the_queue():
+    topo, rules, profiles, cfg, key = throttled_scenario(capacity=1000.0)
+    state = SimState(topo, rules, profiles, cfg)
+    step(state)
+    step(state)
+    (ls,) = state.link_states.values()
+    assert ls.queue
+    ls.queue.popleft()  # lost between ticks, never counted as passed or dropped
+    with pytest.raises(SimulationError, match="link accounting leak"):
+        step(state)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    capacity=st.floats(100.0, 20_000.0),
+    queue_cap=st.integers(1, 40),
+    rate=st.floats(0.5, 40.0),
+    size=st.integers(1, 3000),
+)
+def test_throttled_link_conserves_every_tick(capacity, queue_cap, rate, size):
+    topo, rules, profiles, cfg, key = throttled_scenario(capacity, queue_cap)
+    attacker = topo.host_of_ip[key[0]]
+    profiles[attacker] = TrafficProfile(TrafficKind.ATTACKER, rate, size, 1000)
+    state = SimState(topo, rules, profiles, cfg)
+    before = (0, 0, 0, 0)
+    for ticks in range(1, cfg.steps + 1):
+        step(state)
+        (ls,) = state.link_states.values()
+        now = (ls.entered_packets, ls.passed_packets, ls.dropped_packets, len(ls.queue))
+        entered, passed, dropped, queued = (b - a for a, b in zip(before, now))
+        assert entered == passed + dropped + queued  # this tick's balance
+        before = now
+
+        queued_by_flow = Counter((pkt.key.src, pkt.key.dst) for pkt in ls.queue)
+        for pair, tally in state.record.flows.items():
+            assert tally.emitted_packets == (
+                tally.delivered_packets + tally.dropped_packets
+                + tally.missed_packets + queued_by_flow[pair]
+            )
+        scrubbed = state.record.flows.get(key)
+        if scrubbed is not None:
+            assert scrubbed.delivered_bytes <= capacity * cfg.tick * ticks
 
 
 def test_profile_validation():
