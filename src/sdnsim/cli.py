@@ -199,11 +199,19 @@ def validate_config(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
         values["threshold"] = 10.0 * _as_float(designed)
     # In-range inputs can still multiply past the float range.
     peak_rate = max(rates + ([values["attacker_rate"]] if attackers else []), default=0)
+    # A flow's poll interval holds at most rate * interval + 1 packets each
+    # way; k-means and the Gaussian split sum squares of four such byte
+    # rates per client.
+    peak_bytes = (_as_float(peak_rate) + 1.0 / values["poll_interval"]) * _as_float(
+        max(values["request_bytes"], values["response_bytes"])
+    )
     derived = {
         "attacker_rate": values["attacker_rate"],
         "threshold": values["threshold"],
         "designed_legit_aggregate": designed,
         "peak requests per tick": _as_float(peak_rate) * values["tick"],
+        "peak per-flow byte rate": peak_bytes,
+        "sum of squared per-flow byte rates": 4.0 * (k * edge_count - 1) * peak_bytes * peak_bytes,
     }
     errors = [f"{name} derived from this config is not finite"
               for name, value in derived.items() if not _is_number(value)]

@@ -14,6 +14,30 @@ over, and a packet larger than one tick's budget never passes. Each link
 keeps one set of cumulative counters, and at the end of every tick they must
 balance exactly: entered = passed + dropped + queued.
 
+Packets travel in runs. Within a tick, every packet a host emits has the
+same flow, size and rule path, so the engine forwards them as one
+``(flow, count)`` run: a rule lookup per hop for the whole run, counters and
+tallies grown by ``count`` and ``count * size``, one response run per
+request run delivered to the server. At a throttled link a run splits: the
+packets this tick's budget admits go on (the budget is still spent packet by
+packet, so float budgets decide exactly as one packet at a time would), the
+rest queue as one run up to ``queue_cap`` and the excess drops. The queue is
+a run-length FIFO that still counts, iterates and pops single packets.
+
+The split rule keeps runs exact. The first packet of each host's tick, and
+of each run drained from a queue, walks alone. The rest go as one run only
+if that walk raised no packet-in (so the rule table and the event list are
+unchanged) and entered no throttled link twice (its request and response
+together); otherwise the next packet walks alone by the same rule. A link
+that carries both a flow's requests and its responses therefore sees them
+interleaved packet by packet, as it would without runs.
+
+In-tick order: every throttled link's budget is refreshed, then the links'
+queues drain in link order (a drained run may cross another link, or be
+answered by a response that does), then hosts emit in host order, each
+host's run (and its response run) forwarded to its end before the next host
+emits. Per-tick cost therefore scales with flows x hops, not with packets.
+
 A packet that crosses more than ``Topology.hop_limit`` switches is a
 forwarding loop and raises :class:`SimulationError`. Mitigation changes the
 topology only between ticks, so the bound and the index of constrained links
@@ -24,7 +48,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import telemetry
@@ -113,12 +137,55 @@ def legit_rate(i: int, j: int, k: int, base: float) -> float:
 
 
 @dataclass
-class _QueuedPacket:
+class QueuedRun:
+    """``count`` identical queued packets of one flow."""
+
     key: FlowKey
     tally: FlowTally
     size: int
-    node: NodeId   # where the packet resumes (far end of the link)
+    node: NodeId   # where the packets resume (far end of the link)
     in_port: int
+    count: int
+
+
+class RunQueue:
+    """A FIFO of packets, stored as runs of identical packets.
+
+    ``len()`` is the number of queued packets, iteration yields each queued
+    packet (as the run it belongs to), and ``popleft()`` removes one packet.
+    """
+
+    def __init__(self) -> None:
+        self._runs: deque[QueuedRun] = deque()
+        self._packets = 0
+
+    def __len__(self) -> int:
+        return self._packets
+
+    def __iter__(self):
+        for run in self._runs:
+            for _ in range(run.count):
+                yield run
+
+    def head(self) -> QueuedRun:
+        return self._runs[0]
+
+    def append(self, run: QueuedRun) -> None:
+        self._runs.append(run)
+        self._packets += run.count
+
+    def popleft(self, count: int = 1) -> QueuedRun:
+        """Remove ``count`` packets (at most the head run's) from the head
+        and return them as a run. The head run's ``count`` keeps what is
+        left of it, 0 once it has left the queue."""
+        head = self._runs[0]
+        if not 0 < count <= head.count:
+            raise ValueError(f"cannot pop {count} of a run of {head.count}")
+        head.count -= count
+        if not head.count:
+            self._runs.popleft()
+        self._packets -= count
+        return replace(head, count=count)
 
 
 @dataclass
@@ -126,7 +193,7 @@ class LinkState:
     """Per constrained link: FIFO queue, per-tick budget, cumulative tallies."""
 
     link: Link
-    queue: deque = field(default_factory=deque)
+    queue: RunQueue = field(default_factory=RunQueue)
     budget: float = 0.0
     entered_packets: int = 0
     entered_bytes: int = 0
@@ -135,11 +202,39 @@ class LinkState:
     dropped_packets: int = 0
     dropped_bytes: int = 0
 
-    def pass_packet(self, size: int) -> None:
-        """Spend ``size`` bytes of this tick's budget on a passing packet."""
-        self.budget -= size
-        self.passed_packets += 1
-        self.passed_bytes += size
+    def spend(self, size: int, count: int) -> int:
+        """Pass up to ``count`` packets of ``size`` bytes on this tick's
+        budget and return how many passed. The budget is spent packet by
+        packet (at most ``capacity * tick / size`` per tick), so a float
+        budget decides exactly as it would one packet at a time."""
+        passed = 0
+        while passed < count and self.budget >= size:
+            self.budget -= size
+            passed += 1
+        self.passed_packets += passed
+        self.passed_bytes += passed * size
+        return passed
+
+    def admit(
+        self, key: FlowKey, tally: FlowTally, size: int, count: int,
+        node: NodeId, in_port: int,
+    ) -> int:
+        """Enter ``count`` packets onto the link: those this tick's budget
+        admits pass (their number is returned), the rest queue, to resume at
+        ``node``/``in_port``, up to ``queue_cap`` behind anything already
+        queued, and the excess drops."""
+        self.entered_packets += count
+        self.entered_bytes += count * size
+        rest = count - (0 if self.queue else self.spend(size, count))
+        queued = min(rest, self.link.queue_cap - len(self.queue))
+        if queued:
+            self.queue.append(QueuedRun(key, tally, size, node, in_port, queued))
+        dropped = rest - queued
+        self.dropped_packets += dropped
+        self.dropped_bytes += dropped * size
+        tally.dropped_packets += dropped
+        tally.dropped_bytes += dropped * size
+        return count - rest
 
     def to_dict(self) -> dict:
         return {
@@ -243,69 +338,89 @@ class SimState:
 
 
 def _deliver(
-    state: SimState, key: FlowKey, tally: FlowTally, size: int, host: NodeId
+    state: SimState, key: FlowKey, tally: FlowTally, size: int, count: int, host: NodeId
 ) -> None:
     if state.topology.ip_of.get(host) != key.dst:
         raise SimulationError(f"packet for {key.dst} delivered to {host}")
-    tally.delivered_packets += 1
-    tally.delivered_bytes += size
+    tally.delivered_packets += count
+    tally.delivered_bytes += count * size
     if host == state.topology.server:
         profile = state.profiles.get(host)
         if profile is not None:
-            _emit(state, host, key.src, profile.response_size)
+            _emit(state, host, key.src, profile.response_size, count)
 
 
 def _walk(
-    state: SimState, key: FlowKey, tally: FlowTally, size: int, node: NodeId, in_port: int
+    state: SimState, key: FlowKey, tally: FlowTally, size: int, count: int,
+    node: NodeId, in_port: int,
 ) -> None:
-    """Forward one packet hop by hop until a host, a queue, or a drop."""
+    """Forward a run of ``count`` packets hop by hop until a host, a miss, or
+    a throttled link that admits none of them."""
     hops = 0
     while True:
         if not node.is_switch:
-            _deliver(state, key, tally, size, node)
+            _deliver(state, key, tally, size, count, node)
             return
         entry = state.rules.lookup(node, key.src, key.dst, in_port)
         if entry is None:
-            tally.missed_packets += 1
-            tally.missed_bytes += size
+            tally.missed_packets += count
+            tally.missed_bytes += count * size
             return
-        entry.packets += 1
-        entry.bytes += size
+        entry.packets += count
+        entry.bytes += count * size
         out_port = entry.rule.out_port
         peer, peer_in = state.topology.peer(node, out_port)
         constrained = state._constrained.get(node)
         ls = constrained.get(out_port) if constrained else None
         if ls is not None:
-            ls.entered_packets += 1
-            ls.entered_bytes += size
-            if ls.queue or ls.budget < size:
-                if len(ls.queue) < ls.link.queue_cap:
-                    ls.queue.append(_QueuedPacket(key, tally, size, peer, peer_in))
-                else:
-                    ls.dropped_packets += 1
-                    ls.dropped_bytes += size
-                    tally.dropped_packets += 1
-                    tally.dropped_bytes += size
+            count = ls.admit(key, tally, size, count, peer, peer_in)
+            if not count:
                 return
-            ls.pass_packet(size)
         node, in_port = peer, peer_in
         hops += 1
         if hops > state.hop_limit:
             raise SimulationError(f"forwarding loop for {key.src}->{key.dst}")
 
 
-def _emit(state: SimState, src_host: NodeId, dst_ip: str, size: int) -> None:
+def _walk_queued(state: SimState, run: QueuedRun) -> None:
+    _walk(state, run.key, run.tally, run.size, run.count, run.node, run.in_port)
+
+
+def _emit(state: SimState, src_host: NodeId, dst_ip: str, size: int, count: int) -> None:
     key = FlowKey(state.topology.ip_of[src_host], dst_ip)
     tally = state.record.tally(key)
-    tally.emitted_packets += 1
-    tally.emitted_bytes += size
+    tally.emitted_packets += count
+    tally.emitted_bytes += count * size
     edge, edge_in = state.topology.peer(src_host, HOST_PORT)
     if state.rules.lookup(edge, key.src, key.dst, edge_in) is None:
         handle_packet_in(state.rules, state.topology, key)
         state.record.events.append(
             {"t": state.time, "event": "packet_in", "src": key.src, "dst": key.dst}
         )
-    _walk(state, key, tally, size, edge, edge_in)
+    _walk(state, key, tally, size, count, edge, edge_in)
+
+
+def _probe(state: SimState) -> tuple[int, list[tuple[LinkState, int]]]:
+    """What a lone packet's walk is checked against: the event count and
+    each throttled link's entered count."""
+    return len(state.record.events), [
+        (ls, ls.entered_packets) for ls in state.link_states.values()
+    ]
+
+
+def _walked_clean(state: SimState, probe) -> bool:
+    """Whether the packet walked alone since ``probe`` lets the packets
+    behind it in its run go as one run: it raised no packet-in and entered
+    no throttled link twice. The packets behind it then meet the same rules
+    and each throttled link once, in the same order, run or not.
+
+    A drained packet may re-enter the link it was drained from: the rest of
+    its run is still queued there, so it queues at the tail, untouched by
+    the budget, as each packet behind it will."""
+    events, entered = probe
+    return len(state.record.events) == events and all(
+        ls.entered_packets - before <= 1 for ls, before in entered
+    )
 
 
 def step(state: SimState) -> SimState:
@@ -322,10 +437,18 @@ def step(state: SimState) -> SimState:
         state.link_states[link].budget = link.capacity * cfg.tick
     for link in ordered_links:
         ls = state.link_states[link]
-        while ls.queue and ls.queue[0].size <= ls.budget:
-            pkt = ls.queue.popleft()
-            ls.pass_packet(pkt.size)
-            _walk(state, pkt.key, pkt.tally, pkt.size, pkt.node, pkt.in_port)
+        queue = ls.queue
+        while queue and queue.head().size <= ls.budget:
+            # The head run's first packet walks alone; the rest of the run
+            # that fits the budget follows as one run if it walked clean.
+            head = queue.head()
+            probe = _probe(state)
+            ls.spend(head.size, 1)
+            _walk_queued(state, queue.popleft())
+            if head.count and _walked_clean(state, probe):
+                passed = ls.spend(head.size, head.count)
+                if passed:
+                    _walk_queued(state, queue.popleft(passed))
 
     server = state.topology.server
     server_ip = state.topology.ip_of.get(server) if server else None
@@ -341,8 +464,15 @@ def step(state: SimState) -> SimState:
         acc = state.residues.get(host, 0.0) + profile.request_rate * cfg.tick
         count = math.floor(acc + 1e-9)
         state.residues[host] = acc - count
-        for _ in range(count):
-            _emit(state, host, server_ip, profile.request_size)
+        # The first packet walks alone; the rest follow as one run once a
+        # packet has walked clean.
+        while count:
+            probe = _probe(state)
+            _emit(state, host, server_ip, profile.request_size, 1)
+            count -= 1
+            if count and _walked_clean(state, probe):
+                _emit(state, host, server_ip, profile.request_size, count)
+                break
 
     # Exact conservation, checked every tick from an empty start: every
     # packet that entered has passed, been dropped, or is still queued.

@@ -356,6 +356,8 @@ def reject_constant(name):
 @example(doc={"base_rate": 10**308, "duration": 0})
 @example(doc={"client_matrix": 10**308, "duration": 0})
 @example(doc={"base_rate": 1e300, "tick": 1e10, "duration": 1e10, "poll_interval": 1e10})
+# in range, but the analytics square per-flow byte rates past the float range
+@example(doc={"request_bytes": 10**304, "duration": 5})
 def test_no_traceback_on_any_config_document(doc):
     with tempfile.TemporaryDirectory() as tmp:
         code, err = run_document(doc, Path(tmp) / "out")
@@ -366,6 +368,18 @@ def test_no_traceback_on_any_config_document(doc):
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INVARIANT)
     if code != EXIT_OK:
         assert err
+
+
+def test_request_rate_does_not_drive_run_time(tmp_path):
+    # 1e9 to 9e9 requests per second from each client: the engine forwards
+    # each client's tick of requests as one run, so this runs in well under
+    # a second instead of never finishing.
+    code, err = run_document({"base_rate": 1e9, "duration": 5}, tmp_path / "out")
+    assert code == EXIT_OK, err
+    report = json.loads((tmp_path / "out" / "report.json").read_text(),
+                        parse_constant=reject_constant)
+    emitted = sum(flow["emitted_packets"] for flow in report["run"]["flows"].values())
+    assert emitted > 5 * 1e9 * 29  # 29 clients, each at 1e9 req/s or more
 
 
 # -- artifacts pinned across commits ----------------------------------------

@@ -35,3 +35,8 @@ def test_traced_child_run_keeps_its_spans_and_link_tallies(tmp_path):
     entered, passed, dropped, queued = counts
     assert entered > 0
     assert entered == passed + dropped + queued
+    # The queue counts packets, not runs: the tracer's queue depth (and so
+    # the benchmark's simnet.link.queue_peak) agrees with the report.
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert queued == sum(link["queued_packets"] for link in report["run"]["links"])
+    assert queued > 0
