@@ -9,7 +9,6 @@ all traffic toward one destination follows a tree rooted at its edge switch.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .topology import NodeId, NodeKind, Topology
@@ -152,37 +151,33 @@ class RuleTable:
 def shortest_path(topology: Topology, a: NodeId, b: NodeId) -> list[NodeId]:
     """Minimum-hop path from a to b over unit-weight links.
 
-    Equal-cost choices are resolved deterministically: nodes are expanded in
-    (distance, canonical id) order and a node keeps the first predecessor that
-    reaches it, so every hop comes from the smallest eligible neighbor.
+    Equal-cost choices are resolved deterministically: walking back from b,
+    each hop comes from the smallest-id neighbor one hop closer to a. This
+    is the path a search that expands nodes in (distance, id) order and
+    keeps each node's first predecessor would find.
+
+    When all of a's links go to one peer p (a host or a scrubber), a's
+    distances are p's plus one, so every host of an edge switch shares that
+    switch's memoised distance map.
     """
     if a not in topology.nodes or b not in topology.nodes:
         raise RoutingError("path endpoints must exist in the topology")
     if a == b:
         return [a]
 
-    dist: dict[NodeId, int] = {a: 0}
-    pred: dict[NodeId, NodeId] = {}
-    frontier: list[tuple[int, NodeId]] = [(0, a)]
-    done: set[NodeId] = set()
-    while frontier:
-        d, node = heapq.heappop(frontier)
-        if node in done:
-            continue
-        done.add(node)
-        if node == b:
-            break
-        for peer, _ in sorted(topology.neighbors(node)):
-            if d + 1 < dist.get(peer, 1 << 30):
-                dist[peer] = d + 1
-                pred[peer] = node
-                heapq.heappush(frontier, (d + 1, peer))
-
+    peers = {peer for peer, _ in topology.neighbors(a)}
+    root = peers.pop() if len(peers) == 1 else a
+    dist = topology.distances(root)
     if b not in dist:
         raise RoutingError(f"{b} unreachable from {a}")
     path = [b]
-    while path[-1] != a:
-        path.append(pred[path[-1]])
+    node = b
+    while node != root:
+        closer = dist[node] - 1
+        node = min(peer for peer, _ in topology.neighbors(node) if dist[peer] == closer)
+        path.append(node)
+    if root != a:
+        path.append(a)
     path.reverse()
     return path
 

@@ -9,6 +9,7 @@ classic map-then-reduce fold over delta records.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,8 +20,10 @@ class CounterRegressionError(RuntimeError):
     """A cumulative counter went backwards; cannot occur in a correct run."""
 
 
+@functools.cache
 def ip_key(addr: str) -> tuple[int, ...]:
-    """Numeric sort key for dotted-quad addresses."""
+    """Numeric sort key for dotted-quad addresses, memoised: a run sorts
+    the same few thousand addresses at every poll."""
     return tuple(int(part) for part in addr.split("."))
 
 

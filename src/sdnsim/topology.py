@@ -13,10 +13,16 @@ peer port)}``, that :meth:`Topology.add_link` fills, and a switch count that
 cost O(degree) rather than O(links), and the forwarding hop limit
 (:attr:`Topology.hop_limit`) costs O(1). Add nodes and links only through
 those two methods; anything else leaves the index and the count stale.
+
+:meth:`Topology.distances` memoises one breadth-first distance map per root
+node. :meth:`Topology.add_node` and :meth:`Topology.add_link` clear the
+memo; they are the only mutators, and :func:`attach_switch` goes through
+them.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -153,12 +159,17 @@ class Topology:
     switch_count: int = 0
     # node -> {local port: (peer, peer port)}, one entry per link end.
     _ports: dict[NodeId, dict[int, tuple[NodeId, int]]] = field(default_factory=dict)
+    # root -> {node: hop count from root}, cleared by add_node and add_link.
+    _distances: dict[NodeId, dict[NodeId, int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     # -- construction -----------------------------------------------------
 
     def add_node(self, node: NodeId) -> None:
         if node in self.nodes:
             raise TopologyError(f"duplicate node {node}")
+        self._distances.clear()
         self.nodes.add(node)
         if node.is_switch:
             self.switch_count += 1
@@ -170,6 +181,7 @@ class Topology:
                 raise TopologyError(f"link endpoint {node} not in topology")
             if port in self._ports.get(node, ()):
                 raise TopologyError(f"port {port} already in use on {node}")
+        self._distances.clear()
         self.links.append(link)
         self._ports.setdefault(na, {})[pa] = (nb, pb)
         self._ports.setdefault(nb, {})[pb] = (na, pa)
@@ -201,6 +213,26 @@ class Topology:
         """Adjacent (peer, local_port) pairs, sorted by local port."""
         ports = self._ports.get(node, {})
         return [(ports[port][0], port) for port in sorted(ports)]
+
+    def distances(self, root: NodeId) -> dict[NodeId, int]:
+        """Hop count from ``root`` to every node it reaches.
+
+        Memoised per root until the next add_node or add_link; callers
+        must not mutate the returned map.
+        """
+        dist = self._distances.get(root)
+        if dist is None:
+            dist = {root: 0}
+            queue = deque([root])
+            while queue:
+                node = queue.popleft()
+                step = dist[node] + 1
+                for peer, _ in self._ports.get(node, {}).values():
+                    if peer not in dist:
+                        dist[peer] = step
+                        queue.append(peer)
+            self._distances[root] = dist
+        return dist
 
     def port_toward(self, node: NodeId, other: NodeId) -> int:
         """Lowest-numbered local port whose link reaches ``other``."""

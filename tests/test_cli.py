@@ -2,9 +2,13 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import tempfile
+from dataclasses import dataclass
+from enum import IntEnum
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +23,7 @@ from sdnsim.cli import (
     reference_template,
     run_scenario,
     validate_config,
+    write_json,
 )
 from sdnsim.simnet import TrafficKind
 from sdnsim.telemetry import StatStore, delta, read_stats_csv
@@ -276,6 +281,15 @@ def test_hosts_per_edge_capped_at_topology_limit(tmp_path):
     assert "hosts_per_edge must be <=" in err
 
 
+@pytest.mark.parametrize("name", ["stats.csv", "report.json"])
+def test_artifact_write_error_exits_2(tmp_path, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)  # opening it for writing fails
+    code, err = run_document(small_raw(duration=5.0), out)
+    assert code == EXIT_CONFIG
+    assert "cannot write artifacts:" in err
+
+
 BAD_VALUES = st.sampled_from([None, True, "1", [1], {"a": 1}]) | st.sampled_from(
     [float("nan"), float("inf"), -float("inf")]
 )
@@ -413,3 +427,44 @@ def test_artifacts_match_pinned_digests(tmp_path, capsys):
     assert main(["init-config", "--template", "reference"]) == EXIT_OK
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_TEMPLATE_DIGEST
+
+
+# -- report writer ----------------------------------------------------------
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+@dataclass
+class Record:
+    t: float
+    name: str
+    count: int
+    level: Level
+
+
+SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from([-0.0, 1e300, math.nan, math.inf, -math.inf, "é\u2028\x00\x1f\"\\"])
+    | st.sampled_from(Level)
+)
+KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none() | st.sampled_from(Level)
+RECORDS = st.builds(Record, st.floats(), st.text(), st.integers(), st.sampled_from(Level)).map(vars)
+JSON_VALUES = st.recursive(
+    SCALARS | RECORDS,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(KEYS, inner, max_size=5)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=JSON_VALUES)
+@example(value={"polls": [{"t": 1.0, "deltas": [], "gaussian": None}], "run": {}})
+@example(value=[[], {}, (), [[]], {"a": {}}, -0.0, 1e300, math.nan, math.inf, -math.inf])
+@example(value={1: "int", 2.5: "float", True: "bool", None: "none", Level.HIGH: [Level.LOW]})
+def test_report_writer_matches_json_dump(value):
+    fh = io.StringIO()
+    write_json(fh, value)
+    assert fh.getvalue() == json.dumps(value, indent=2)

@@ -14,9 +14,11 @@ from sdnsim.routing import (
     handle_packet_in,
     shortest_path,
 )
-from sdnsim.topology import NodeId, NodeKind, build_grid
+from sdnsim.topology import Link, NodeId, NodeKind, attach_switch, build_grid
 
+import heap_paths
 from conftest import bfs_distances, destination_tree_ok
+from test_topology import _scrubber_links
 
 
 @pytest.fixture()
@@ -63,6 +65,70 @@ def test_shortest_path_deterministic(grid):
 def test_unknown_endpoint_rejected(grid):
     with pytest.raises(RoutingError):
         shortest_path(grid, NodeId.host(0, 0), NodeId.host(42, 0))
+
+
+def attach_scrubber(topo, edge):
+    scrub = NodeId.scrubber(0)
+    attach_switch(topo, scrub, _scrubber_links(topo, edge, scrub))
+    return scrub
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    m=st.integers(2, 6),
+    k=st.integers(1, 4),
+    scrub_edge=st.none() | st.integers(min_value=0),
+    seed=st.integers(0, 2**32),
+)
+def test_shortest_path_matches_the_heap_search(n, m, k, scrub_edge, seed):
+    topo = build_grid(n, m, k)
+    if scrub_edge is not None:
+        edges = topo.edge_switches()
+        attach_scrubber(topo, edges[scrub_edge % len(edges)])
+    nodes = sorted(topo.nodes)
+    if len(nodes) <= 40:
+        pairs = list(itertools.product(nodes, nodes))
+    else:
+        rng = random.Random(seed)
+        pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(150)]
+    for a, b in pairs:
+        assert shortest_path(topo, a, b) == heap_paths.shortest_path(topo, a, b)
+
+
+def test_path_memo_is_cleared_by_topology_changes():
+    topo = build_grid(3, 4, 2)
+    a, b = NodeId.host(0, 0), NodeId.host(5, 1)
+    before = shortest_path(topo, a, b)
+    assert before == heap_paths.shortest_path(topo, a, b)
+
+    # attach_switch adds a node reachable only through the new links.
+    scrub = attach_scrubber(topo, NodeId.edge(5))
+    for x, y in ((a, scrub), (scrub, a), (b, scrub)):
+        assert shortest_path(topo, x, y) == heap_paths.shortest_path(topo, x, y)
+
+    # A core shortcut between a's and b's cores shortens the path.
+    core_a = topo.peer(NodeId.edge(0), 1)[0]
+    core_b = topo.peer(NodeId.edge(5), 1)[0]
+    topo.add_link(Link(core_a, 50, core_b, 50))
+    after = shortest_path(topo, a, b)
+    assert after == heap_paths.shortest_path(topo, a, b)
+    assert len(after) < len(before)
+
+    # A second link to b's edge switch gives a two peers and a 2-hop path.
+    topo.add_link(Link(a, 2, NodeId.edge(5), 150))
+    assert shortest_path(topo, a, b) == [a, NodeId.edge(5), b]
+    for x, y in ((b, a), (a, scrub), (NodeId.host(0, 1), b)):
+        assert shortest_path(topo, x, y) == heap_paths.shortest_path(topo, x, y)
+
+
+def test_unreachable_node_rejected(grid):
+    island = NodeId.core(9, 9)
+    grid.add_node(island)
+    with pytest.raises(RoutingError, match="unreachable"):
+        shortest_path(grid, NodeId.host(0, 0), island)
+    with pytest.raises(RoutingError, match="unreachable"):
+        shortest_path(grid, island, NodeId.host(0, 0))
 
 
 # -- handle_packet_in ------------------------------------------------------

@@ -1,11 +1,14 @@
 """The batched engine against the per-packet oracle (``per_packet.py``), and
 north-star invariants on the same random scenarios."""
 
+import tempfile
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdnsim import simnet
-from sdnsim.cli import ScenarioPipeline, build_scenario, validate_config
+from sdnsim.cli import EXIT_OK, ScenarioPipeline, build_scenario, run_scenario, validate_config
 from sdnsim.mitigation import MitigationError, trace_path
 from sdnsim.routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, handle_packet_in
 from sdnsim.simnet import SimConfig, TrafficKind, TrafficProfile
@@ -234,3 +237,41 @@ def test_random_grids_keep_one_tree_per_destination_and_legit_paths(doc):
     simnet.run(topo, rules, profiles, sim_cfg, on_poll=on_poll)
     for dst in {e.rule.match_dst for e in rules.all_entries()}:
         assert destination_tree_ok(topo, rules, dst)
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=cli_scenarios())
+def test_random_grids_poll_monotone_counters_whose_deltas_telescope(doc):
+    topo, rules, profiles, sim_cfg, pipeline = build(doc)
+    record = simnet.run(topo, rules, profiles, sim_cfg, on_poll=pipeline.on_poll)
+
+    # Samples arrive poll by poll; no flow's totals ever go down.
+    totals = {}
+    for sample in record.samples:
+        key = (sample.switch, sample.src, sample.dst)
+        packets, size = totals.get(key, (0, 0))
+        assert sample.packets_total >= packets and sample.bytes_total >= size
+        totals[key] = (sample.packets_total, sample.bytes_total)
+
+    # The reported deltas of each flow sum to its last polled totals.
+    summed = {}
+    for poll in pipeline.polls:
+        for d in poll["deltas"]:
+            packets, size = summed.get((d["switch"], d["src"], d["dst"]), (0, 0))
+            summed[(d["switch"], d["src"], d["dst"])] = (packets + d["d_packets"],
+                                                          size + d["d_bytes"])
+    assert summed == totals
+
+
+@settings(max_examples=20, deadline=None)
+@given(doc=cli_scenarios())
+def test_random_grids_repeat_byte_identical_artifacts(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, errors = validate_config(dict(doc, output_dir=tmp))
+        assert errors == []
+        artifacts = []
+        for _ in range(2):
+            assert run_scenario(cfg) == EXIT_OK
+            artifacts.append([(Path(tmp) / name).read_bytes()
+                              for name in ("stats.csv", "report.json")])
+    assert artifacts[0] == artifacts[1]

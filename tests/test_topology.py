@@ -200,6 +200,7 @@ def test_adjacency_index_matches_link_list(n, m, k, client):
         for port, peer in own:
             assert topo.peer(node, port) == ends[(node, port)]
             assert topo.port_toward(node, peer) == min(p for p, q in own if q == peer)
+        assert topo.distances(node) == bfs_distances(topo, node)
     # A host's only link goes to its edge switch, never to a core.
     with pytest.raises(TopologyError):
         topo.port_toward(topo.hosts()[0], topo.core_switches()[0])
