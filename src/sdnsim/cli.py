@@ -27,7 +27,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from . import analytics, mitigation, simnet, telemetry
-from .routing import RoutingError, RuleTable
+from .routing import RuleTable
 from .simnet import SimConfig, SimulationError, TrafficKind, TrafficProfile, legit_rate, tick_errors
 from .telemetry import CounterRegressionError, StatStore
 from .topology import MAX_HOSTS_PER_EDGE, NodeId, TopologyError, build_grid, parse_host_name
@@ -405,12 +405,15 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    topo, rules, profiles, sim_cfg = build_scenario(cfg)
-    pipeline = ScenarioPipeline(cfg, topo)
+    # Validation rules out every ValueError that the profiles, the tick rule
+    # and the analytics raise on bad values; one that still arrives (with
+    # RoutingError and TopologyError) is a broken invariant.
     try:
+        topo, rules, profiles, sim_cfg = build_scenario(cfg)
+        pipeline = ScenarioPipeline(cfg, topo)
         record = simnet.run(topo, rules, profiles, sim_cfg, on_poll=pipeline.on_poll)
-    except (SimulationError, CounterRegressionError, RoutingError,
-            TopologyError, mitigation.MitigationError) as exc:
+    except (SimulationError, CounterRegressionError, ValueError,
+            mitigation.MitigationError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

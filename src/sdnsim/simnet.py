@@ -16,12 +16,12 @@ balance exactly: entered = passed + dropped + queued.
 
 Packets travel in runs. Within a tick, every packet a host emits has the
 same flow, size and rule path, so the engine forwards them as one
-``(flow, count)`` run: a rule lookup per hop for the whole run, counters and
-tallies grown by ``count`` and ``count * size``, one response run per
-request run delivered to the server. At a throttled link a run splits: the
-packets this tick's budget admits go on (the budget is still spent packet by
-packet, so float budgets decide exactly as one packet at a time would), the
-rest queue as one run up to ``queue_cap`` and the excess drops. The queue is
+``(flow, count)`` run: counters and tallies grown by ``count`` and
+``count * size`` at each hop, one response run per request run delivered to
+the server. At a throttled link a run splits: the packets this tick's budget
+admits go on (the budget is still spent packet by packet, so float budgets
+decide exactly as one packet at a time would), the rest queue as one run up
+to ``queue_cap`` and the excess drops. The queue is
 a run-length FIFO that still counts, iterates and pops single packets.
 
 The split rule keeps runs exact. The first packet of each host's tick, and
@@ -38,10 +38,24 @@ answered by a response that does), then hosts emit in host order, each
 host's run (and its response run) forwarded to its end before the next host
 emits. Per-tick cost therefore scales with flows x hops, not with packets.
 
-A packet that crosses more than ``Topology.hop_limit`` switches is a
-forwarding loop and raises :class:`SimulationError`. Mitigation changes the
-topology only between ticks, so the bound and the index of constrained links
-are refreshed once per tick rather than per packet.
+Runs follow compiled paths. The walk of a flow from a switch port, hop by
+hop through ``RuleTable.lookup`` and ``Topology.peer``, is compiled once into
+the rule entries it matches and its end: a host to deliver to, a miss, or a
+throttled link with the port where packets resume beyond it. Every run that
+enters there replays it: it grows the entries' counters and settles the end,
+and what a throttled link passes goes on along the compiled path from the
+far side. Compiled paths, keyed by (source, destination, switch, in_port),
+are valid for one ``RuleTable.version`` (every install and delete, so every
+packet-in and mitigation edit, changes it) and one ``Topology.version``
+(every ``add_node`` and ``add_link``); a change to either drops them all.
+Rule lookups therefore happen only after such a change, not every tick. A
+flow whose path from its first switch matches no rule raises a packet-in.
+
+A packet that crosses more than ``Topology.hop_limit`` switches, counted
+across throttled links, is a forwarding loop and raises
+:class:`SimulationError`. Mitigation changes the topology only between
+ticks, so the bound and the index of constrained links are refreshed once
+per tick rather than per packet.
 """
 
 from __future__ import annotations
@@ -50,9 +64,10 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 from . import telemetry
-from .routing import FlowKey, RuleTable, handle_packet_in
+from .routing import FlowKey, RuleEntry, RuleTable, handle_packet_in
 from .topology import HOST_PORT, Link, NodeId, Topology
 
 
@@ -316,8 +331,18 @@ class SimState:
     link_states: dict[Link, LinkState] = field(default_factory=dict)
     attack_logged: bool = False
     hop_limit: int = 0
+    # Emitting order: every profiled host, sorted once per run.
+    hosts: list[NodeId] = field(init=False, repr=False)
     # node -> {local port: state of the constrained link on that port}
     _constrained: dict[NodeId, dict[int, LinkState]] = field(default_factory=dict)
+    # (rule-table version, topology version,
+    #  {(src, dst, node, in_port): compiled path from that node and port})
+    _paths: tuple[int, int, dict[tuple, Path]] = field(
+        default_factory=lambda: (-1, -1, {}), repr=False
+    )
+
+    def __post_init__(self) -> None:
+        self.hosts = sorted(self.profiles)
 
     @property
     def time(self) -> float:
@@ -350,40 +375,89 @@ def _deliver(
             _emit(state, host, key.src, profile.response_size, count)
 
 
-def _walk(
-    state: SimState, key: FlowKey, tally: FlowTally, size: int, count: int,
-    node: NodeId, in_port: int,
-) -> None:
-    """Forward a run of ``count`` packets hop by hop until a host, a miss, or
-    a throttled link that admits none of them."""
-    hops = 0
-    while True:
-        if not node.is_switch:
-            _deliver(state, key, tally, size, count, node)
-            return
+class Path(NamedTuple):
+    """A flow's compiled walk from one switch port: the rule entries it
+    matches, hop by hop, and where it ends. ``link`` is the throttled link
+    the last entry sends onto, and ``node``/``in_port`` is where packets
+    resume beyond it. Without a link, ``node`` is the host the walk delivers
+    to, None for a miss, or the switch it reached past the hop limit."""
+
+    entries: tuple[RuleEntry, ...]
+    link: LinkState | None
+    node: NodeId | None
+    in_port: int | None
+
+
+def _compile(state: SimState, key: FlowKey, node: NodeId, in_port: int) -> Path:
+    """Walk the rule table hop by hop from ``node``/``in_port`` for ``key``,
+    moving no packet, up to a host, a miss, a throttled link, or one hop
+    past the hop limit."""
+    entries = []
+    while node.is_switch and len(entries) <= state.hop_limit:
         entry = state.rules.lookup(node, key.src, key.dst, in_port)
         if entry is None:
-            tally.missed_packets += count
-            tally.missed_bytes += count * size
-            return
-        entry.packets += count
-        entry.bytes += count * size
+            return Path(tuple(entries), None, None, None)
+        entries.append(entry)
         out_port = entry.rule.out_port
         peer, peer_in = state.topology.peer(node, out_port)
         constrained = state._constrained.get(node)
         ls = constrained.get(out_port) if constrained else None
         if ls is not None:
-            count = ls.admit(key, tally, size, count, peer, peer_in)
-            if not count:
-                return
+            return Path(tuple(entries), ls, peer, peer_in)
         node, in_port = peer, peer_in
-        hops += 1
+    return Path(tuple(entries), None, node, None)
+
+
+def _path(state: SimState, key: FlowKey, node: NodeId, in_port: int) -> Path:
+    """The compiled path of ``key`` from ``node``/``in_port``, compiled at
+    most once per rule-table and topology version."""
+    rules_version, topology_version, paths = state._paths
+    if rules_version != state.rules.version or topology_version != state.topology.version:
+        paths = {}
+        state._paths = (state.rules.version, state.topology.version, paths)
+    ident = (key.src, key.dst, node, in_port)
+    path = paths.get(ident)
+    if path is None:
+        path = paths[ident] = _compile(state, key, node, in_port)
+    return path
+
+
+def _walk(
+    state: SimState, key: FlowKey, tally: FlowTally, size: int, count: int, path: Path
+) -> None:
+    """Forward a run of ``count`` packets along its compiled path until a
+    host, a miss, or a throttled link that admits none of them. A walk of
+    more than ``hop_limit`` switch hops, counted across throttled links, is
+    a forwarding loop."""
+    hops = 0
+    while True:
+        entries, ls, node, in_port = path
+        run_bytes = count * size
+        for entry in entries:
+            entry.packets += count
+            entry.bytes += run_bytes
+        hops += len(entries)
+        # The hop onto a throttled link counts once the link passed packets.
+        if hops - (ls is not None) > state.hop_limit:
+            raise SimulationError(f"forwarding loop for {key.src}->{key.dst}")
+        if ls is None:
+            if node is None:
+                tally.missed_packets += count
+                tally.missed_bytes += run_bytes
+            else:
+                _deliver(state, key, tally, size, count, node)
+            return
+        count = ls.admit(key, tally, size, count, node, in_port)
+        if not count:
+            return
         if hops > state.hop_limit:
             raise SimulationError(f"forwarding loop for {key.src}->{key.dst}")
+        path = _path(state, key, node, in_port)
 
 
 def _walk_queued(state: SimState, run: QueuedRun) -> None:
-    _walk(state, run.key, run.tally, run.size, run.count, run.node, run.in_port)
+    path = _path(state, run.key, run.node, run.in_port)
+    _walk(state, run.key, run.tally, run.size, run.count, path)
 
 
 def _emit(state: SimState, src_host: NodeId, dst_ip: str, size: int, count: int) -> None:
@@ -392,12 +466,14 @@ def _emit(state: SimState, src_host: NodeId, dst_ip: str, size: int, count: int)
     tally.emitted_packets += count
     tally.emitted_bytes += count * size
     edge, edge_in = state.topology.peer(src_host, HOST_PORT)
-    if state.rules.lookup(edge, key.src, key.dst, edge_in) is None:
+    path = _path(state, key, edge, edge_in)
+    if not path.entries:  # no rule for the flow at its first switch
         handle_packet_in(state.rules, state.topology, key)
         state.record.events.append(
             {"t": state.time, "event": "packet_in", "src": key.src, "dst": key.dst}
         )
-    _walk(state, key, tally, size, count, edge, edge_in)
+        path = _path(state, key, edge, edge_in)
+    _walk(state, key, tally, size, count, path)
 
 
 def _probe(state: SimState) -> tuple[int, list[tuple[LinkState, int]]]:
@@ -452,7 +528,7 @@ def step(state: SimState) -> SimState:
 
     server = state.topology.server
     server_ip = state.topology.ip_of.get(server) if server else None
-    for host in sorted(state.profiles):
+    for host in state.hosts:
         profile = state.profiles[host]
         if profile.kind is TrafficKind.SERVER:
             continue

@@ -14,10 +14,11 @@ cost O(degree) rather than O(links), and the forwarding hop limit
 (:attr:`Topology.hop_limit`) costs O(1). Add nodes and links only through
 those two methods; anything else leaves the index and the count stale.
 
-:meth:`Topology.distances` memoises one breadth-first distance map per root
-node. :meth:`Topology.add_node` and :meth:`Topology.add_link` clear the
-memo; they are the only mutators, and :func:`attach_switch` goes through
-them.
+Both methods bump :attr:`Topology.version`; they are the only mutators, and
+:func:`attach_switch` goes through them. Anything memoised from the graph is
+valid for one version: :meth:`Topology.distances` keeps one breadth-first
+distance map per root node for the current version, and the engine keeps its
+compiled forwarding paths the same way.
 """
 
 from __future__ import annotations
@@ -157,11 +158,13 @@ class Topology:
     server: NodeId | None = None
     attackers: set[NodeId] = field(default_factory=set)
     switch_count: int = 0
+    # Bumped by add_node and add_link.
+    version: int = field(default=0, compare=False)
     # node -> {local port: (peer, peer port)}, one entry per link end.
     _ports: dict[NodeId, dict[int, tuple[NodeId, int]]] = field(default_factory=dict)
-    # root -> {node: hop count from root}, cleared by add_node and add_link.
-    _distances: dict[NodeId, dict[NodeId, int]] = field(
-        default_factory=dict, repr=False, compare=False
+    # (version, {root: {node: hop count from root}}).
+    _distances: tuple[int, dict[NodeId, dict[NodeId, int]]] = field(
+        default_factory=lambda: (0, {}), repr=False, compare=False
     )
 
     # -- construction -----------------------------------------------------
@@ -169,7 +172,7 @@ class Topology:
     def add_node(self, node: NodeId) -> None:
         if node in self.nodes:
             raise TopologyError(f"duplicate node {node}")
-        self._distances.clear()
+        self.version += 1
         self.nodes.add(node)
         if node.is_switch:
             self.switch_count += 1
@@ -181,7 +184,7 @@ class Topology:
                 raise TopologyError(f"link endpoint {node} not in topology")
             if port in self._ports.get(node, ()):
                 raise TopologyError(f"port {port} already in use on {node}")
-        self._distances.clear()
+        self.version += 1
         self.links.append(link)
         self._ports.setdefault(na, {})[pa] = (nb, pb)
         self._ports.setdefault(nb, {})[pb] = (na, pa)
@@ -217,10 +220,14 @@ class Topology:
     def distances(self, root: NodeId) -> dict[NodeId, int]:
         """Hop count from ``root`` to every node it reaches.
 
-        Memoised per root until the next add_node or add_link; callers
-        must not mutate the returned map.
+        Memoised per root for the current version; callers must not
+        mutate the returned map.
         """
-        dist = self._distances.get(root)
+        version, memo = self._distances
+        if version != self.version:
+            memo = {}
+            self._distances = (self.version, memo)
+        dist = memo.get(root)
         if dist is None:
             dist = {root: 0}
             queue = deque([root])
@@ -231,7 +238,7 @@ class Topology:
                     if peer not in dist:
                         dist[peer] = step
                         queue.append(peer)
-            self._distances[root] = dist
+            memo[root] = dist
         return dist
 
     def port_toward(self, node: NodeId, other: NodeId) -> int:

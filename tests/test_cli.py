@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sdnsim import analytics, cli
+from sdnsim.analytics import FeatureVector, build_features, decompose_gaussian_1d, kmeans
 from sdnsim.cli import (
     DEFAULTS,
     EXIT_CONFIG,
@@ -25,7 +27,7 @@ from sdnsim.cli import (
     validate_config,
     write_json,
 )
-from sdnsim.simnet import TrafficKind
+from sdnsim.simnet import SimConfig, TrafficKind, TrafficProfile
 from sdnsim.telemetry import StatStore, delta, read_stats_csv
 from sdnsim.topology import MAX_HOSTS_PER_EDGE
 
@@ -288,6 +290,63 @@ def test_artifact_write_error_exits_2(tmp_path, name):
     code, err = run_document(small_raw(duration=5.0), out)
     assert code == EXIT_CONFIG
     assert "cannot write artifacts:" in err
+
+
+# -- ValueError audit -----------------------------------------------------
+
+# Each ValueError that a traffic profile, the tick rule or an analytics step
+# raises on a bad value, with a config document that would carry that value
+# to it.
+VALUE_ERRORS = {
+    "negative legit rate": (lambda: TrafficProfile(TrafficKind.LEGIT, -1.0),
+                            {"base_rate": -1.0}),
+    "negative attacker rate": (lambda: TrafficProfile(TrafficKind.ATTACKER, -1.0),
+                               {"attackers": ["h1s1"], "attacker_rate": -1.0}),
+    "empty request": (lambda: TrafficProfile(TrafficKind.LEGIT, 1.0, request_size=0),
+                      {"request_bytes": 0}),
+    "empty response": (lambda: TrafficProfile(TrafficKind.SERVER, response_size=0),
+                       {"response_bytes": 0}),
+    "zero tick": (lambda: SimConfig(tick=0.0), {"tick": 0.0}),
+    "negative duration": (lambda: SimConfig(duration=-1.0), {"duration": -1.0}),
+    "zero poll interval": (lambda: SimConfig(poll_interval=0.0), {"poll_interval": 0.0}),
+    "duration off the tick": (lambda: SimConfig(duration=1.5), {"duration": 1.5}),
+    "poll interval off the tick": (lambda: SimConfig(poll_interval=0.5),
+                                   {"poll_interval": 0.5}),
+    "zero feature interval": (lambda: build_features([], "10.0.0.0", 0.0),
+                              {"poll_interval": 0.0}),
+    "zero clusters": (lambda: kmeans([FeatureVector("10.0.0.1", 1.0, 1.0, 1.0, 1.0)], 0),
+                      {"k_clusters": 0}),
+    "zero bandwidth": (lambda: decompose_gaussian_1d([1.0, 2.0], 0.0), {"bandwidth": 0.0}),
+}
+
+
+@pytest.mark.parametrize("raise_it, doc", VALUE_ERRORS.values(), ids=VALUE_ERRORS)
+def test_validation_rules_out_each_value_error(raise_it, doc):
+    with pytest.raises(ValueError):
+        raise_it()
+    cfg, errors = validate_config(doc)
+    assert cfg is None
+    assert any(field in error for error in errors for field in doc)
+
+
+# The other ValueErrors (k-means on no features or on more clusters than
+# points, a Gaussian split of fewer than two values or on under 16 grid
+# points, a derived bandwidth of 0) guard calls that the pipeline never makes.
+# Should one still happen, the run ends as a broken invariant.
+@pytest.mark.parametrize("owner, name", [
+    (analytics, "kmeans"),
+    (analytics, "decompose_gaussian_1d"),
+    (cli, "TrafficProfile"),
+    (cli, "SimConfig"),
+])
+def test_value_error_in_a_run_exits_3(tmp_path, monkeypatch, owner, name):
+    def broken(*args, **kwargs):
+        raise ValueError("need at least two values")
+
+    monkeypatch.setattr(owner, name, broken)
+    code, err = run_document(small_raw(duration=5.0), tmp_path / "out")
+    assert code == EXIT_INVARIANT
+    assert err == "invariant violation: need at least two values\n"
 
 
 BAD_VALUES = st.sampled_from([None, True, "1", [1], {"a": 1}]) | st.sampled_from(

@@ -1,19 +1,22 @@
 """The batched engine against the per-packet oracle (``per_packet.py``), and
 north-star invariants on the same random scenarios."""
 
+import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdnsim import simnet
+from sdnsim import routing, simnet
 from sdnsim.cli import EXIT_OK, ScenarioPipeline, build_scenario, run_scenario, validate_config
-from sdnsim.mitigation import MitigationError, trace_path
+from sdnsim.mitigation import SCRUBBER_CAPACITY_BPS, MitigationError, trace_path
 from sdnsim.routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, handle_packet_in
 from sdnsim.simnet import SimConfig, TrafficKind, TrafficProfile
 from sdnsim.topology import Link, NodeId, attach_switch, build_grid
 
+import heap_paths
 import per_packet
 from conftest import destination_tree_ok
 from test_cli import small_raw
@@ -75,6 +78,101 @@ def test_runs_match_the_per_packet_engine_on_cli_scenarios(doc):
         topo, rules, profiles, sim_cfg, pipeline = build(doc)
         records.append(outcome(engine_run, topo, rules, profiles, sim_cfg,
                                on_poll=pipeline.on_poll))
+    assert records[0] == records[1]
+
+
+def throttle(rng):
+    """Link keywords: unconstrained, or a random capacity and queue."""
+    if rng.random() < 0.5:
+        return {}
+    return {"capacity": rng.uniform(100.0, 20_000.0), "queue_cap": rng.randint(1, 40)}
+
+
+def edit_rules(rng, topo, rules):
+    """One to three random edits, as a controller might make between ticks:
+
+    - install a rule that is src-qualified or dst-only, maybe
+      in_port-qualified, at a priority that may tie with installed rules,
+      mostly on a switch and destination that already carry a rule;
+    - delete an installed rule (an edge switch's per-flow rule raises a new
+      packet-in);
+    - ``add_link`` a shortcut from the server's core switch to a core
+      switch that is not its neighbour, and delete one client's per-flow
+      rule toward the server at the client's edge switch, so that its next
+      packet-in may route over the shortcut;
+    - ``attach_switch`` a new switch to any switch, and loop one of that
+      switch's rules through it and back.
+
+    New links are throttled at random. Every edit is valid, so any error
+    comes from the run itself."""
+    ips = sorted(topo.host_of_ip)
+    for _ in range(rng.randint(1, 3)):
+        entries = sorted(rules.all_entries(), key=lambda e: (e.rule.switch, -e.rule.priority, e.seq))
+        op = rng.choice(["install", "install", "delete", "delete", "shortcut", "attach"])
+        if op in ("install", "delete", "attach") and not entries:
+            continue
+        near = rng.choice(entries).rule if entries else None
+        if op == "install":
+            switch = near.switch if rng.random() < 0.7 else rng.choice(
+                sorted(n for n in topo.nodes if n.is_switch))
+            ports = sorted(topo.used_ports(switch))
+            dst = near.match_dst if rng.random() < 0.7 else rng.choice(ips)
+            src = rng.choice([None, near.match_src, rng.choice(ips)])
+            in_port = rng.choice([None, None, rng.choice(ports)])
+            priority = rng.choice([BASE_PRIORITY, BASE_PRIORITY + 1, near.priority])
+            if rules.find(switch, src, dst, priority) is None:
+                rules.install(FlowRule(switch, src, dst, rng.choice(ports), priority, in_port))
+        elif op == "delete":
+            rules.delete(near.switch, near.match_src, near.match_dst, near.priority)
+        elif op == "shortcut":
+            a = topo.peer(topo.edge_of_host(topo.server), 1)[0]
+            b = rng.choice(topo.core_switches())
+            if b != a and b not in {peer for peer, _ in topo.neighbors(a)}:
+                topo.add_link(Link(a, max(topo.used_ports(a)) + 1,
+                                   b, max(topo.used_ports(b)) + 1, **throttle(rng)))
+            server_ip = topo.ip_of[topo.server]
+            firsts = [e.rule for e in entries
+                      if e.rule.match_dst == server_ip and e.rule.match_src is not None
+                      and e.rule.switch == topo.edge_of_host(topo.host_of_ip[e.rule.match_src])]
+            if firsts:
+                r = rng.choice(firsts)
+                rules.delete(r.switch, r.match_src, r.match_dst, r.priority)
+        else:
+            switch, new = near.switch, NodeId.scrubber(len(topo.scrubbers()))
+            out = max(topo.used_ports(switch)) + 1
+            attach_switch(topo, new, [Link(switch, out, new, 1),
+                                      Link(new, 2, switch, out + 1, **throttle(rng))])
+            loop = [FlowRule(switch, near.match_src, near.match_dst, out, near.priority + 1),
+                    FlowRule(new, near.match_src, near.match_dst, 2, near.priority),
+                    FlowRule(switch, None, near.match_dst, near.out_port, 40003, in_port=out + 1)]
+            for rule in loop:
+                if rules.find(rule.switch, rule.match_src, rule.match_dst, rule.priority) is None:
+                    rules.install(rule)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=cli_scenarios(), seed=st.integers(0, 2**32 - 1))
+# a shortcut, then packet-ins whose shortest paths take it
+@example(doc={"grid_n": 2, "grid_m": 2, "hosts_per_edge": 3, "server_edge": 0,
+              "server_slot": 0, "client_matrix": 2, "base_rate": 0.125,
+              "request_bytes": 1, "response_bytes": 1, "attackers": [],
+              "attacker_rate": None, "attack_start": 0.0, "tick": 0.5, "duration": 4.0,
+              "poll_interval": 0.5, "threshold": None, "k_clusters": 1},
+         seed=1)
+def test_runs_match_the_per_packet_engine_under_rule_edits(doc, seed):
+    # The oracle side also finds packet-in paths by the heap search, so a
+    # memo kept past a topology change shows as well as a stale walk.
+    records = []
+    for engine_run, search in ((simnet.run, routing.shortest_path),
+                               (per_packet.run, heap_paths.shortest_path)):
+        topo, rules, profiles, sim_cfg, _ = build(doc)
+        rng = random.Random(seed)
+
+        def on_poll(state, t, samples):
+            edit_rules(rng, state.topology, state.rules)
+
+        with mock.patch.object(routing, "shortest_path", search):
+            records.append(outcome(engine_run, topo, rules, profiles, sim_cfg, on_poll=on_poll))
     assert records[0] == records[1]
 
 
@@ -169,7 +267,7 @@ def test_two_way_link_sends_packets_one_at_a_time():
     assert records[0]["flows"][f"{s_ip}->{a_ip}"]["delivered_packets"] == 6
 
 
-def lookups_at(monkeypatch, attacker_rate):
+def lookups_at(monkeypatch, **overrides):
     calls = 0
     inner = RuleTable.lookup
 
@@ -181,7 +279,7 @@ def lookups_at(monkeypatch, attacker_rate):
     monkeypatch.setattr(RuleTable, "lookup", counted)
     # The threshold is never reached, so no scrubber throttles the attack.
     topo, rules, profiles, sim_cfg, pipeline = build(small_raw(
-        attacker_rate=attacker_rate, attack_start=0.0, duration=5.0, threshold=1e30
+        **{"attack_start": 0.0, "duration": 5.0, "threshold": 1e30, **overrides}
     ))
     record = simnet.run(topo, rules, profiles, sim_cfg, on_poll=pipeline.on_poll)
     emitted = sum(t.emitted_packets for t in record.flows.values())
@@ -189,10 +287,19 @@ def lookups_at(monkeypatch, attacker_rate):
 
 
 def test_rule_lookups_do_not_grow_with_the_attack_rate(monkeypatch):
-    slow_calls, slow_emitted = lookups_at(monkeypatch, 20.0)
-    fast_calls, fast_emitted = lookups_at(monkeypatch, 20_000.0)
+    slow_calls, slow_emitted = lookups_at(monkeypatch, attacker_rate=20.0)
+    fast_calls, fast_emitted = lookups_at(monkeypatch, attacker_rate=20_000.0)
     assert fast_emitted > 100 * slow_emitted
     assert fast_calls == slow_calls
+
+
+def test_rule_lookups_do_not_grow_with_duration(monkeypatch):
+    # Every host sends from the first tick, so the last packet-in is in it;
+    # from then on the rule table and the topology stay as they are.
+    short_calls, short_emitted = lookups_at(monkeypatch, duration=20.0)
+    long_calls, long_emitted = lookups_at(monkeypatch, duration=80.0)
+    assert long_emitted > 3 * short_emitted
+    assert long_calls == short_calls
 
 
 # -- north-star invariants on random grids ---------------------------------
@@ -275,3 +382,31 @@ def test_random_grids_repeat_byte_identical_artifacts(doc):
             artifacts.append([(Path(tmp) / name).read_bytes()
                               for name in ("stats.csv", "report.json")])
     assert artifacts[0] == artifacts[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=cli_scenarios())
+# two attackers at 15 kB/s each, detected and scrubbed at the first poll
+@example(doc={"grid_n": 2, "grid_m": 2, "hosts_per_edge": 2, "server_edge": 0,
+              "server_slot": 0, "client_matrix": 1, "base_rate": 1.0,
+              "request_bytes": 100, "response_bytes": 100,
+              "attackers": ["h1s1", "h0s2"], "attacker_rate": 150.0, "attack_start": 0.0,
+              "tick": 1.0, "duration": 12.0, "poll_interval": 1.0,
+              "threshold": 1000.0, "k_clusters": 2})
+def test_random_grids_cap_scrubbed_flows_after_mitigation(doc):
+    topo, rules, profiles, sim_cfg, pipeline = build(doc)
+    record = simnet.run(topo, rules, profiles, sim_cfg, on_poll=pipeline.on_poll)
+    if pipeline.plan is None:
+        return
+    # Delivered bytes at each poll after mitigation and at the end, as
+    # {"src->dst": bytes}; the scrubbed requests all share the throttled link.
+    t0 = pipeline.mitigation_time
+    delivered = {t: {flow: n for flow, (_, n) in snapshot.items()}
+                 for t, snapshot in zip(record.poll_times, record.flow_snapshots)}
+    delivered[sim_cfg.duration] = {f"{src}->{dst}": tally.delivered_bytes
+                                   for (src, dst), tally in record.flows.items()}
+    scrubbed = [f"{src}->{pipeline.plan.target}" for src in pipeline.plan.suspicious_sources]
+    for t, flows in delivered.items():
+        if t > t0:
+            sent = sum(flows.get(f, 0) - delivered[t0].get(f, 0) for f in scrubbed)
+            assert sent <= SCRUBBER_CAPACITY_BPS * (t - t0)
