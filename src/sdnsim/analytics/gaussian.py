@@ -6,7 +6,7 @@ derivative is positive between two modes) become segment boundaries. Each
 segment turns into one component carrying the sample moments and the sample
 fraction of its values.
 
-Segments holding less than ``min_weight`` of the sample are merged into a
+Segments holding less than ``MIN_WEIGHT`` of the sample are merged into a
 neighbor across their weaker (higher-density) boundary, so a stray outlier
 cannot manufacture a near-empty component.
 """
@@ -16,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+GRID_POINTS = 256   # density grid size
+MIN_WEIGHT = 0.01   # smallest sample fraction a segment keeps on its own
 
 
 @dataclass(frozen=True)
@@ -33,10 +36,11 @@ def silverman_bandwidth(values) -> float:
     return float(1.06 * data.std() * len(data) ** (-0.2))
 
 
-def kernel_density(values, bandwidth: float, grid_points: int):
-    """Gaussian-kernel density on a uniform grid spanning the data +- 3 bw."""
+def kernel_density(values, bandwidth: float):
+    """Gaussian-kernel density on a uniform grid of ``GRID_POINTS`` points
+    spanning the data +- 3 bw."""
     data = np.asarray(values, dtype=float)
-    grid = np.linspace(data.min() - 3 * bandwidth, data.max() + 3 * bandwidth, grid_points)
+    grid = np.linspace(data.min() - 3 * bandwidth, data.max() + 3 * bandwidth, GRID_POINTS)
     z = (grid[:, None] - data[None, :]) / bandwidth
     density = np.exp(-0.5 * z * z).sum(axis=1) / (len(data) * bandwidth * np.sqrt(2 * np.pi))
     return grid, density
@@ -52,12 +56,7 @@ def density_minima(density) -> list[int]:
     return idx
 
 
-def decompose_gaussian_1d(
-    values,
-    bandwidth: float | None = None,
-    grid_points: int = 256,
-    min_weight: float = 0.01,
-) -> list[GaussComponent]:
+def decompose_gaussian_1d(values, bandwidth: float | None = None) -> list[GaussComponent]:
     """Split a sample into components separated at density minima.
 
     Components come back ordered by mean. A zero-variance sample (or
@@ -67,8 +66,6 @@ def decompose_gaussian_1d(
     n = len(data)
     if n < 2:
         raise ValueError("need at least two values")
-    if grid_points < 16:
-        raise ValueError("grid_points must be at least 16")
 
     if float(data.min()) == float(data.max()):
         bw = bandwidth if bandwidth is not None and bandwidth > 0 else 1.0
@@ -79,7 +76,7 @@ def decompose_gaussian_1d(
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
 
-    grid, density = kernel_density(data, bandwidth, grid_points)
+    grid, density = kernel_density(data, bandwidth)
     minima = density_minima(density)
     boundaries = [float(grid[i]) for i in minima]
     boundary_density = [float(density[i]) for i in minima]
@@ -90,7 +87,7 @@ def decompose_gaussian_1d(
 
     # Drop boundaries producing undersized segments, weakest boundary first.
     counts = segment_counts(boundaries)
-    while boundaries and min(counts) < min_weight * n:
+    while boundaries and min(counts) < MIN_WEIGHT * n:
         s = counts.index(min(counts))
         if s == 0:
             cut = 0

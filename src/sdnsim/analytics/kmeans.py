@@ -16,6 +16,8 @@ import numpy as np
 from ..telemetry import ip_key
 from .features import FeatureVector
 
+MAX_ITER = 100
+
 
 @dataclass
 class Clustering:
@@ -39,12 +41,9 @@ class Clustering:
         }
 
 
-def kmeans(
-    features: list[FeatureVector],
-    k: int,
-    max_iter: int = 100,
-) -> Clustering:
-    """Cluster feature vectors into at most k groups."""
+def kmeans(features: list[FeatureVector], k: int) -> Clustering:
+    """Cluster feature vectors into at most k groups, in at most
+    ``MAX_ITER`` Lloyd iterations."""
     if not features:
         raise ValueError("no features to cluster")
     if k < 1 or k > len(features):
@@ -69,7 +68,7 @@ def kmeans(
     centroids = points[chosen].copy()
     labels = np.full(len(points), -1, dtype=int)
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         dist_sq = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = dist_sq.argmin(axis=1)
         history.append(float(dist_sq[np.arange(len(points)), new_labels].sum()))

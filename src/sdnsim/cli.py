@@ -470,18 +470,22 @@ def main(argv=None) -> int:
     if args.command == "init-config":
         text = json.dumps(TEMPLATES[args.template](), indent=2) + "\n"
         if args.out:
-            Path(args.out).write_text(text)
+            try:
+                Path(args.out).write_text(text)
+            except OSError as exc:
+                print(f"cannot write config: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
         else:
             sys.stdout.write(text)
         return EXIT_OK
 
     try:
-        text = Path(args.config).read_text()
+        text = Path(args.config).read_text(encoding="utf-8")
         raw = json.loads(text) if text.strip() else {}
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

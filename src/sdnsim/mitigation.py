@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analytics.detect import DetectionReport
-from .routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable
+from .routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, walk_rules
 from .telemetry import ip_key
 from .topology import (
     HOST_PORT,
@@ -192,10 +192,11 @@ def apply(
 
 
 def trace_path(topology: Topology, rules: RuleTable, key: FlowKey) -> list[NodeId]:
-    """Node sequence a packet for ``key`` takes, by walking the rule table.
+    """Node sequence a packet for ``key`` takes, by the engine's rule-table
+    walk (:func:`~sdnsim.routing.walk_rules`) and with its bound.
 
-    Raises if a switch has no matching rule or the walk exceeds
-    ``topology.hop_limit`` (a loop), the same bound the engine's walk uses.
+    Raises if a switch has no matching rule or the walk visits more than
+    ``topology.hop_limit`` switches (a loop).
     """
     src_host = topology.host_of_ip.get(key.src)
     dst_host = topology.host_of_ip.get(key.dst)
@@ -203,13 +204,11 @@ def trace_path(topology: Topology, rules: RuleTable, key: FlowKey) -> list[NodeI
         raise MitigationError(f"unknown endpoint in {key.src}->{key.dst}")
     node, in_port = topology.peer(src_host, HOST_PORT)
     path = [src_host]
-    while node.is_switch:
-        path.append(node)
-        if len(path) > topology.hop_limit:
+    for entry, node, _ in walk_rules(topology, rules, key, node, in_port):
+        path.append(entry.rule.switch)
+        if len(path) - 1 > topology.hop_limit:
             raise MitigationError(f"forwarding loop for {key.src}->{key.dst}: {path}")
-        entry = rules.lookup(node, key.src, key.dst, in_port)
-        if entry is None:
-            raise MitigationError(f"no rule at {node} for {key.src}->{key.dst}")
-        node, in_port = topology.peer(node, entry.rule.out_port)
+    if node.is_switch:
+        raise MitigationError(f"no rule at {node} for {key.src}->{key.dst}")
     path.append(node)
     return path

@@ -9,6 +9,7 @@ all traffic toward one destination follows a tree rooted at its edge switch.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .topology import NodeId, NodeKind, Topology
@@ -151,6 +152,22 @@ class RuleTable:
         entries = self.all_entries()
         entries.sort(key=lambda e: (e.rule.switch, -e.rule.priority, e.seq))
         return [dict(e.rule.dump(), packets=e.packets, bytes=e.bytes) for e in entries]
+
+
+def walk_rules(
+    topology: Topology, rules: RuleTable, key: FlowKey, node: NodeId, in_port: int
+) -> Iterator[tuple[RuleEntry, NodeId, int]]:
+    """The rule-table walk of ``key`` from ``node``/``in_port``, moving no
+    packet: for each switch hop, the matched entry and the next node with
+    its in_port. It stops at a host or at a switch with no matching rule (a
+    miss), and sets no bound: a caller that may meet a loop must stop it.
+    """
+    while node.is_switch:
+        entry = rules.lookup(node, key.src, key.dst, in_port)
+        if entry is None:
+            return
+        node, in_port = topology.peer(node, entry.rule.out_port)
+        yield entry, node, in_port
 
 
 def shortest_path(topology: Topology, a: NodeId, b: NodeId) -> list[NodeId]:

@@ -28,9 +28,13 @@ The split rule keeps runs exact. The first packet of each host's tick, and
 of each run drained from a queue, walks alone. The rest go as one run only
 if that walk raised no packet-in (so the rule table and the event list are
 unchanged) and entered no throttled link twice (its request and response
-together); otherwise the next packet walks alone by the same rule. A link
-that carries both a flow's requests and its responses therefore sees them
-interleaved packet by packet, as it would without runs.
+together); otherwise the next packet walks alone by the same rule. The
+packets behind a clean walk meet the same rules and each throttled link once,
+in the same order, run or not. A link that carries both a flow's requests and
+its responses therefore sees them interleaved packet by packet, as it would
+without runs. A drained packet may re-enter the link it was drained from:
+the rest of its run is still queued there, so it queues at the tail,
+untouched by the budget, as each packet behind it will.
 
 In-tick order: every throttled link's budget is refreshed, then the links'
 queues drain in link order (a drained run may cross another link, or be
@@ -38,9 +42,9 @@ answered by a response that does), then hosts emit in host order, each
 host's run (and its response run) forwarded to its end before the next host
 emits. Per-tick cost therefore scales with flows x hops, not with packets.
 
-Runs follow compiled paths. The walk of a flow from a switch port, hop by
-hop through ``RuleTable.lookup`` and ``Topology.peer``, is compiled once into
-the rule entries it matches and its end: a host to deliver to, a miss, or a
+Runs follow compiled paths. The walk of a flow from a switch port,
+:func:`~sdnsim.routing.walk_rules`, is compiled once into the rule entries it
+matches and its end: a host to deliver to, a miss, or a
 throttled link with the port where packets resume beyond it. Every run that
 enters there replays it: it grows the entries' counters and settles the end,
 and what a throttled link passes goes on along the compiled path from the
@@ -53,21 +57,22 @@ flow whose path from its first switch matches no rule raises a packet-in.
 
 A packet that crosses more than ``Topology.hop_limit`` switches, counted
 across throttled links, is a forwarding loop and raises
-:class:`SimulationError`. Mitigation changes the topology only between
-ticks, so the bound and the index of constrained links are refreshed once
-per tick rather than per packet.
+:class:`SimulationError`; the bound is read from the topology, where it costs
+O(1). Mitigation changes the topology only between ticks, so the index of
+constrained links is refreshed once per tick rather than per packet.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import NamedTuple
 
 from . import telemetry
-from .routing import FlowKey, RuleEntry, RuleTable, handle_packet_in
+from .routing import FlowKey, RuleEntry, RuleTable, handle_packet_in, walk_rules
 from .topology import HOST_PORT, Link, NodeId, Topology
 
 
@@ -330,7 +335,6 @@ class SimState:
     residues: dict[NodeId, float] = field(default_factory=dict)
     link_states: dict[Link, LinkState] = field(default_factory=dict)
     attack_logged: bool = False
-    hop_limit: int = 0
     # Emitting order: every profiled host, sorted once per run.
     hosts: list[NodeId] = field(init=False, repr=False)
     # node -> {local port: state of the constrained link on that port}
@@ -349,8 +353,8 @@ class SimState:
         return self.step_index * self.cfg.tick
 
     def refresh_links(self) -> None:
-        """Re-index constrained links and the hop limit; mitigation may
-        change the topology between ticks."""
+        """Re-index constrained links; mitigation may change the topology
+        between ticks."""
         self._constrained = {}
         for link in self.topology.links:
             if link.constrained:
@@ -359,7 +363,6 @@ class SimState:
                     ls = self.link_states[link] = LinkState(link)
                 self._constrained.setdefault(link.a, {})[link.a_port] = ls
                 self._constrained.setdefault(link.b, {})[link.b_port] = ls
-        self.hop_limit = self.topology.hop_limit
 
 
 def _deliver(
@@ -389,23 +392,19 @@ class Path(NamedTuple):
 
 
 def _compile(state: SimState, key: FlowKey, node: NodeId, in_port: int) -> Path:
-    """Walk the rule table hop by hop from ``node``/``in_port`` for ``key``,
-    moving no packet, up to a host, a miss, a throttled link, or one hop
-    past the hop limit."""
+    """Walk the rule table from ``node``/``in_port`` for ``key`` up to a
+    host, a miss, a throttled link, or one hop past the hop limit."""
     entries = []
-    while node.is_switch and len(entries) <= state.hop_limit:
-        entry = state.rules.lookup(node, key.src, key.dst, in_port)
-        if entry is None:
-            return Path(tuple(entries), None, None, None)
+    limit = state.topology.hop_limit
+    for entry, node, in_port in walk_rules(state.topology, state.rules, key, node, in_port):
         entries.append(entry)
-        out_port = entry.rule.out_port
-        peer, peer_in = state.topology.peer(node, out_port)
-        constrained = state._constrained.get(node)
-        ls = constrained.get(out_port) if constrained else None
+        ls = state._constrained.get(entry.rule.switch, {}).get(entry.rule.out_port)
         if ls is not None:
-            return Path(tuple(entries), ls, peer, peer_in)
-        node, in_port = peer, peer_in
-    return Path(tuple(entries), None, node, None)
+            return Path(tuple(entries), ls, node, in_port)
+        if len(entries) > limit:
+            return Path(tuple(entries), None, node, None)
+    # The walk ended on a host, or on a switch with no matching rule.
+    return Path(tuple(entries), None, None if node.is_switch else node, None)
 
 
 def _path(state: SimState, key: FlowKey, node: NodeId, in_port: int) -> Path:
@@ -429,6 +428,7 @@ def _walk(
     host, a miss, or a throttled link that admits none of them. A walk of
     more than ``hop_limit`` switch hops, counted across throttled links, is
     a forwarding loop."""
+    limit = state.topology.hop_limit
     hops = 0
     while True:
         entries, ls, node, in_port = path
@@ -438,7 +438,7 @@ def _walk(
             entry.bytes += run_bytes
         hops += len(entries)
         # The hop onto a throttled link counts once the link passed packets.
-        if hops - (ls is not None) > state.hop_limit:
+        if hops - (ls is not None) > limit:
             raise SimulationError(f"forwarding loop for {key.src}->{key.dst}")
         if ls is None:
             if node is None:
@@ -450,14 +450,9 @@ def _walk(
         count = ls.admit(key, tally, size, count, node, in_port)
         if not count:
             return
-        if hops > state.hop_limit:
+        if hops > limit:
             raise SimulationError(f"forwarding loop for {key.src}->{key.dst}")
         path = _path(state, key, node, in_port)
-
-
-def _walk_queued(state: SimState, run: QueuedRun) -> None:
-    path = _path(state, run.key, run.node, run.in_port)
-    _walk(state, run.key, run.tally, run.size, run.count, path)
 
 
 def _emit(state: SimState, src_host: NodeId, dst_ip: str, size: int, count: int) -> None:
@@ -476,27 +471,20 @@ def _emit(state: SimState, src_host: NodeId, dst_ip: str, size: int, count: int)
     _walk(state, key, tally, size, count, path)
 
 
-def _probe(state: SimState) -> tuple[int, list[tuple[LinkState, int]]]:
-    """What a lone packet's walk is checked against: the event count and
-    each throttled link's entered count."""
-    return len(state.record.events), [
-        (ls, ls.entered_packets) for ls in state.link_states.values()
-    ]
-
-
-def _walked_clean(state: SimState, probe) -> bool:
-    """Whether the packet walked alone since ``probe`` lets the packets
-    behind it in its run go as one run: it raised no packet-in and entered
-    no throttled link twice. The packets behind it then meet the same rules
-    and each throttled link once, in the same order, run or not.
-
-    A drained packet may re-enter the link it was drained from: the rest of
-    its run is still queued there, so it queues at the tail, untouched by
-    the budget, as each packet behind it will."""
-    events, entered = probe
-    return len(state.record.events) == events and all(
-        ls.entered_packets - before <= 1 for ls, before in entered
-    )
+def _runs(state: SimState, count: int) -> Iterator[int]:
+    """The sizes of the runs that ``count`` identical packets go in, by the
+    split rule of the module docstring. The caller sends each run before
+    asking for the next, which depends on what that send did."""
+    while count:
+        events = len(state.record.events)
+        entered = [(ls, ls.entered_packets) for ls in state.link_states.values()]
+        yield 1
+        count -= 1
+        if count and len(state.record.events) == events and all(
+            ls.entered_packets - before <= 1 for ls, before in entered
+        ):
+            yield count
+            return
 
 
 def step(state: SimState) -> SimState:
@@ -515,16 +503,14 @@ def step(state: SimState) -> SimState:
         ls = state.link_states[link]
         queue = ls.queue
         while queue and queue.head().size <= ls.budget:
-            # The head run's first packet walks alone; the rest of the run
-            # that fits the budget follows as one run if it walked clean.
             head = queue.head()
-            probe = _probe(state)
-            ls.spend(head.size, 1)
-            _walk_queued(state, queue.popleft())
-            if head.count and _walked_clean(state, probe):
-                passed = ls.spend(head.size, head.count)
-                if passed:
-                    _walk_queued(state, queue.popleft(passed))
+            for count in _runs(state, head.count):
+                passed = ls.spend(head.size, count)
+                if not passed:
+                    break
+                run = queue.popleft(passed)
+                path = _path(state, run.key, run.node, run.in_port)
+                _walk(state, run.key, run.tally, run.size, passed, path)
 
     server = state.topology.server
     server_ip = state.topology.ip_of.get(server) if server else None
@@ -540,15 +526,8 @@ def step(state: SimState) -> SimState:
         acc = state.residues.get(host, 0.0) + profile.request_rate * cfg.tick
         count = math.floor(acc + 1e-9)
         state.residues[host] = acc - count
-        # The first packet walks alone; the rest follow as one run once a
-        # packet has walked clean.
-        while count:
-            probe = _probe(state)
-            _emit(state, host, server_ip, profile.request_size, 1)
-            count -= 1
-            if count and _walked_clean(state, probe):
-                _emit(state, host, server_ip, profile.request_size, count)
-                break
+        for run in _runs(state, count):
+            _emit(state, host, server_ip, profile.request_size, run)
 
     # Exact conservation, checked every tick from an empty start: every
     # packet that entered has passed, been dropped, or is still queued.

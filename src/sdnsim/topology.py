@@ -5,7 +5,9 @@ Every perimeter core switch carries exactly one edge switch, giving
 2N + 2M - 4 edge switches, and every edge switch carries K hosts. Hosts sit
 on edge ports 80, 81, ... (their own side is always port 1); an edge switch's
 port 1 is its uplink into the core. Scrubber switches are attached later
-through :func:`attach_switch`.
+through :func:`attach_switch`. A node's identity, :class:`NodeId`, is a
+plain ``(kind, index)`` named tuple: its hash, equality and order are the
+tuple's.
 
 :class:`Topology` keeps an adjacency index, ``node -> {local port: (peer,
 peer port)}``, that :meth:`Topology.add_link` fills, and a switch count that
@@ -26,6 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 
 class TopologyError(ValueError):
@@ -47,25 +50,16 @@ SCRUBBER_RETURN_PORT = 201 # edge port receiving scrubbed traffic back
 MAX_HOSTS_PER_EDGE = 100   # keeps host-facing ports clear of 200/201
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
+class NodeId(NamedTuple):
     """Identity of a node: a kind plus small-integer coordinates.
 
-    Ordering (kind rank, then coordinates) is the canonical order used for
-    every deterministic tie-break in the package.
+    A plain tuple ``(kind, index)``: hash, equality and order are the
+    tuple's. Ordering (kind rank, then coordinates) is the canonical order
+    used for every deterministic tie-break in the package.
     """
 
     kind: NodeKind
     index: tuple[int, ...]
-    # The fields never change, so the hash is computed once. Its value is
-    # the generated dataclass hash, hash((kind, index)).
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @staticmethod
     def core(i: int, j: int) -> "NodeId":
@@ -318,8 +312,6 @@ def build_grid(n: int, m: int, k: int) -> Topology:
         next_port[node] = port + 1
         return port
 
-    # One instance per node, shared by the node set and every link, so that
-    # dict lookups on nodes match by identity before falling back to __eq__.
     cores = {(i, j): NodeId.core(i, j) for i in range(n) for j in range(m)}
     for core in cores.values():
         topo.add_node(core)

@@ -66,7 +66,7 @@ def _walk(state, key, tally, size, node, in_port):
             _pass(ls, size)
         node, in_port = peer, peer_in
         hops += 1
-        if hops > state.hop_limit:
+        if hops > state.topology.hop_limit:
             raise SimulationError(f"forwarding loop for {key.src}->{key.dst}")
 
 

@@ -239,6 +239,30 @@ def test_run_command_rejects_bad_json(tmp_path, capsys):
     assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
 
 
+def test_run_command_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    config_path = tmp_path / "latin1.json"
+    config_path.write_bytes('{"output_dir": "d\xe9j\xe0"}'.encode("latin-1"))
+    assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read config:") and err.count("\n") == 1
+
+
+def test_run_command_rejects_json_nested_too_deeply(tmp_path, capsys):
+    config_path = tmp_path / "deep.json"
+    config_path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config is not valid JSON:") and err.count("\n") == 1
+
+
+def test_init_config_into_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "scenario.json"
+    assert main(["init-config", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write config:") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_empty_config_file_means_defaults(tmp_path):
     config_path = tmp_path / "empty.json"
     config_path.write_text("")
@@ -330,8 +354,8 @@ def test_validation_rules_out_each_value_error(raise_it, doc):
 
 
 # The other ValueErrors (k-means on no features or on more clusters than
-# points, a Gaussian split of fewer than two values or on under 16 grid
-# points, a derived bandwidth of 0) guard calls that the pipeline never makes.
+# points, a Gaussian split of fewer than two values, a derived bandwidth of 0)
+# guard calls that the pipeline never makes.
 # Should one still happen, the run ends as a broken invariant.
 @pytest.mark.parametrize("owner, name", [
     (analytics, "kmeans"),

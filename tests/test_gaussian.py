@@ -88,8 +88,6 @@ def test_input_validation():
     with pytest.raises(ValueError):
         decompose_gaussian_1d([1.0])
     with pytest.raises(ValueError):
-        decompose_gaussian_1d([1.0, 2.0], grid_points=8)
-    with pytest.raises(ValueError):
         decompose_gaussian_1d([1.0, 2.0], bandwidth=-1.0)
 
 

@@ -336,12 +336,40 @@ def test_two_switch_rule_cycle_is_a_forwarding_loop():
         trace_path(topo, rules, FlowKey(c_ip, s_ip))
 
 
-def test_hop_limit_follows_an_attached_scrubber():
+def test_engine_and_trace_path_share_the_loop_bound():
+    # Requests loop through the 2x2 core on a walk of 11 switch visits;
+    # responses take the shortest way back.
     topo, rules, profiles, cfg, server, client = simple_scenario()
-    state = step(SimState(topo, rules, profiles, cfg))
-    before = state.hop_limit
-    assert before == topo.switch_count + 2
-    scrub, edge = NodeId.scrubber(0), topo.edge_of_host(server)
-    attach_switch(topo, scrub, [Link(edge, 200, scrub, 1)])
-    step(state)
-    assert state.hop_limit == before + 1
+    key = FlowKey(topo.ip_of[client], topo.ip_of[server])
+    by_name = {node.name: node for node in topo.nodes}
+    loop = "e2 c1_1 c1_0 e3 c1_0 c0_0 c0_1 c1_1 c0_1 c0_0 e0".split()
+
+    def install(key, names):
+        # One src-qualified rule per visit, each at its own priority, and
+        # in_port-qualified on a switch the walk visits twice.
+        walk = [topo.host_of_ip[key.src], *(by_name[n] for n in names), topo.host_of_ip[key.dst]]
+        for i in range(1, len(walk) - 1):
+            switch = walk[i]
+            in_port = topo.port_toward(switch, walk[i - 1]) if names.count(switch.name) > 1 else None
+            out_port = topo.port_toward(switch, walk[i + 1])
+            rules.install(FlowRule(switch, key.src, key.dst, out_port, BASE_PRIORITY + i, in_port))
+
+    install(key, loop)
+    install(key.reversed(), ["e0", "c0_0", "c0_1", "c1_1", "e2"])
+
+    # 8 switches: a walk of more than 10 switch visits is a loop.
+    assert topo.hop_limit == 10
+    with pytest.raises(SimulationError, match="forwarding loop"):
+        run(topo, rules, profiles, cfg)
+    with pytest.raises(MitigationError, match="forwarding loop"):
+        trace_path(topo, rules, key)
+
+    scrub = NodeId.scrubber(0)
+    attach_switch(topo, scrub, [Link(by_name["e0"], 200, scrub, 1)])
+    assert topo.hop_limit == 11
+    record = run(topo, rules, profiles, cfg)
+    requests = record.flows[(key.src, key.dst)]
+    assert requests.delivered_packets == requests.emitted_packets == 20
+    assert record.flows[(key.dst, key.src)].delivered_packets == 20
+    path = trace_path(topo, rules, key)
+    assert [node.name for node in path] == ["h0s2", *loop, "h0s0"]
