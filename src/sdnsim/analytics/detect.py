@@ -38,6 +38,20 @@ def cluster_sharpness(centroid, std) -> float:
     return float(sum(ratios) / len(ratios))
 
 
+def median(values: list[float]) -> float:
+    """The median as ``numpy.median`` computes it: the mean of the middle
+    value, or of the two middle values, summed from 0.0 (so a middle -0.0
+    comes back as 0.0). ``numpy.median`` imports ``numpy.ma``, about 14 ms
+    of start-up."""
+    ordered = sorted(values)
+    n = len(ordered)
+    middle = ordered[(n - 1) // 2 : n // 2 + 1]
+    total = 0.0
+    for value in middle:
+        total += value
+    return total / len(middle)
+
+
 def detect(
     aggregate_byte_rate: float,
     threshold: float,
@@ -78,7 +92,7 @@ def detect(
         report.rationale["low_confidence"] = True
     else:
         mean_intensity = float(np.mean(intensities))
-        median_sharpness = float(np.median(sharpness))
+        median_sharpness = median(sharpness)
         flagged = [
             i
             for i in range(clustering.k)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -352,21 +353,62 @@ class ScenarioPipeline:
 
 
 _FLAT_ITEM_TYPES = {str, int, float, bool, type(None)}
+# Rows per encode call of a table: memory holds one chunk's text at a time.
+TABLE_CHUNK = 256
 
 
 @functools.cache
-def _encoder(depth: int):
+def _encoder(depth: int, key_separator: str = ": "):
     """One-line JSON encoding whose item separator opens a line at ``depth``."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, key_separator)).encode
+
+
+def _write_rows(fh, table, row_type, depth: int) -> None:
+    """Write the rows of a table (see :func:`write_json`) at ``depth + 1``,
+    ``TABLE_CHUNK`` rows per encode call.
+
+    The encoder puts every row on one line, its items separated by a line
+    at the items' depth. Each ``str.replace`` below then gives the rows'
+    brackets their own lines. Every pattern holds a raw newline, which only
+    a separator can write (strings escape theirs), and a row's items are
+    scalars, none of which starts with a bracket or ends with one outside a
+    string. In a dict table a row opens after its key, so keys are
+    separated by ``":\n"`` there and by ``": "`` once the rows are open.
+    """
+    is_dict = type(table) is dict
+    opener, closer = ("{", "}") if row_type is dict else ("[", "]")
+    row_line, item_line = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    if is_dict:
+        encode = _encoder(depth + 2, ":\n")
+        replacements = [(closer + "," + item_line, row_line + closer + "," + row_line),
+                        (":\n" + opener, ": " + opener + item_line), (":\n", ": ")]
+    else:
+        encode = _encoder(depth + 2)
+        replacements = [(closer + "," + item_line + opener,
+                         row_line + closer + "," + row_line + opener + item_line)]
+    rows = iter(table.items() if is_dict else table)
+    separator = row_line
+    while chunk := (dict if is_dict else list)(itertools.islice(rows, TABLE_CHUNK)):
+        # Without the table's brackets and the last row's closer.
+        text = encode(chunk)[1:-2]
+        for old, new in replacements:
+            text = text.replace(old, new)
+        if not is_dict:
+            text = opener + item_line + text[1:]
+        fh.write(separator + text + row_line + closer)
+        separator = "," + row_line
 
 
 def write_json(fh, obj, depth: int = 0) -> None:
     """Write ``obj`` as ``json.dump(obj, fh, indent=2)`` does.
 
     A dict or list whose values are all exactly str, int, float, bool or
-    None is encoded in one call and written at once; any other container
-    is written item by item, so memory holds the text of one flat container
-    at a time.
+    None is encoded in one call and written at once. A table, a dict or list
+    whose values are all non-empty such flat containers of one type (all
+    dicts or all lists), is encoded ``TABLE_CHUNK`` rows per call and
+    written a chunk at a time (see :func:`_write_rows`). Any other
+    container is written item by item, so memory holds the text of one flat
+    container or one chunk at a time.
     """
     is_dict = isinstance(obj, dict)
     if not is_dict and not isinstance(obj, (list, tuple)):
@@ -378,9 +420,19 @@ def write_json(fh, obj, depth: int = 0) -> None:
         return
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
     values = obj.values() if is_dict else obj
-    if type(obj) in (dict, list) and _FLAT_ITEM_TYPES.issuperset(map(type, values)):
+    types = set(map(type, values)) if type(obj) in (dict, list) else None
+    if types and types <= _FLAT_ITEM_TYPES:
         fh.write(opener + inner + _encoder(depth + 1)(obj)[1:-1] + outer + closer)
         return
+    if types in ({dict}, {list}) and all(values):
+        row_type = types.pop()
+        items = itertools.chain.from_iterable(
+            map(dict.values, values) if row_type is dict else values)
+        if _FLAT_ITEM_TYPES.issuperset(map(type, items)):
+            fh.write(opener)
+            _write_rows(fh, obj, row_type, depth)
+            fh.write(outer + closer)
+            return
     fh.write(opener)
     for i, value in enumerate(obj.items() if is_dict else obj):
         fh.write("," + inner if i else inner)
@@ -429,8 +481,9 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     try:
         telemetry.write_stats_csv(record.samples, out_dir / "stats.csv")
         with open(out_dir / "report.json", "w") as fh:
-            # One write per flat container: json.dump makes a write per token,
-            # and encoding the whole report at once raised peak RSS by 62 %.
+            # One write per flat container or table chunk: json.dump makes a
+            # write per token, and encoding the whole report at once raised
+            # peak RSS by 62 %.
             write_json(fh, report)
             fh.write("\n")
     except OSError as exc:

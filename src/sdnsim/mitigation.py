@@ -207,7 +207,8 @@ def trace_path(topology: Topology, rules: RuleTable, key: FlowKey) -> list[NodeI
     for entry, node, _ in walk_rules(topology, rules, key, node, in_port):
         path.append(entry.rule.switch)
         if len(path) - 1 > topology.hop_limit:
-            raise MitigationError(f"forwarding loop for {key.src}->{key.dst}: {path}")
+            walk = " -> ".join(hop.name for hop in path)
+            raise MitigationError(f"forwarding loop for {key.src}->{key.dst}: {walk}")
     if node.is_switch:
         raise MitigationError(f"no rule at {node} for {key.src}->{key.dst}")
     path.append(node)

@@ -9,6 +9,7 @@ all traffic toward one destination follows a tree rooted at its edge switch.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -76,23 +77,24 @@ class RuleTable:
     by (switch, match_src, match_dst), each bucket in installation order.
 
     Lookup picks the highest-priority matching rule, ties broken by
-    installation order (older first). ``version`` changes with every
-    install and delete, so a caller can tell when lookups it remembers
-    may have changed.
+    installation order (older first). A lookup toward ``dst`` reads only
+    rules whose ``match_dst`` is ``dst``, and ``versions[dst]`` changes with
+    every install and delete of such a rule, so a caller can tell when
+    lookups toward ``dst`` it remembers may have changed.
     """
 
     _index: dict[tuple[NodeId, str | None, str], list[RuleEntry]] = field(
         default_factory=dict
     )
     _next_seq: int = 0
-    version: int = field(default=0, compare=False)
+    versions: Counter[str] = field(default_factory=Counter, compare=False)
 
     def install(self, rule: FlowRule) -> RuleEntry:
         if self.find(rule.switch, rule.match_src, rule.match_dst, rule.priority):
             raise RoutingError(f"duplicate rule on {rule.switch}: {rule.dump()}")
         entry = RuleEntry(rule, self._next_seq)
         self._next_seq += 1
-        self.version += 1
+        self.versions[rule.match_dst] += 1
         self._index.setdefault(
             (rule.switch, rule.match_src, rule.match_dst), []
         ).append(entry)
@@ -107,7 +109,7 @@ class RuleTable:
                 f"no rule ({match_src}, {match_dst}, prio {priority}) on {switch}"
             )
         self._index[(switch, match_src, match_dst)].remove(entry)
-        self.version += 1
+        self.versions[match_dst] += 1
         return entry
 
     def find(

@@ -48,12 +48,14 @@ matches and its end: a host to deliver to, a miss, or a
 throttled link with the port where packets resume beyond it. Every run that
 enters there replays it: it grows the entries' counters and settles the end,
 and what a throttled link passes goes on along the compiled path from the
-far side. Compiled paths, keyed by (source, destination, switch, in_port),
-are valid for one ``RuleTable.version`` (every install and delete, so every
-packet-in and mitigation edit, changes it) and one ``Topology.version``
-(every ``add_node`` and ``add_link``); a change to either drops them all.
-Rule lookups therefore happen only after such a change, not every tick. A
-flow whose path from its first switch matches no rule raises a packet-in.
+far side. A compiled path, keyed by (source, destination, switch,
+in_port), reads only rules toward its destination, so it is valid for one
+``RuleTable.versions[destination]`` (every install and delete of a rule
+toward it, so every packet-in and mitigation edit for a flow to or from it,
+changes that) and one ``Topology.version`` (every ``add_node`` and
+``add_link``, which drops them all). Rule lookups therefore happen only
+after such a change, not every tick. A flow whose path from its first
+switch matches no rule raises a packet-in.
 
 A packet that crosses more than ``Topology.hop_limit`` switches, counted
 across throttled links, is a forwarding loop and raises
@@ -339,10 +341,10 @@ class SimState:
     hosts: list[NodeId] = field(init=False, repr=False)
     # node -> {local port: state of the constrained link on that port}
     _constrained: dict[NodeId, dict[int, LinkState]] = field(default_factory=dict)
-    # (rule-table version, topology version,
-    #  {(src, dst, node, in_port): compiled path from that node and port})
-    _paths: tuple[int, int, dict[tuple, Path]] = field(
-        default_factory=lambda: (-1, -1, {}), repr=False
+    # (topology version, {(src, dst, node, in_port): (rule-table version
+    #  of dst, compiled path from that node and port)})
+    _paths: tuple[int, dict[tuple, tuple[int, Path]]] = field(
+        default_factory=lambda: (-1, {}), repr=False
     )
 
     def __post_init__(self) -> None:
@@ -409,16 +411,18 @@ def _compile(state: SimState, key: FlowKey, node: NodeId, in_port: int) -> Path:
 
 def _path(state: SimState, key: FlowKey, node: NodeId, in_port: int) -> Path:
     """The compiled path of ``key`` from ``node``/``in_port``, compiled at
-    most once per rule-table and topology version."""
-    rules_version, topology_version, paths = state._paths
-    if rules_version != state.rules.version or topology_version != state.topology.version:
+    most once per topology version and version of the rules toward
+    ``key.dst``."""
+    topology_version, paths = state._paths
+    if topology_version != state.topology.version:
         paths = {}
-        state._paths = (state.rules.version, state.topology.version, paths)
+        state._paths = (state.topology.version, paths)
     ident = (key.src, key.dst, node, in_port)
-    path = paths.get(ident)
-    if path is None:
-        path = paths[ident] = _compile(state, key, node, in_port)
-    return path
+    version = state.rules.versions[key.dst]
+    compiled = paths.get(ident)
+    if compiled is None or compiled[0] != version:
+        compiled = paths[ident] = (version, _compile(state, key, node, in_port))
+    return compiled[1]
 
 
 def _walk(

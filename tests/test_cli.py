@@ -19,6 +19,7 @@ from sdnsim.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
+    TABLE_CHUNK,
     build_scenario,
     main,
     matrix_rates,
@@ -541,13 +542,53 @@ JSON_VALUES = st.recursive(
     max_leaves=25,
 )
 
+# Strings built from fragments of the table writer's own layout: a writer
+# that rewrites a pattern holding no newline mangles some of them.
+HOSTILE = st.lists(
+    st.sampled_from(["},\n", '": {', ":\n", "[", "]", '"', "\\", "\n", "\n  ", ",", "x"]),
+    max_size=4,
+).map("".join)
+FLAT = st.none() | st.booleans() | st.integers() | st.floats() | HOSTILE
+DICT_ROWS = st.dictionaries(HOSTILE | st.integers(), FLAT, min_size=1, max_size=3)
+LIST_ROWS = st.lists(FLAT, min_size=1, max_size=3)
+
+
+@st.composite
+def tables(draw):
+    """A list or dict of non-empty flat rows of one type, often longer than
+    one chunk: a few drawn rows repeated."""
+    rows = draw(st.lists(DICT_ROWS, min_size=1, max_size=4)
+                | st.lists(LIST_ROWS, min_size=1, max_size=4))
+    n = draw(st.integers(1, 2 * TABLE_CHUNK + 3))
+    table = [rows[i % len(rows)] for i in range(n)]
+    if draw(st.booleans()):
+        key = draw(HOSTILE)
+        table = {f"{key}{i}": row for i, row in enumerate(table)}
+    return table
+
+
+TABLES = tables()
+
 
 @settings(max_examples=150, deadline=None)
-@given(value=JSON_VALUES)
+@given(value=JSON_VALUES | TABLES
+       | st.builds(lambda k, t, r: {k: [t, r]}, HOSTILE, TABLES, DICT_ROWS | LIST_ROWS))
 @example(value={"polls": [{"t": 1.0, "deltas": [], "gaussian": None}], "run": {}})
 @example(value=[[], {}, (), [[]], {"a": {}}, -0.0, 1e300, math.nan, math.inf, -math.inf])
 @example(value={1: "int", 2.5: "float", True: "bool", None: "none", Level.HIGH: [Level.LOW]})
+@example(value={"a": {"k": 'x": {y'}, "b": {"k": 1}})
+@example(value=[["],\n    [", 1], [{}], [[1]]])
 def test_report_writer_matches_json_dump(value):
     fh = io.StringIO()
     write_json(fh, value)
-    assert fh.getvalue() == json.dumps(value, indent=2)
+    # By lines: pytest reports their first difference without diffing texts.
+    assert fh.getvalue().split("\n") == json.dumps(value, indent=2).split("\n")
+
+
+def test_table_writer_holds_one_chunk_at_a_time():
+    rows = [{"switch": "e1", "src": "10.0.0.1", "packets": 12345, "bytes": 0.5}] * 10_000
+    writes = []
+    fh = type("Recorder", (), {"write": staticmethod(writes.append)})
+    write_json(fh, rows)
+    assert "".join(writes) == json.dumps(rows, indent=2)
+    assert max(map(len, writes)) <= len(json.dumps(rows[:TABLE_CHUNK], indent=2))

@@ -1,4 +1,18 @@
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sdnsim.analytics import Clustering, cluster_sharpness, detect
+from sdnsim.analytics.detect import median
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def make_clustering(clusters):
@@ -82,3 +96,30 @@ def test_suspicious_sources_union_over_flagged_clusters():
     report = detect(1e6, 1e3, clustering)
     assert report.suspicious_clusters == [1, 2]
     assert report.suspicious_sources == sorted(ATTACK[2] + second_attack[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0]),
+                min_size=1, max_size=12))
+def test_median_matches_numpy(values):
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = float(np.median(values))
+    # repr tells -0.0 from 0.0 and compares NaN equal to itself.
+    assert repr(median(values)) == repr(expected)
+
+
+def test_detecting_run_does_not_import_numpy_ma(tmp_path):
+    code = (
+        "import sys\n"
+        "from sdnsim import cli\n"
+        f"cfg, _ = cli.validate_config(dict(cli.reference_template(), output_dir={str(tmp_path)!r}))\n"
+        "assert cli.run_scenario(cfg) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert proc.returncode == 0, proc.stderr
+    # The run took the k > 1 path, the one that takes a median.
+    polls = json.loads((tmp_path / "report.json").read_text())["polls"]
+    assert any(p["detection"] and p["detection"]["attack"] and p["clustering"]["k"] > 1
+               for p in polls)

@@ -302,6 +302,28 @@ def test_rule_lookups_do_not_grow_with_duration(monkeypatch):
     assert long_calls == short_calls
 
 
+def test_packet_in_keeps_compiled_paths_toward_other_destinations(monkeypatch):
+    # Every client sends at least one request each tick from the first.
+    topo, rules, profiles, sim_cfg, _ = build(small_raw(
+        attackers=[], base_rate=1.0, client_matrix=1, duration=5.0))
+    state = simnet.SimState(topo, rules, profiles, sim_cfg)
+    simnet.step(state)  # every client's packet-in
+    simnet.step(state)  # paths compiled before a later packet-in recompile
+    compiled = []
+    inner = simnet._compile
+    monkeypatch.setattr(simnet, "_compile",
+                        lambda *args: compiled.append(args[1]) or inner(*args))
+    simnet.step(state)
+    assert compiled == []
+
+    server_ip = topo.ip_of[topo.server]
+    a, b = sorted(ip for ip in topo.host_of_ip if ip != server_ip)[:2]
+    assert handle_packet_in(rules, topo, FlowKey(a, b))
+    simnet.step(state)
+    # Only paths toward a and b (the server's responses) recompile.
+    assert compiled and {key.dst for key in compiled} == {a, b}
+
+
 # -- north-star invariants on random grids ---------------------------------
 
 def server_keys(topo):

@@ -361,8 +361,10 @@ def test_engine_and_trace_path_share_the_loop_bound():
     assert topo.hop_limit == 10
     with pytest.raises(SimulationError, match="forwarding loop"):
         run(topo, rules, profiles, cfg)
-    with pytest.raises(MitigationError, match="forwarding loop"):
+    with pytest.raises(MitigationError) as caught:
         trace_path(topo, rules, key)
+    walk = " -> ".join(["h0s2", *loop])
+    assert str(caught.value) == f"forwarding loop for {key.src}->{key.dst}: {walk}"
 
     scrub = NodeId.scrubber(0)
     attach_switch(topo, scrub, [Link(by_name["e0"], 200, scrub, 1)])
