@@ -5,12 +5,14 @@ sweep scripts fail loudly). ``run`` executes it and writes two artifacts
 into the output directory: ``stats.csv`` (the raw poll samples) and
 ``report.json`` (rule dumps, per-poll analytics, mitigation plan, final
 tallies). Both are byte-stable for a fixed config; its ``seed`` is recorded
-metadata, since the simulation draws no random numbers.
+metadata, since the simulation draws no random numbers. The per-poll,
+per-flow deltas are not stored: ``telemetry.read_stats_csv`` followed by
+``telemetry.delta``, poll by poll, rebuilds them from ``stats.csv``.
 
 Report records whose serialized form is exactly their dataclass fields
-(config, samples, deltas, features, Gaussian components, verdicts, flow
-tallies) are written as ``vars(record)``; classes whose report form differs
-from their fields keep a ``to_dict``.
+(config, samples, features, Gaussian components, verdicts, flow tallies)
+are written as ``vars(record)``; classes whose report form differs from
+their fields keep a ``to_dict``.
 
 Exit codes: 0 clean run, 2 configuration problems, 3 internal invariant
 violations.
@@ -286,7 +288,7 @@ class ScenarioPipeline:
 
     def on_poll(self, state, t: float, samples) -> None:
         deltas = telemetry.delta(self.store, samples)
-        entry: dict = {"t": t, "deltas": [vars(d) for d in deltas]}
+        entry: dict = {"t": t}
 
         # Detection looks at the target's own edge switch so the two polled
         # edges of a flow are not double-counted.

@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analytics.detect import DetectionReport
-from .routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, walk_rules
+from .routing import BASE_PRIORITY, FlowRule, RuleTable
 from .telemetry import ip_key
 from .topology import (
-    HOST_PORT,
     SCRUBBER_OUT_PORT,
     SCRUBBER_RETURN_PORT,
     Link,
@@ -190,26 +189,3 @@ def apply(
                 entry.packets, entry.bytes = inherited
     return topology, rules
 
-
-def trace_path(topology: Topology, rules: RuleTable, key: FlowKey) -> list[NodeId]:
-    """Node sequence a packet for ``key`` takes, by the engine's rule-table
-    walk (:func:`~sdnsim.routing.walk_rules`) and with its bound.
-
-    Raises if a switch has no matching rule or the walk visits more than
-    ``topology.hop_limit`` switches (a loop).
-    """
-    src_host = topology.host_of_ip.get(key.src)
-    dst_host = topology.host_of_ip.get(key.dst)
-    if src_host is None or dst_host is None:
-        raise MitigationError(f"unknown endpoint in {key.src}->{key.dst}")
-    node, in_port = topology.peer(src_host, HOST_PORT)
-    path = [src_host]
-    for entry, node, _ in walk_rules(topology, rules, key, node, in_port):
-        path.append(entry.rule.switch)
-        if len(path) - 1 > topology.hop_limit:
-            walk = " -> ".join(hop.name for hop in path)
-            raise MitigationError(f"forwarding loop for {key.src}->{key.dst}: {walk}")
-    if node.is_switch:
-        raise MitigationError(f"no rule at {node} for {key.src}->{key.dst}")
-    path.append(node)
-    return path

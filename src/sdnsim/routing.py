@@ -77,24 +77,26 @@ class RuleTable:
     by (switch, match_src, match_dst), each bucket in installation order.
 
     Lookup picks the highest-priority matching rule, ties broken by
-    installation order (older first). A lookup toward ``dst`` reads only
-    rules whose ``match_dst`` is ``dst``, and ``versions[dst]`` changes with
-    every install and delete of such a rule, so a caller can tell when
-    lookups toward ``dst`` it remembers may have changed.
+    installation order (older first). A lookup for ``src``/``dst`` reads
+    only the rules whose ``(match_dst, match_src)`` is ``(dst, src)`` or
+    ``(dst, None)``, and ``versions[match_dst, match_src]`` changes with
+    every install and delete of such a rule, so a caller can tell from
+    those two versions when lookups for a flow it remembers may have
+    changed.
     """
 
     _index: dict[tuple[NodeId, str | None, str], list[RuleEntry]] = field(
         default_factory=dict
     )
     _next_seq: int = 0
-    versions: Counter[str] = field(default_factory=Counter, compare=False)
+    versions: Counter[tuple[str, str | None]] = field(default_factory=Counter, compare=False)
 
     def install(self, rule: FlowRule) -> RuleEntry:
         if self.find(rule.switch, rule.match_src, rule.match_dst, rule.priority):
             raise RoutingError(f"duplicate rule on {rule.switch}: {rule.dump()}")
         entry = RuleEntry(rule, self._next_seq)
         self._next_seq += 1
-        self.versions[rule.match_dst] += 1
+        self.versions[rule.match_dst, rule.match_src] += 1
         self._index.setdefault(
             (rule.switch, rule.match_src, rule.match_dst), []
         ).append(entry)
@@ -109,7 +111,7 @@ class RuleTable:
                 f"no rule ({match_src}, {match_dst}, prio {priority}) on {switch}"
             )
         self._index[(switch, match_src, match_dst)].remove(entry)
-        self.versions[match_dst] += 1
+        self.versions[match_dst, match_src] += 1
         return entry
 
     def find(

@@ -22,7 +22,7 @@ the server. At a throttled link a run splits: the packets this tick's budget
 admits go on (the budget is still spent packet by packet, so float budgets
 decide exactly as one packet at a time would), the rest queue as one run up
 to ``queue_cap`` and the excess drops. The queue is
-a run-length FIFO that still counts, iterates and pops single packets.
+a run-length FIFO that still counts and pops single packets.
 
 The split rule keeps runs exact. The first packet of each host's tick, and
 of each run drained from a queue, walks alone. The rest go as one run only
@@ -49,13 +49,17 @@ throttled link with the port where packets resume beyond it. Every run that
 enters there replays it: it grows the entries' counters and settles the end,
 and what a throttled link passes goes on along the compiled path from the
 far side. A compiled path, keyed by (source, destination, switch,
-in_port), reads only rules toward its destination, so it is valid for one
-``RuleTable.versions[destination]`` (every install and delete of a rule
-toward it, so every packet-in and mitigation edit for a flow to or from it,
-changes that) and one ``Topology.version`` (every ``add_node`` and
-``add_link``, which drops them all). Rule lookups therefore happen only
-after such a change, not every tick. A flow whose path from its first
-switch matches no rule raises a packet-in.
+in_port), reads only the rules toward its destination that match its source
+or any source, so it is valid for one pair of
+``RuleTable.versions[destination, None]`` and
+``RuleTable.versions[destination, source]`` (an install or delete of a
+dst-only rule toward the destination changes the first, one of a rule
+qualified by this source the second) and one ``Topology.version`` (every
+``add_node`` and ``add_link``, which drops them all). A packet-in
+therefore recompiles the paths of its own two flows, and every path toward
+a destination it installs a dst-only rule for, but no other. Rule lookups
+happen only after such a change, not every tick. A flow whose path from its
+first switch matches no rule raises a packet-in.
 
 A packet that crosses more than ``Topology.hop_limit`` switches, counted
 across throttled links, is a forwarding loop and raises
@@ -173,8 +177,8 @@ class QueuedRun:
 class RunQueue:
     """A FIFO of packets, stored as runs of identical packets.
 
-    ``len()`` is the number of queued packets, iteration yields each queued
-    packet (as the run it belongs to), and ``popleft()`` removes one packet.
+    ``len()`` is the number of queued packets, and ``popleft()`` removes
+    packets from the head run.
     """
 
     def __init__(self) -> None:
@@ -183,11 +187,6 @@ class RunQueue:
 
     def __len__(self) -> int:
         return self._packets
-
-    def __iter__(self):
-        for run in self._runs:
-            for _ in range(run.count):
-                yield run
 
     def head(self) -> QueuedRun:
         return self._runs[0]
@@ -341,9 +340,9 @@ class SimState:
     hosts: list[NodeId] = field(init=False, repr=False)
     # node -> {local port: state of the constrained link on that port}
     _constrained: dict[NodeId, dict[int, LinkState]] = field(default_factory=dict)
-    # (topology version, {(src, dst, node, in_port): (rule-table version
-    #  of dst, compiled path from that node and port)})
-    _paths: tuple[int, dict[tuple, tuple[int, Path]]] = field(
+    # (topology version, {(src, dst, node, in_port): (rule-table versions
+    #  of (dst, None) and (dst, src), compiled path from that node and port)})
+    _paths: tuple[int, dict[tuple, tuple[tuple[int, int], Path]]] = field(
         default_factory=lambda: (-1, {}), repr=False
     )
 
@@ -411,14 +410,15 @@ def _compile(state: SimState, key: FlowKey, node: NodeId, in_port: int) -> Path:
 
 def _path(state: SimState, key: FlowKey, node: NodeId, in_port: int) -> Path:
     """The compiled path of ``key`` from ``node``/``in_port``, compiled at
-    most once per topology version and version of the rules toward
-    ``key.dst``."""
+    most once per topology version and pair of versions of the rules that
+    its lookups read."""
     topology_version, paths = state._paths
     if topology_version != state.topology.version:
         paths = {}
         state._paths = (state.topology.version, paths)
     ident = (key.src, key.dst, node, in_port)
-    version = state.rules.versions[key.dst]
+    versions = state.rules.versions
+    version = (versions[key.dst, None], versions[key.dst, key.src])
     compiled = paths.get(ident)
     if compiled is None or compiled[0] != version:
         compiled = paths[ident] = (version, _compile(state, key, node, in_port))

@@ -14,13 +14,14 @@ import pytest
 
 from sdnsim.analytics import FeatureVector, decompose_gaussian_1d, kmeans, silverman_bandwidth
 from sdnsim.cli import build_scenario, reference_template, run_scenario, validate_config
-from sdnsim.mitigation import SCRUBBER_CAPACITY_BPS, trace_path
+from sdnsim.mitigation import SCRUBBER_CAPACITY_BPS
 from sdnsim.routing import FlowKey, RuleTable, handle_packet_in, shortest_path
 from sdnsim.simnet import run as run_sim
 from sdnsim.telemetry import StatStore, delta, read_stats_csv
 from sdnsim.topology import build_grid
 
 from conftest import SESSION_START, bfs_distances, destination_tree_ok
+from rule_paths import trace_path
 
 
 def criterion(number, label):

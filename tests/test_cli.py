@@ -29,7 +29,7 @@ from sdnsim.cli import (
     write_json,
 )
 from sdnsim.simnet import SimConfig, TrafficKind, TrafficProfile
-from sdnsim.telemetry import StatStore, delta, read_stats_csv
+from sdnsim.telemetry import StatStore, aggregate_by_destination, delta, read_stats_csv
 from sdnsim.topology import MAX_HOSTS_PER_EDGE
 
 
@@ -143,19 +143,31 @@ def test_small_scenario_artifacts(tmp_path):
     assert report["config"]["grid_n"] == 2
 
 
-def test_csv_replay_reproduces_report_deltas(tmp_path):
+POLL_KEYS = ["t", "aggregate", "features", "gaussian", "new_clusters", "clustering", "detection"]
+
+
+def test_csv_replay_rebuilds_report_aggregates_and_features(tmp_path):
+    # The report keeps no per-flow deltas: stats.csv is their one record.
     cfg, _ = validate_config(small_raw(output_dir=str(tmp_path / "out")))
-    run_scenario(cfg)
+    assert run_scenario(cfg) == EXIT_OK
     samples = read_stats_csv(tmp_path / "out" / "stats.csv")
     report = json.loads((tmp_path / "out" / "report.json").read_text())
+    topo = build_scenario(cfg)[0]
+    server_ip = topo.ip_of[topo.server]
+    server_edge = topo.edge_of_host(topo.server).name
 
     store = StatStore()
-    replayed = []
-    for t in sorted({s.timestamp for s in samples}):
-        batch = [s for s in samples if s.timestamp == t]
-        replayed.extend(vars(d) for d in delta(store, batch))
-    reported = [d for p in report["polls"] for d in p["deltas"]]
-    assert replayed == reported
+    assert sorted({s.timestamp for s in samples}) == [p["t"] for p in report["polls"]]
+    for poll in report["polls"]:
+        assert list(poll) == POLL_KEYS
+        batch = [s for s in samples if s.timestamp == poll["t"]]
+        local = [d for d in delta(store, batch) if d.switch == server_edge]
+        packets, size = aggregate_by_destination(local).get(server_ip, (0, 0))
+        assert poll["aggregate"] == {
+            "packets": packets, "bytes": size, "byte_rate": size / cfg.poll_interval}
+        vectors = build_features(local, server_ip, cfg.poll_interval)
+        assert poll["features"] == [vars(v) for v in vectors]
+    assert any(p["aggregate"]["packets"] for p in report["polls"])
 
 
 def test_identical_config_and_seed_identical_bytes(tmp_path):
@@ -485,7 +497,7 @@ def test_request_rate_does_not_drive_run_time(tmp_path):
 # sha256 of stats.csv + report.json (report's output_dir echo normalized)
 # for small_raw(), and of `sdnsim init-config --template reference`. Any
 # change to these artifacts must update the constants and say why.
-SMALL_RAW_DIGEST = "7dc6d501c6655d80ce722e5255ca2ebedfc7448854ca175cc9685aef0da2df3c"
+SMALL_RAW_DIGEST = "5537ebd73c7efc8f97350dd4a2e7ca562c48e07c4f74379d829a98dc6a79af52"
 REFERENCE_TEMPLATE_DIGEST = "6fabaca1e4c5a2b8f59b8bdcc651f5da1a87a121a6c70476358c0d1939b8bb1f"
 
 

@@ -13,11 +13,12 @@ from sdnsim.mitigation import (
     RuleEdit,
     apply,
     plan_scrubber,
-    trace_path,
 )
 from sdnsim.routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, handle_packet_in
 from sdnsim.simnet import SimConfig, TrafficKind, TrafficProfile, run
 from sdnsim.topology import NodeId, NodeKind, build_grid
+
+from rule_paths import trace_path
 
 
 def attack_state(suspicious_hosts, legit_hosts=("h1s1",)):

@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 
 from sdnsim import routing, simnet
 from sdnsim.cli import EXIT_OK, ScenarioPipeline, build_scenario, run_scenario, validate_config
-from sdnsim.mitigation import SCRUBBER_CAPACITY_BPS, MitigationError, trace_path
+from sdnsim.mitigation import SCRUBBER_CAPACITY_BPS, MitigationError
 from sdnsim.routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, handle_packet_in
 from sdnsim.simnet import SimConfig, TrafficKind, TrafficProfile
+from sdnsim.telemetry import StatStore, delta
 from sdnsim.topology import Link, NodeId, attach_switch, build_grid
 
 import heap_paths
 import per_packet
+from rule_paths import trace_path
 from conftest import destination_tree_ok
-from test_cli import small_raw
+from test_cli import POLL_KEYS, small_raw
 
 
 @st.composite
@@ -318,10 +320,14 @@ def test_packet_in_keeps_compiled_paths_toward_other_destinations(monkeypatch):
 
     server_ip = topo.ip_of[topo.server]
     a, b = sorted(ip for ip in topo.host_of_ip if ip != server_ip)[:2]
+    assert topo.edge_of_host(topo.host_of_ip[a]) == topo.edge_of_host(topo.server)
     assert handle_packet_in(rules, topo, FlowKey(a, b))
     simnet.step(state)
-    # Only paths toward a and b (the server's responses) recompile.
-    assert compiled and {key.dst for key in compiled} == {a, b}
+    # a shares the server's edge switch, so the reverse flow b -> a gets the
+    # first dst-only rules toward a, and the server's responses to a
+    # recompile. Its responses to b read none of the new rules (those
+    # toward b match a or were already there) and keep their paths.
+    assert set(compiled) == {FlowKey(server_ip, a)}
 
 
 # -- north-star invariants on random grids ---------------------------------
@@ -382,14 +388,16 @@ def test_random_grids_poll_monotone_counters_whose_deltas_telescope(doc):
         assert sample.packets_total >= packets and sample.bytes_total >= size
         totals[key] = (sample.packets_total, sample.bytes_total)
 
-    # The reported deltas of each flow sum to its last polled totals.
+    # The deltas replayed from the samples, poll by poll, sum for each flow
+    # to its last polled totals.
+    store = StatStore()
     summed = {}
-    for poll in pipeline.polls:
-        for d in poll["deltas"]:
-            packets, size = summed.get((d["switch"], d["src"], d["dst"]), (0, 0))
-            summed[(d["switch"], d["src"], d["dst"])] = (packets + d["d_packets"],
-                                                          size + d["d_bytes"])
+    for t in record.poll_times:
+        for d in delta(store, [s for s in record.samples if s.timestamp == t]):
+            packets, size = summed.get((d.switch, d.src, d.dst), (0, 0))
+            summed[(d.switch, d.src, d.dst)] = (packets + d.d_packets, size + d.d_bytes)
     assert summed == totals
+    assert all(list(poll) == POLL_KEYS for poll in pipeline.polls)
 
 
 @settings(max_examples=20, deadline=None)

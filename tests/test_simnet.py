@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdnsim.routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, handle_packet_in
-from sdnsim.mitigation import MitigationError, trace_path
+from sdnsim.mitigation import MitigationError
 from sdnsim.simnet import (
     SimConfig,
     SimState,
@@ -18,6 +18,8 @@ from sdnsim.simnet import (
     step,
 )
 from sdnsim.topology import Link, NodeId, attach_switch, build_grid
+
+from rule_paths import trace_path
 
 
 # -- legit_rate ------------------------------------------------------------
@@ -288,7 +290,9 @@ def test_throttled_link_conserves_every_tick(capacity, queue_cap, rate, size):
         assert entered == passed + dropped + queued  # this tick's balance
         before = now
 
-        queued_by_flow = Counter((pkt.key.src, pkt.key.dst) for pkt in ls.queue)
+        queued_by_flow = Counter()
+        for run in ls.queue._runs:
+            queued_by_flow[run.key.src, run.key.dst] += run.count
         for pair, tally in state.record.flows.items():
             assert tally.emitted_packets == (
                 tally.delivered_packets + tally.dropped_packets
