@@ -6,11 +6,13 @@ into the output directory: ``stats.csv`` (the raw poll samples) and
 ``report.json`` (rule dumps, per-poll analytics, mitigation plan, final
 tallies). Both are byte-stable for a fixed config; its ``seed`` is recorded
 metadata, since the simulation draws no random numbers. The per-poll,
-per-flow deltas are not stored: ``telemetry.read_stats_csv`` followed by
-``telemetry.delta``, poll by poll, rebuilds them from ``stats.csv``.
+per-flow deltas and the feature vectors built from them are not stored:
+``telemetry.read_stats_csv`` followed by ``telemetry.delta``, poll by poll,
+rebuilds the deltas from ``stats.csv``, and ``analytics.build_features`` on
+the server edge's deltas rebuilds the features.
 
 Report records whose serialized form is exactly their dataclass fields
-(config, samples, features, Gaussian components, verdicts, flow tallies)
+(config, samples, Gaussian components, verdicts, flow tallies)
 are written as ``vars(record)``; classes whose report form differs from
 their fields keep a ``to_dict``.
 
@@ -302,7 +304,6 @@ class ScenarioPipeline:
         }
 
         vectors = analytics.build_features(local, self.server_ip, self.cfg.poll_interval)
-        entry["features"] = [vars(v) for v in vectors]
         clustering = None
         report = None
         if vectors:

@@ -571,6 +571,10 @@ def run(
             raise SimulationError("the server cannot be an attacker")
 
     state = SimState(topology, rules, profiles, cfg)
+    flows = state.record.flows
+    # Flow snapshots' (key, tally) order. Flows are only ever added, so it
+    # is rebuilt only when the flow count grew.
+    snapshot_order: list[tuple[str, FlowTally]] = []
     for i in range(cfg.steps):
         step(state)
         if (i + 1) % cfg.poll_every == 0:
@@ -578,11 +582,13 @@ def run(
             samples = telemetry.poll(state, t)
             state.record.samples.extend(samples)
             state.record.poll_times.append(t)
+            if len(snapshot_order) != len(flows):
+                snapshot_order = [
+                    (f"{src}->{dst}", tally) for (src, dst), tally in sorted(flows.items())
+                ]
             state.record.flow_snapshots.append(
-                {
-                    f"{src}->{dst}": [tally.delivered_packets, tally.delivered_bytes]
-                    for (src, dst), tally in sorted(state.record.flows.items())
-                }
+                {key: [tally.delivered_packets, tally.delivered_bytes]
+                 for key, tally in snapshot_order}
             )
             if on_poll is not None:
                 on_poll(state, t, samples)

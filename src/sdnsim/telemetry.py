@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .topology import NodeKind
+from .topology import NodeId, NodeKind
 
 
 class CounterRegressionError(RuntimeError):
@@ -60,14 +60,20 @@ def poll(state, t: float) -> list[StatSample]:
     """Sample every per-flow rule on every edge switch at time ``t``.
 
     Counters from rules sharing a (switch, src, dst) key are summed, so a
-    flow yields exactly one sample per switch per poll.
+    flow yields exactly one sample per switch per poll. Each switch is
+    named once per poll, and its samples share that one name string.
     """
     merged: dict[tuple[str, str, str], list[int]] = {}
+    names: dict[NodeId, str] = {}
     for entry in state.rules.all_entries():
         rule = entry.rule
-        if rule.match_src is None or rule.switch.kind is not NodeKind.EDGE:
+        switch = rule.switch
+        if rule.match_src is None or switch.kind is not NodeKind.EDGE:
             continue
-        key = (rule.switch.name, rule.match_src, rule.match_dst)
+        name = names.get(switch)
+        if name is None:
+            name = names[switch] = switch.name
+        key = (name, rule.match_src, rule.match_dst)
         bucket = merged.setdefault(key, [0, 0])
         bucket[0] += entry.packets
         bucket[1] += entry.bytes

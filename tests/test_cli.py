@@ -143,11 +143,17 @@ def test_small_scenario_artifacts(tmp_path):
     assert report["config"]["grid_n"] == 2
 
 
-POLL_KEYS = ["t", "aggregate", "features", "gaussian", "new_clusters", "clustering", "detection"]
+POLL_KEYS = ["t", "aggregate", "gaussian", "new_clusters", "clustering", "detection"]
 
 
-def test_csv_replay_rebuilds_report_aggregates_and_features(tmp_path):
-    # The report keeps no per-flow deltas: stats.csv is their one record.
+def as_json(value):
+    """``value`` as report.json holds it: tuples become lists."""
+    return json.loads(json.dumps(value))
+
+
+def test_csv_replay_rebuilds_report_aggregates_and_analytics(tmp_path):
+    # The report keeps neither per-flow deltas nor feature vectors: stats.csv
+    # is their one record, and the analytics' outputs follow from it.
     cfg, _ = validate_config(small_raw(output_dir=str(tmp_path / "out")))
     assert run_scenario(cfg) == EXIT_OK
     samples = read_stats_csv(tmp_path / "out" / "stats.csv")
@@ -157,17 +163,34 @@ def test_csv_replay_rebuilds_report_aggregates_and_features(tmp_path):
     server_edge = topo.edge_of_host(topo.server).name
 
     store = StatStore()
+    previous = None
     assert sorted({s.timestamp for s in samples}) == [p["t"] for p in report["polls"]]
     for poll in report["polls"]:
         assert list(poll) == POLL_KEYS
         batch = [s for s in samples if s.timestamp == poll["t"]]
         local = [d for d in delta(store, batch) if d.switch == server_edge]
         packets, size = aggregate_by_destination(local).get(server_ip, (0, 0))
-        assert poll["aggregate"] == {
-            "packets": packets, "bytes": size, "byte_rate": size / cfg.poll_interval}
+        byte_rate = size / cfg.poll_interval
+        assert poll["aggregate"] == {"packets": packets, "bytes": size, "byte_rate": byte_rate}
         vectors = build_features(local, server_ip, cfg.poll_interval)
-        assert poll["features"] == [vars(v) for v in vectors]
+        if not vectors:
+            assert (poll["clustering"], poll["detection"], poll["gaussian"]) == (None,) * 3
+            continue
+        clustering = kmeans(vectors, min(cfg.k_clusters, len(vectors)))
+        assert poll["clustering"] == as_json(clustering.to_dict())
+        verdict = analytics.detect(byte_rate, cfg.threshold, clustering, server_ip)
+        assert poll["detection"] == as_json(vars(verdict))
+        up_rates = [v.byte_rate_up for v in vectors]
+        assert poll["gaussian"] == (
+            as_json([vars(c) for c in decompose_gaussian_1d(up_rates, cfg.bandwidth)])
+            if len(up_rates) >= 2 else None)
+        if previous is not None:
+            radius = max([1.0] + [0.1 * math.hypot(*c) for c in previous.centroids])
+            assert poll["new_clusters"] == analytics.compare_clusterings(
+                previous, clustering, radius)
+        previous = clustering
     assert any(p["aggregate"]["packets"] for p in report["polls"])
+    assert any(p["detection"] and p["detection"]["attack"] for p in report["polls"])
 
 
 def test_identical_config_and_seed_identical_bytes(tmp_path):
@@ -497,7 +520,7 @@ def test_request_rate_does_not_drive_run_time(tmp_path):
 # sha256 of stats.csv + report.json (report's output_dir echo normalized)
 # for small_raw(), and of `sdnsim init-config --template reference`. Any
 # change to these artifacts must update the constants and say why.
-SMALL_RAW_DIGEST = "5537ebd73c7efc8f97350dd4a2e7ca562c48e07c4f74379d829a98dc6a79af52"
+SMALL_RAW_DIGEST = "9da33b8b0f1acd610394d16cb37929a9587915ed136d7bae3753556e7a9e3752"
 REFERENCE_TEMPLATE_DIGEST = "6fabaca1e4c5a2b8f59b8bdcc651f5da1a87a121a6c70476358c0d1939b8bb1f"
 
 
