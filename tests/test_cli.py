@@ -520,7 +520,7 @@ def test_request_rate_does_not_drive_run_time(tmp_path):
 # sha256 of stats.csv + report.json (report's output_dir echo normalized)
 # for small_raw(), and of `sdnsim init-config --template reference`. Any
 # change to these artifacts must update the constants and say why.
-SMALL_RAW_DIGEST = "9da33b8b0f1acd610394d16cb37929a9587915ed136d7bae3753556e7a9e3752"
+SMALL_RAW_DIGEST = "2e1f2e7eea5abbf0f90331b21d2a70bf1a1f21c92a70e7ea6e2d23a2d5241c5e"
 REFERENCE_TEMPLATE_DIGEST = "6fabaca1e4c5a2b8f59b8bdcc651f5da1a87a121a6c70476358c0d1939b8bb1f"
 
 
@@ -537,7 +537,9 @@ def test_artifacts_match_pinned_digests(tmp_path, capsys):
     out = tmp_path / "out"
     cfg, _ = validate_config(small_raw(output_dir=str(out)))
     assert run_scenario(cfg) == EXIT_OK
-    report = json.loads((out / "report.json").read_text())
+    text = (out / "report.json").read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report) + "\n"
     assert report["mitigation"] is not None
     assert any(p["detection"] and p["gaussian"] and p["new_clusters"] is not None
                for p in report["polls"])
@@ -577,8 +579,8 @@ JSON_VALUES = st.recursive(
     max_leaves=25,
 )
 
-# Strings built from fragments of the table writer's own layout: a writer
-# that rewrites a pattern holding no newline mangles some of them.
+# Strings built from fragments of JSON's own layout: a writer that patches
+# encoded text outside its strings mangles some of them.
 HOSTILE = st.lists(
     st.sampled_from(["},\n", '": {', ":\n", "[", "]", '"', "\\", "\n", "\n  ", ",", "x"]),
     max_size=4,
@@ -616,14 +618,17 @@ TABLES = tables()
 def test_report_writer_matches_json_dump(value):
     fh = io.StringIO()
     write_json(fh, value)
-    # By lines: pytest reports their first difference without diffing texts.
-    assert fh.getvalue().split("\n") == json.dumps(value, indent=2).split("\n")
+    assert fh.getvalue() == json.dumps(value)
 
 
 def test_table_writer_holds_one_chunk_at_a_time():
     rows = [{"switch": "e1", "src": "10.0.0.1", "packets": 12345, "bytes": 0.5}] * 10_000
-    writes = []
-    fh = type("Recorder", (), {"write": staticmethod(writes.append)})
-    write_json(fh, rows)
-    assert "".join(writes) == json.dumps(rows, indent=2)
-    assert max(map(len, writes)) <= len(json.dumps(rows[:TABLE_CHUNK], indent=2))
+    # The same table inside small containers, where the report holds its tables.
+    report = {"run": {"samples": rows},
+              "polls": [{"t": 1.0, "clustering": {"labels": [0, 1]}}] * 3}
+    for value in (rows, report):
+        writes = []
+        fh = type("Recorder", (), {"write": staticmethod(writes.append)})
+        write_json(fh, value)
+        assert "".join(writes) == json.dumps(value)
+        assert max(map(len, writes)) <= len(json.dumps(rows[:TABLE_CHUNK]))
