@@ -33,7 +33,7 @@ from pathlib import Path
 from . import analytics, mitigation, simnet, telemetry
 from .routing import RuleTable
 from .simnet import SimConfig, SimulationError, TrafficKind, TrafficProfile, legit_rate, tick_errors
-from .telemetry import CounterRegressionError, StatStore
+from .telemetry import CounterRegressionError
 from .topology import MAX_HOSTS_PER_EDGE, NodeId, TopologyError, build_grid, parse_host_name
 
 EXIT_OK = 0
@@ -272,7 +272,7 @@ class ScenarioPipeline:
         self.cfg = cfg
         self.server_ip = topo.ip_of[topo.server]
         self.server_edge = topo.edge_of_host(topo.server).name
-        self.store = StatStore()
+        self.last_seen: dict[tuple[str, str, str], tuple[int, int]] = {}
         self.prev_clustering: analytics.Clustering | None = None
         self.polls: list[dict] = []
         self.plan: mitigation.MitigationPlan | None = None
@@ -288,50 +288,32 @@ class ScenarioPipeline:
         return radius
 
     def on_poll(self, state, t: float, samples) -> None:
-        deltas = telemetry.delta(self.store, samples)
-        entry: dict = {"t": t}
-
         # Detection looks at the target's own edge switch so the two polled
         # edges of a flow are not double-counted.
-        local = [d for d in deltas if d.switch == self.server_edge]
+        local = [d for d in telemetry.delta(self.last_seen, samples)
+                 if d.switch == self.server_edge]
         agg = telemetry.aggregate_by_destination(local).get(self.server_ip, (0, 0))
         byte_rate = agg[1] / self.cfg.poll_interval
-        entry["aggregate"] = {
-            "packets": agg[0],
-            "bytes": agg[1],
-            "byte_rate": byte_rate,
-        }
-
         vectors = analytics.build_features(local, self.server_ip, self.cfg.poll_interval)
-        clustering = None
-        report = None
+        clustering = report = None
         if vectors:
-            k = min(self.cfg.k_clusters, len(vectors))
-            clustering = analytics.kmeans(vectors, k)
-            report = analytics.detect(
-                byte_rate, self.cfg.threshold, clustering, self.server_ip
-            )
-            up_rates = [v.byte_rate_up for v in vectors]
-            if len(up_rates) >= 2:
-                entry["gaussian"] = [
-                    vars(c)
-                    for c in analytics.decompose_gaussian_1d(up_rates, self.cfg.bandwidth)
-                ]
-            else:
-                entry["gaussian"] = None
-            if self.prev_clustering is not None:
-                entry["new_clusters"] = analytics.compare_clusterings(
-                    self.prev_clustering, clustering, self.match_radius()
-                )
-            else:
-                entry["new_clusters"] = None
+            clustering = analytics.kmeans(vectors, min(self.cfg.k_clusters, len(vectors)))
+            report = analytics.detect(byte_rate, self.cfg.threshold, clustering, self.server_ip)
+        up_rates = [v.byte_rate_up for v in vectors]
+        self.polls.append({
+            "t": t,
+            "aggregate": {"packets": agg[0], "bytes": agg[1], "byte_rate": byte_rate},
+            "gaussian": [
+                vars(c) for c in analytics.decompose_gaussian_1d(up_rates, self.cfg.bandwidth)
+            ] if len(up_rates) >= 2 else None,
+            "new_clusters": analytics.compare_clusterings(
+                self.prev_clustering, clustering, self.match_radius()
+            ) if clustering is not None and self.prev_clustering is not None else None,
+            "clustering": clustering.to_dict() if clustering is not None else None,
+            "detection": vars(report) if report is not None else None,
+        })
+        if clustering is not None:
             self.prev_clustering = clustering
-        else:
-            entry["gaussian"] = None
-            entry["new_clusters"] = None
-        entry["clustering"] = clustering.to_dict() if clustering else None
-        entry["detection"] = vars(report) if report else None
-        self.polls.append(entry)
 
         if report is None or not report.attack:
             return

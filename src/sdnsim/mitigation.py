@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analytics.detect import DetectionReport
+from .analytics import DetectionReport
 from .routing import BASE_PRIORITY, FlowRule, RuleTable
 from .telemetry import ip_key
 from .topology import (
@@ -153,9 +153,7 @@ def plan_scrubber(
     )
 
 
-def apply(
-    plan: MitigationPlan, topology: Topology, rules: RuleTable
-) -> tuple[Topology, RuleTable]:
+def apply(plan: MitigationPlan, topology: Topology, rules: RuleTable) -> None:
     """Apply a plan atomically: everything is validated before any mutation.
 
     The rule edits are dry-run first; :func:`attach_switch` then validates
@@ -187,5 +185,4 @@ def apply(
             inherited = removed.pop((r.switch, r.match_src, r.match_dst), None)
             if inherited is not None:
                 entry.packets, entry.bytes = inherited
-    return topology, rules
 

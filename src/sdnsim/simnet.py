@@ -491,7 +491,7 @@ def _runs(state: SimState, count: int) -> Iterator[int]:
             return
 
 
-def step(state: SimState) -> SimState:
+def step(state: SimState) -> None:
     """Advance the simulation by one tick."""
     t = state.time
     cfg = state.cfg
@@ -542,7 +542,6 @@ def step(state: SimState) -> SimState:
             )
 
     state.step_index += 1
-    return state
 
 
 def run(

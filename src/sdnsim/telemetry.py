@@ -2,15 +2,15 @@
 
 Only edge switches are polled, and only their per-flow (src+dst match)
 rules; the cumulative totals become per-interval deltas by subtracting the
-last-seen totals per (switch, src, dst). Aggregation by destination is the
-classic map-then-reduce fold over delta records.
+last-seen totals per (switch, src, dst). Aggregation by destination folds
+the delta records.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .topology import NodeId, NodeKind
@@ -39,21 +39,11 @@ class StatSample:
 
 @dataclass(frozen=True)
 class DeltaRecord:
-    interval_end: float
     switch: str
     src: str
     dst: str
     d_packets: int
     d_bytes: int
-    interval: float
-
-
-@dataclass
-class StatStore:
-    """Last-seen totals per (switch, src, dst) and the time of the last poll."""
-
-    last_seen: dict[tuple[str, str, str], tuple[int, int]] = field(default_factory=dict)
-    last_poll_time: float = 0.0
 
 
 def poll(state, t: float) -> list[StatSample]:
@@ -84,20 +74,19 @@ def poll(state, t: float) -> list[StatSample]:
     ]
 
 
-def delta(store: StatStore, samples: list[StatSample]) -> list[DeltaRecord]:
-    """Per-interval differences against the store's last-seen totals.
+def delta(
+    last_seen: dict[tuple[str, str, str], tuple[int, int]], samples: list[StatSample]
+) -> list[DeltaRecord]:
+    """Per-interval differences against the last-seen totals per
+    (switch, src, dst), which this updates.
 
     A flow's first sample is measured against zero. A total lower than the
     last-seen value is counter corruption and raises hard.
     """
-    if not samples:
-        return []
-    t = samples[0].timestamp
-    interval = t - store.last_poll_time
     records: list[DeltaRecord] = []
     for sample in samples:
         key = (sample.switch, sample.src, sample.dst)
-        last_p, last_b = store.last_seen.get(key, (0, 0))
+        last_p, last_b = last_seen.get(key, (0, 0))
         d_p = sample.packets_total - last_p
         d_b = sample.bytes_total - last_b
         if d_p < 0 or d_b < 0:
@@ -105,26 +94,19 @@ def delta(store: StatStore, samples: list[StatSample]) -> list[DeltaRecord]:
                 f"counters went backwards for {key}: "
                 f"({sample.packets_total}, {sample.bytes_total}) < ({last_p}, {last_b})"
             )
-        store.last_seen[key] = (sample.packets_total, sample.bytes_total)
-        records.append(
-            DeltaRecord(t, sample.switch, sample.src, sample.dst, d_p, d_b, interval)
-        )
-    store.last_poll_time = t
+        last_seen[key] = (sample.packets_total, sample.bytes_total)
+        records.append(DeltaRecord(sample.switch, sample.src, sample.dst, d_p, d_b))
     return records
 
 
 def aggregate_by_destination(deltas: list[DeltaRecord]) -> dict[str, tuple[int, int]]:
-    """Sum (d_packets, d_bytes) per destination address.
-
-    Map phase emits (dst, counts) pairs; the reduce phase folds them. Keys
-    come back in canonical address order.
-    """
-    pairs = [(record.dst, (record.d_packets, record.d_bytes)) for record in deltas]
+    """Sum (d_packets, d_bytes) per destination address, keyed in
+    canonical address order."""
     sums: dict[str, list[int]] = {}
-    for dst, (d_p, d_b) in pairs:
-        bucket = sums.setdefault(dst, [0, 0])
-        bucket[0] += d_p
-        bucket[1] += d_b
+    for record in deltas:
+        bucket = sums.setdefault(record.dst, [0, 0])
+        bucket[0] += record.d_packets
+        bucket[1] += record.d_bytes
     return {dst: (sums[dst][0], sums[dst][1]) for dst in sorted(sums, key=ip_key)}
 
 

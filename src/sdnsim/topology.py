@@ -343,7 +343,7 @@ def build_grid(n: int, m: int, k: int) -> Topology:
     return topo
 
 
-def attach_switch(topology: Topology, new_node: NodeId, links: list[Link]) -> Topology:
+def attach_switch(topology: Topology, new_node: NodeId, links: list[Link]) -> None:
     """Attach a new switch with the given links; validates before mutating.
 
     Each link must join ``new_node`` to one existing node on unused ports.
@@ -372,4 +372,3 @@ def attach_switch(topology: Topology, new_node: NodeId, links: list[Link]) -> To
     topology.add_node(new_node)
     for link in links:
         topology.add_link(link)
-    return topology

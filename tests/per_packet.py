@@ -5,6 +5,8 @@ keeps the engine as it was before runs: every packet walks alone, hop by
 hop, and a throttled link queues, passes or drops it on its own. It works on
 the same ``SimState`` and ``LinkState``, using the queue only packet by
 packet, so ``run`` here must give the same ``RunRecord`` as ``simnet.run``.
+It finds the throttled links on its own, from ``topology.links``, rather
+than through the engine's index.
 """
 
 import math
@@ -12,7 +14,7 @@ from unittest import mock
 
 from sdnsim import simnet
 from sdnsim.routing import FlowKey, handle_packet_in
-from sdnsim.simnet import QueuedRun, SimulationError, TrafficKind
+from sdnsim.simnet import LinkState, QueuedRun, SimulationError, TrafficKind
 from sdnsim.topology import HOST_PORT
 
 
@@ -22,7 +24,22 @@ def _pass(ls, size):
     ls.passed_bytes += size
 
 
-def _deliver(state, key, tally, size, host):
+def _throttled(state):
+    """node -> {local port: LinkState} over the throttled links in
+    ``topology.links``; a link seen for the first time gets a fresh
+    ``LinkState`` in ``state.link_states``."""
+    index = {}
+    for link in state.topology.links:
+        if link.constrained:
+            ls = state.link_states.get(link)
+            if ls is None:
+                ls = state.link_states[link] = LinkState(link)
+            index.setdefault(link.a, {})[link.a_port] = ls
+            index.setdefault(link.b, {})[link.b_port] = ls
+    return index
+
+
+def _deliver(state, throttled, key, tally, size, host):
     if state.topology.ip_of.get(host) != key.dst:
         raise SimulationError(f"packet for {key.dst} delivered to {host}")
     tally.delivered_packets += 1
@@ -30,15 +47,15 @@ def _deliver(state, key, tally, size, host):
     if host == state.topology.server:
         profile = state.profiles.get(host)
         if profile is not None:
-            _emit(state, host, key.src, profile.response_size)
+            _emit(state, throttled, host, key.src, profile.response_size)
 
 
-def _walk(state, key, tally, size, node, in_port):
+def _walk(state, throttled, key, tally, size, node, in_port):
     """Forward one packet hop by hop until a host, a queue, or a drop."""
     hops = 0
     while True:
         if not node.is_switch:
-            _deliver(state, key, tally, size, node)
+            _deliver(state, throttled, key, tally, size, node)
             return
         entry = state.rules.lookup(node, key.src, key.dst, in_port)
         if entry is None:
@@ -49,8 +66,7 @@ def _walk(state, key, tally, size, node, in_port):
         entry.bytes += size
         out_port = entry.rule.out_port
         peer, peer_in = state.topology.peer(node, out_port)
-        constrained = state._constrained.get(node)
-        ls = constrained.get(out_port) if constrained else None
+        ls = throttled.get(node, {}).get(out_port)
         if ls is not None:
             ls.entered_packets += 1
             ls.entered_bytes += size
@@ -70,7 +86,7 @@ def _walk(state, key, tally, size, node, in_port):
             raise SimulationError(f"forwarding loop for {key.src}->{key.dst}")
 
 
-def _emit(state, src_host, dst_ip, size):
+def _emit(state, throttled, src_host, dst_ip, size):
     key = FlowKey(state.topology.ip_of[src_host], dst_ip)
     tally = state.record.tally(key)
     tally.emitted_packets += 1
@@ -81,14 +97,15 @@ def _emit(state, src_host, dst_ip, size):
         state.record.events.append(
             {"t": state.time, "event": "packet_in", "src": key.src, "dst": key.dst}
         )
-    _walk(state, key, tally, size, edge, edge_in)
+    _walk(state, throttled, key, tally, size, edge, edge_in)
 
 
 def step(state):
     """Advance the simulation by one tick, one packet at a time."""
     t = state.time
     cfg = state.cfg
-    state.refresh_links()
+    # Mitigation may add a throttled link between ticks.
+    throttled = _throttled(state)
 
     ordered_links = sorted(state.link_states, key=lambda l: (l.a, l.a_port))
     for link in ordered_links:
@@ -98,7 +115,7 @@ def step(state):
         while ls.queue and ls.queue.head().size <= ls.budget:
             pkt = ls.queue.popleft()
             _pass(ls, pkt.size)
-            _walk(state, pkt.key, pkt.tally, pkt.size, pkt.node, pkt.in_port)
+            _walk(state, throttled, pkt.key, pkt.tally, pkt.size, pkt.node, pkt.in_port)
 
     server = state.topology.server
     server_ip = state.topology.ip_of.get(server) if server else None
@@ -115,7 +132,7 @@ def step(state):
         count = math.floor(acc + 1e-9)
         state.residues[host] = acc - count
         for _ in range(count):
-            _emit(state, host, server_ip, profile.request_size)
+            _emit(state, throttled, host, server_ip, profile.request_size)
 
     for ls in state.link_states.values():
         if ls.entered_packets != ls.passed_packets + ls.dropped_packets + len(ls.queue):
@@ -124,7 +141,6 @@ def step(state):
             )
 
     state.step_index += 1
-    return state
 
 
 def run(*args, **kwargs):

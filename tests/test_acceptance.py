@@ -17,7 +17,7 @@ from sdnsim.cli import build_scenario, reference_template, run_scenario, validat
 from sdnsim.mitigation import SCRUBBER_CAPACITY_BPS
 from sdnsim.routing import FlowKey, RuleTable, handle_packet_in, shortest_path
 from sdnsim.simnet import run as run_sim
-from sdnsim.telemetry import StatStore, delta, read_stats_csv
+from sdnsim.telemetry import delta, read_stats_csv
 from sdnsim.topology import build_grid
 
 from conftest import SESSION_START, bfs_distances, destination_tree_ok
@@ -124,10 +124,10 @@ def test_criterion_3_counter_conservation():
     record = run_sim(topo, rules, profiles, sim_cfg)
 
     # telescoping: summed deltas equal the final cumulative totals, exactly
-    store = StatStore()
+    last_seen = {}
     sums = {}
     for t in record.poll_times:
-        for d in delta(store, [s for s in record.samples if s.timestamp == t]):
+        for d in delta(last_seen, [s for s in record.samples if s.timestamp == t]):
             bucket = sums.setdefault((d.switch, d.src, d.dst), [0, 0])
             bucket[0] += d.d_packets
             bucket[1] += d.d_bytes

@@ -29,7 +29,7 @@ from sdnsim.cli import (
     write_json,
 )
 from sdnsim.simnet import SimConfig, TrafficKind, TrafficProfile
-from sdnsim.telemetry import StatStore, aggregate_by_destination, delta, read_stats_csv
+from sdnsim.telemetry import aggregate_by_destination, delta, read_stats_csv
 from sdnsim.topology import MAX_HOSTS_PER_EDGE
 
 
@@ -162,13 +162,13 @@ def test_csv_replay_rebuilds_report_aggregates_and_analytics(tmp_path):
     server_ip = topo.ip_of[topo.server]
     server_edge = topo.edge_of_host(topo.server).name
 
-    store = StatStore()
+    last_seen = {}
     previous = None
     assert sorted({s.timestamp for s in samples}) == [p["t"] for p in report["polls"]]
     for poll in report["polls"]:
         assert list(poll) == POLL_KEYS
         batch = [s for s in samples if s.timestamp == poll["t"]]
-        local = [d for d in delta(store, batch) if d.switch == server_edge]
+        local = [d for d in delta(last_seen, batch) if d.switch == server_edge]
         packets, size = aggregate_by_destination(local).get(server_ip, (0, 0))
         byte_rate = size / cfg.poll_interval
         assert poll["aggregate"] == {"packets": packets, "bytes": size, "byte_rate": byte_rate}

@@ -9,8 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdnsim.analytics import Clustering, cluster_sharpness, detect
-from sdnsim.analytics.detect import median
+from sdnsim.analytics import Clustering, cluster_sharpness, detect, median
 
 REPO = Path(__file__).resolve().parents[1]
 

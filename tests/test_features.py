@@ -8,8 +8,8 @@ from sdnsim.telemetry import DeltaRecord
 SERVER = "10.0.0.0"
 
 
-def rec(src, dst, d_packets, d_bytes, interval=5.0):
-    return DeltaRecord(5.0, "e0", src, dst, d_packets, d_bytes, interval)
+def rec(src, dst, d_packets, d_bytes):
+    return DeltaRecord("e0", src, dst, d_packets, d_bytes)
 
 
 def test_rates_are_deltas_over_interval():
@@ -58,7 +58,7 @@ def test_doubling_deltas_doubles_every_component():
         rec("10.0.2.1", SERVER, 11, 1100),
     ]
     doubled = [
-        DeltaRecord(d.interval_end, d.switch, d.src, d.dst, 2 * d.d_packets, 2 * d.d_bytes, d.interval)
+        DeltaRecord(d.switch, d.src, d.dst, 2 * d.d_packets, 2 * d.d_bytes)
         for d in base
     ]
     ones = build_features(base, SERVER, 5.0)

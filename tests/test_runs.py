@@ -14,7 +14,7 @@ from sdnsim.cli import EXIT_OK, ScenarioPipeline, build_scenario, run_scenario, 
 from sdnsim.mitigation import SCRUBBER_CAPACITY_BPS, MitigationError
 from sdnsim.routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, handle_packet_in
 from sdnsim.simnet import SimConfig, TrafficKind, TrafficProfile
-from sdnsim.telemetry import StatStore, delta
+from sdnsim.telemetry import delta
 from sdnsim.topology import Link, NodeId, attach_switch, build_grid
 
 import heap_paths
@@ -390,10 +390,10 @@ def test_random_grids_poll_monotone_counters_whose_deltas_telescope(doc):
 
     # The deltas replayed from the samples, poll by poll, sum for each flow
     # to its last polled totals.
-    store = StatStore()
+    last_seen = {}
     summed = {}
     for t in record.poll_times:
-        for d in delta(store, [s for s in record.samples if s.timestamp == t]):
+        for d in delta(last_seen, [s for s in record.samples if s.timestamp == t]):
             packets, size = summed.get((d.switch, d.src, d.dst), (0, 0))
             summed[(d.switch, d.src, d.dst)] = (packets + d.d_packets, size + d.d_bytes)
     assert summed == totals

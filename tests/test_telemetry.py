@@ -8,7 +8,6 @@ from sdnsim.telemetry import (
     CounterRegressionError,
     DeltaRecord,
     StatSample,
-    StatStore,
     aggregate_by_destination,
     delta,
     poll,
@@ -82,36 +81,35 @@ def test_totals_are_monotone_across_polls():
 
 
 def test_delta_subtracts_last_seen():
-    store = StatStore()
+    last_seen = {}
     first = [StatSample(5.0, "e0", "10.0.1.0", "10.0.0.0", 100, 20_000)]
-    (record,) = delta(store, first)
+    (record,) = delta(last_seen, first)
     assert (record.d_packets, record.d_bytes) == (100, 20_000)
     second = [StatSample(10.0, "e0", "10.0.1.0", "10.0.0.0", 150, 30_000)]
-    (record,) = delta(store, second)
+    (record,) = delta(last_seen, second)
     assert (record.d_packets, record.d_bytes) == (50, 10_000)
-    assert record.interval == 5.0
 
 
 def test_first_observation_uses_zero_baseline():
-    store = StatStore()
-    (record,) = delta(store, [StatSample(5.0, "e0", "10.0.1.0", "10.0.0.0", 230, 999)])
+    last_seen = {}
+    (record,) = delta(last_seen, [StatSample(5.0, "e0", "10.0.1.0", "10.0.0.0", 230, 999)])
     assert record.d_packets == 230
 
 
 def test_counter_regression_is_a_hard_error():
-    store = StatStore()
-    delta(store, [StatSample(5.0, "e0", "10.0.1.0", "10.0.0.0", 100, 100)])
+    last_seen = {}
+    delta(last_seen, [StatSample(5.0, "e0", "10.0.1.0", "10.0.0.0", 100, 100)])
     with pytest.raises(CounterRegressionError):
-        delta(store, [StatSample(10.0, "e0", "10.0.1.0", "10.0.0.0", 90, 100)])
+        delta(last_seen, [StatSample(10.0, "e0", "10.0.1.0", "10.0.0.0", 90, 100)])
 
 
 def test_deltas_telescope_to_final_totals():
     record = run_simple_scenario()
-    store = StatStore()
+    last_seen = {}
     sums: dict[tuple, list[int]] = {}
     for t in record.poll_times:
         batch = [s for s in record.samples if s.timestamp == t]
-        for d in delta(store, batch):
+        for d in delta(last_seen, batch):
             bucket = sums.setdefault((d.switch, d.src, d.dst), [0, 0])
             bucket[0] += d.d_packets
             bucket[1] += d.d_bytes
@@ -127,10 +125,10 @@ def test_replaying_the_sample_log_reproduces_deltas():
     record = run_simple_scenario()
 
     def replay():
-        store = StatStore()
+        last_seen = {}
         out = []
         for t in record.poll_times:
-            out.extend(delta(store, [s for s in record.samples if s.timestamp == t]))
+            out.extend(delta(last_seen, [s for s in record.samples if s.timestamp == t]))
         return out
 
     assert replay() == replay()
@@ -138,8 +136,8 @@ def test_replaying_the_sample_log_reproduces_deltas():
 
 def test_aggregate_sums_by_destination():
     deltas = [
-        DeltaRecord(5.0, "e0", "10.0.1.0", "10.0.0.0", 30, 3000, 5.0),
-        DeltaRecord(5.0, "e0", "10.0.2.0", "10.0.0.0", 70, 7000, 5.0),
+        DeltaRecord("e0", "10.0.1.0", "10.0.0.0", 30, 3000),
+        DeltaRecord("e0", "10.0.2.0", "10.0.0.0", 70, 7000),
     ]
     assert aggregate_by_destination(deltas) == {"10.0.0.0": (100, 10_000)}
 
@@ -153,13 +151,11 @@ def test_aggregate_matches_nested_loop_oracle():
     addresses = [f"10.0.{u}.{i}" for u in range(4) for i in range(3)]
     deltas = [
         DeltaRecord(
-            5.0,
             "e0",
             rng.choice(addresses),
             rng.choice(addresses),
             rng.randrange(100),
             rng.randrange(10_000),
-            5.0,
         )
         for _ in range(50)
     ]
