@@ -12,9 +12,16 @@ rebuilds the deltas from ``stats.csv``, and ``analytics.build_features`` on
 the server edge's deltas rebuilds the features.
 
 Report records whose serialized form is exactly their dataclass fields
-(config, samples, Gaussian components, verdicts, flow tallies)
-are written as ``vars(record)``; classes whose report form differs from
-their fields keep a ``to_dict``.
+(config, Gaussian components, verdicts, flow tallies) are written as
+``vars(record)``; classes whose report form differs from their fields keep
+a ``to_dict``. Poll samples are named tuples, written as the dicts that
+``telemetry.sample_rows`` builds.
+
+``report.json`` is written from the live run state and never exists in
+memory as a whole. Its large tables (``run.samples``, ``run.flows``,
+``run.counters`` and ``rules_final``) are ``Table``s: ``write_json`` builds
+their rows from the record and the rule table ``TABLE_CHUNK`` at a time,
+encodes them and lets them go before it builds the next.
 
 Exit codes: 0 clean run, 2 configuration problems, 3 internal invariant
 violations.
@@ -23,10 +30,13 @@ violations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
+import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -339,43 +349,120 @@ class ScenarioPipeline:
 # Items per encode call of a large list or dict: memory holds one chunk's
 # text at a time.
 TABLE_CHUNK = 256
-_CONTAINERS = (dict, list, tuple)
-_encode = json.JSONEncoder().encode
+# The report is a tree of fresh rows and run state, with no cycle to look
+# for; skipping the check takes about an eighth off each encode call.
+_encode = json.JSONEncoder(check_circular=False).encode
+
+
+@dataclass(frozen=True)
+class Table:
+    """A JSON list, or with ``keyed`` a JSON object, whose items (or
+    ``(key, value)`` pairs) ``write_json`` draws from ``rows`` one chunk at
+    a time, as it writes them. A generator as ``rows`` is spent by one
+    write."""
+
+    rows: Iterable
+    keyed: bool = False
+
+
+_NESTED = (dict, list, tuple, Table)
+
+
+def _write_rows(fh, rows: Iterator, keyed: bool) -> None:
+    fh.write("{" if keyed else "[")
+    separator = ""
+    while chunk := (dict if keyed else list)(itertools.islice(rows, TABLE_CHUNK)):
+        fh.write(separator + _encode(chunk)[1:-1])
+        separator = ", "
+    fh.write("}" if keyed else "]")
+
+
+def _flat(value) -> bool:
+    """A scalar, or a list or dict of at most ``TABLE_CHUNK`` scalars."""
+    if not isinstance(value, _NESTED):
+        return True
+    if isinstance(value, Table) or len(value) > TABLE_CHUNK:
+        return False
+    values = value.values() if isinstance(value, dict) else value
+    return not any(isinstance(v, _NESTED) for v in values)
 
 
 def write_json(fh, obj) -> None:
-    """Write ``obj`` as ``json.dump(obj, fh)`` does, with the C encoder.
+    """Write ``obj`` as ``json.dump(obj, fh)`` does, with the C encoder; a
+    ``Table`` is written as the list or dict of its rows.
 
-    A list or dict of more than ``TABLE_CHUNK`` items is encoded
-    ``TABLE_CHUNK`` items per call. A smaller one that holds a container is
-    written item by item. Anything else is encoded in one call.
+    A ``Table``, and a list or dict of more than ``TABLE_CHUNK`` items, is
+    encoded ``TABLE_CHUNK`` items per call. A smaller list or dict whose
+    items are all flat (scalars, or lists or dicts of at most
+    ``TABLE_CHUNK`` scalars) is encoded in one call; any other is written
+    item by item.
     """
+    if isinstance(obj, Table):
+        _write_rows(fh, iter(obj.rows), obj.keyed)
+        return
     is_dict = isinstance(obj, dict)
-    values = obj.values() if is_dict else obj
-    if not isinstance(obj, _CONTAINERS) or (
-            len(obj) <= TABLE_CHUNK and not any(isinstance(v, _CONTAINERS) for v in values)):
+    if not isinstance(obj, _NESTED) or (
+            len(obj) <= TABLE_CHUNK and all(map(_flat, obj.values() if is_dict else obj))):
         fh.write(_encode(obj))
         return
-    items = iter(obj.items() if is_dict else obj)
-    separator = "{" if is_dict else "["
+    items = obj.items() if is_dict else obj
     if len(obj) > TABLE_CHUNK:
-        while chunk := (dict if is_dict else list)(itertools.islice(items, TABLE_CHUNK)):
-            fh.write(separator + _encode(chunk)[1:-1])
-            separator = ", "
-    else:
-        for item in items:
-            if is_dict:
-                # '"key": ', with the encoder's own quoting of non-str keys.
-                key, item = item
-                separator += _encode({key: 0})[1:-2]
-            fh.write(separator)
-            write_json(fh, item)
-            separator = ", "
+        _write_rows(fh, iter(items), is_dict)
+        return
+    separator = "{" if is_dict else "["
+    for item in items:
+        if is_dict:
+            # '"key": ', with the encoder's own quoting of non-str keys.
+            key, item = item
+            separator += _encode({key: 0})[1:-2]
+        fh.write(separator)
+        write_json(fh, item)
+        separator = ", "
     fh.write("}" if is_dict else "]")
 
 
+def _flow_rows(flows: dict[tuple[str, str], simnet.FlowTally]) -> Iterator[tuple[str, dict]]:
+    for src, dst in sorted(flows, key=lambda pair: (telemetry.ip_key(pair[0]),
+                                                     telemetry.ip_key(pair[1]))):
+        yield f"{src}->{dst}", vars(flows[src, dst])
+
+
+def _counter_rows(rules: RuleTable) -> Iterator[tuple[str, list[int]]]:
+    # Ordered by the string of the (switch, src, dst, priority) tuple.
+    names: dict[NodeId, str] = {}
+    entries = {}
+    for e in rules.all_entries():
+        rule = e.rule
+        name = names.get(rule.switch)
+        if name is None:
+            name = names[rule.switch] = rule.switch.name
+        entries[name, rule.match_src, rule.match_dst, rule.priority] = e
+    for key in sorted(entries, key=str):
+        yield "|".join(map(str, key)), [entries[key].packets, entries[key].bytes]
+
+
+def run_section(record: simnet.RunRecord, rules: RuleTable) -> dict:
+    """report.json's ``run`` section: the record's lists as they stand, and
+    its samples, flow tallies and the rule table's final counters as
+    ``Table``s whose rows are built as they are written."""
+    return {
+        "poll_times": record.poll_times,
+        "samples": Table(telemetry.sample_rows(record.samples)),
+        "flow_snapshots": record.flow_snapshots,
+        "events": record.events,
+        "flows": Table(_flow_rows(record.flows), keyed=True),
+        "counters": Table(_counter_rows(rules), keyed=True),
+        "links": record.link_stats,
+    }
+
+
 def run_scenario(cfg: ScenarioConfig) -> int:
-    """Run one scenario and write stats.csv and report.json."""
+    """Run one scenario and write stats.csv and report.json.
+
+    Each artifact is written under a temporary name beside it and moved
+    into place only once both are complete, so a failed write leaves the
+    previous artifacts as they were.
+    """
     out_dir = Path(cfg.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -395,25 +482,33 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
+    # Live run state and Tables. One json.dumps of the whole report raised
+    # the in-process peak RSS of a `fabric` run by 3.8 MB (36.0 -> 39.8).
     report = {
         "config": vars(cfg),
         "topology": topo.to_dict(),
         "polls": pipeline.polls,
         "mitigation": pipeline.plan.to_dict() if pipeline.plan else None,
         "mitigation_time": pipeline.mitigation_time,
-        "rules_final": rules.dump(),
-        "run": record.to_dict(),
+        "rules_final": Table(rules.dump()),
+        "run": run_section(record, rules),
     }
+    artifacts = [out_dir / "stats.csv", out_dir / "report.json"]
+    temporaries = [path.with_name(path.name + ".tmp") for path in artifacts]
     try:
-        telemetry.write_stats_csv(record.samples, out_dir / "stats.csv")
-        with open(out_dir / "report.json", "w") as fh:
-            # Chunked: one json.dumps of the whole report raised the
-            # in-process peak RSS of a `fabric` run by 3.8 MB (36.0 -> 39.8).
+        telemetry.write_stats_csv(record.samples, temporaries[0])
+        with open(temporaries[1], "w") as fh:
             write_json(fh, report)
             fh.write("\n")
+        for temporary, path in zip(temporaries, artifacts):
+            os.replace(temporary, path)
     except OSError as exc:
         print(f"cannot write artifacts: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        for temporary in temporaries:
+            with contextlib.suppress(OSError):
+                temporary.unlink(missing_ok=True)
     return EXIT_OK
 
 

@@ -151,11 +151,14 @@ class RuleTable:
         """Every installed entry, in no promised order."""
         return [entry for bucket in self._index.values() for entry in bucket]
 
-    def dump(self) -> list[dict]:
-        """Rule lines sorted by (switch, priority desc, install order)."""
+    def dump(self) -> Iterator[dict]:
+        """Rule lines with their counters, sorted by (switch, priority desc,
+        install order). Each line is built as it is drawn, from the table
+        as it stands when the first is drawn."""
         entries = self.all_entries()
         entries.sort(key=lambda e: (e.rule.switch, -e.rule.priority, e.seq))
-        return [dict(e.rule.dump(), packets=e.packets, bytes=e.bytes) for e in entries]
+        for e in entries:
+            yield dict(e.rule.dump(), packets=e.packets, bytes=e.bytes)
 
 
 def walk_rules(

@@ -284,16 +284,16 @@ class FlowTally:
 
 @dataclass
 class RunRecord:
-    """Everything a run produced: sample timeline, events, final tallies."""
+    """What a run produced besides the rule table: the sample timeline,
+    events, flow tallies and link counters. The final rule counters are
+    the rule table's own entries; ``cli.run_section`` reads both when it
+    writes the report's ``run`` section."""
 
     samples: list = field(default_factory=list)
     poll_times: list[float] = field(default_factory=list)
     flow_snapshots: list[dict] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     flows: dict[tuple[str, str], FlowTally] = field(default_factory=dict)
-    # (switch name, match_src, match_dst, priority) -> (packets, bytes) at
-    # the end of the run
-    counters: dict[tuple, tuple[int, int]] = field(default_factory=dict)
     link_stats: list[dict] = field(default_factory=list)
 
     def tally(self, key: FlowKey) -> FlowTally:
@@ -301,28 +301,6 @@ class RunRecord:
         if pair not in self.flows:
             self.flows[pair] = FlowTally()
         return self.flows[pair]
-
-    def to_dict(self) -> dict:
-        return {
-            "poll_times": self.poll_times,
-            "samples": [vars(s) for s in self.samples],
-            "flow_snapshots": self.flow_snapshots,
-            "events": self.events,
-            "flows": {
-                f"{src}->{dst}": vars(tally)
-                for (src, dst), tally in sorted(
-                    self.flows.items(),
-                    key=lambda kv: (telemetry.ip_key(kv[0][0]), telemetry.ip_key(kv[0][1])),
-                )
-            },
-            "counters": {
-                f"{sw}|{src}|{dst}|{prio}": list(v)
-                for (sw, src, dst, prio), v in sorted(
-                    self.counters.items(), key=lambda kv: str(kv[0])
-                )
-            },
-            "links": self.link_stats,
-        }
 
 
 @dataclass
@@ -592,13 +570,6 @@ def run(
             if on_poll is not None:
                 on_poll(state, t, samples)
 
-    state.record.counters = {
-        (e.rule.switch.name, e.rule.match_src, e.rule.match_dst, e.rule.priority): (
-            e.packets,
-            e.bytes,
-        )
-        for e in rules.all_entries()
-    }
     state.record.link_stats = [
         state.link_states[link].to_dict()
         for link in sorted(state.link_states, key=lambda l: (l.a, l.a_port))

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import NamedTuple
 
 from .topology import NodeId, NodeKind
 
@@ -27,8 +28,7 @@ def ip_key(addr: str) -> tuple[int, ...]:
     return tuple(int(part) for part in addr.split("."))
 
 
-@dataclass(frozen=True)
-class StatSample:
+class StatSample(NamedTuple):
     timestamp: float
     switch: str
     src: str
@@ -37,8 +37,7 @@ class StatSample:
     bytes_total: int
 
 
-@dataclass(frozen=True)
-class DeltaRecord:
+class DeltaRecord(NamedTuple):
     switch: str
     src: str
     dst: str
@@ -108,6 +107,14 @@ def aggregate_by_destination(deltas: list[DeltaRecord]) -> dict[str, tuple[int, 
         bucket[0] += record.d_packets
         bucket[1] += record.d_bytes
     return {dst: (sums[dst][0], sums[dst][1]) for dst in sorted(sums, key=ip_key)}
+
+
+def sample_rows(samples: Iterable[StatSample]) -> Iterator[dict]:
+    """Each sample as a dict of its fields, built as it is drawn: the rows
+    of report.json's ``run.samples``."""
+    for t, switch, src, dst, packets, bytes_ in samples:
+        yield {"timestamp": t, "switch": switch, "src": src, "dst": dst,
+               "packets_total": packets, "bytes_total": bytes_}
 
 
 CSV_HEADER = ["timestamp", "switch", "src_ip", "dst_ip", "packets_total", "bytes_total"]

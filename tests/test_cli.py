@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -20,6 +21,7 @@ from sdnsim.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
     TABLE_CHUNK,
+    Table,
     build_scenario,
     main,
     matrix_rates,
@@ -346,10 +348,53 @@ def test_hosts_per_edge_capped_at_topology_limit(tmp_path):
 @pytest.mark.parametrize("name", ["stats.csv", "report.json"])
 def test_artifact_write_error_exits_2(tmp_path, name):
     out = tmp_path / "out"
-    (out / name).mkdir(parents=True)  # opening it for writing fails
+    (out / name).mkdir(parents=True)  # moving the artifact onto it fails
     code, err = run_document(small_raw(duration=5.0), out)
     assert code == EXIT_CONFIG
     assert "cannot write artifacts:" in err
+    assert not list(out.glob("*.tmp"))
+
+
+class DiskFull:
+    """A text file that takes writes until it holds one chunk of
+    ``run.samples`` rows, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.rows = 0
+
+    def write(self, text):
+        if self.rows >= TABLE_CHUNK:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.rows += text.count('"packets_total"')
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("previous", [False, True])
+def test_failed_report_write_leaves_no_partial_artifact(tmp_path, monkeypatch, previous):
+    out = tmp_path / "out"
+    if previous:
+        assert run_document(small_raw(seed=2), out)[0] == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()} if previous else {}
+    files = []
+
+    def open_full(*args, **kwargs):
+        files.append(DiskFull(open(*args, **kwargs)))
+        return files[-1]
+
+    monkeypatch.setattr(cli, "open", open_full, raising=False)
+    # 60 s: more than one chunk of samples
+    code, err = run_document(small_raw(duration=60.0), out)
+    assert code == EXIT_CONFIG
+    assert "No space left on device" in err
+    assert [f.rows for f in files] == [TABLE_CHUNK]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # -- ValueError audit -----------------------------------------------------
@@ -607,9 +652,45 @@ def tables(draw):
 TABLES = tables()
 
 
+class LazyRows:
+    """``n`` rows cycled from ``rows`` (as ``(key, row)`` pairs if
+    ``keyed``), each built only as it is drawn; every iteration starts
+    afresh."""
+
+    def __init__(self, n, rows, keyed, key=""):
+        self.n, self.rows, self.keyed, self.key = n, rows, keyed, key
+        self.drawn = 0
+
+    def __iter__(self):
+        for i in range(self.n):
+            row = self.rows[i % len(self.rows)]
+            self.drawn += 1
+            yield (f"{self.key}{i}", row) if self.keyed else row
+
+
+def materialised(value):
+    """``value`` with every ``Table`` replaced by the list or dict of its rows."""
+    if isinstance(value, Table):
+        return (dict if value.keyed else list)(map(materialised, value.rows))
+    if isinstance(value, dict):
+        return {k: materialised(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [materialised(v) for v in value]
+    return value
+
+
+LAZY_SIZES = [0, 1, TABLE_CHUNK, TABLE_CHUNK + 1, 2 * TABLE_CHUNK + 1]
+LAZY_TABLES = st.builds(
+    lambda n, rows, keyed, key: Table(LazyRows(n, rows, keyed, key), keyed),
+    st.sampled_from(LAZY_SIZES), st.lists(DICT_ROWS | LIST_ROWS, min_size=1, max_size=4),
+    st.booleans(), HOSTILE,
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(value=JSON_VALUES | TABLES
-       | st.builds(lambda k, t, r: {k: [t, r]}, HOSTILE, TABLES, DICT_ROWS | LIST_ROWS))
+@given(value=JSON_VALUES | TABLES | LAZY_TABLES
+       | st.builds(lambda k, t, r: {k: [t, r]}, HOSTILE, TABLES | LAZY_TABLES,
+                   DICT_ROWS | LIST_ROWS))
 @example(value={"polls": [{"t": 1.0, "deltas": [], "gaussian": None}], "run": {}})
 @example(value=[[], {}, (), [[]], {"a": {}}, -0.0, 1e300, math.nan, math.inf, -math.inf])
 @example(value={1: "int", 2.5: "float", True: "bool", None: "none", Level.HIGH: [Level.LOW]})
@@ -618,7 +699,33 @@ TABLES = tables()
 def test_report_writer_matches_json_dump(value):
     fh = io.StringIO()
     write_json(fh, value)
-    assert fh.getvalue() == json.dumps(value)
+    assert fh.getvalue() == json.dumps(materialised(value))
+
+
+@pytest.mark.parametrize("keyed", [False, True])
+@pytest.mark.parametrize("n", LAZY_SIZES)
+def test_lazy_table_writer_matches_json_dump(n, keyed):
+    table = Table(LazyRows(n, [{"a": 1.5, "b": "x"}, [None, True]], keyed), keyed)
+    for value in (table, {"run": {"table": table, "t": [1.0]}}):
+        fh = io.StringIO()
+        write_json(fh, value)
+        assert fh.getvalue() == json.dumps(materialised(value))
+
+
+@pytest.mark.parametrize("keyed", [False, True])
+def test_table_rows_are_drawn_one_chunk_ahead_of_the_text(keyed):
+    rows = LazyRows(3 * TABLE_CHUNK + 1, [{"row": 1}], keyed)
+    value = {"run": {"table": Table(rows, keyed)}, "polls": [{"t": 1.0}]}
+    written = []
+
+    def write(text):
+        # Rows the text written so far holds, against rows drawn.
+        assert rows.drawn <= "".join(written).count('"row"') + TABLE_CHUNK
+        written.append(text)
+
+    write_json(type("Recorder", (), {"write": staticmethod(write)}), value)
+    assert rows.drawn == rows.n
+    assert "".join(written) == json.dumps(materialised(value))
 
 
 def test_table_writer_holds_one_chunk_at_a_time():
@@ -626,7 +733,9 @@ def test_table_writer_holds_one_chunk_at_a_time():
     # The same table inside small containers, where the report holds its tables.
     report = {"run": {"samples": rows},
               "polls": [{"t": 1.0, "clustering": {"labels": [0, 1]}}] * 3}
-    for value in (rows, report):
+    # A long list of scalars in a small dict is a table too.
+    verdict = {"detection": {"attack": True, "suspicious": ["10.0.0.255"] * 10_000}}
+    for value in (rows, report, verdict):
         writes = []
         fh = type("Recorder", (), {"write": staticmethod(writes.append)})
         write_json(fh, value)

@@ -143,11 +143,11 @@ def test_apply_is_atomic_on_bad_plan():
         )
     )
     topo_before = topo.to_dict()
-    rules_before = rules.dump()
+    rules_before = list(rules.dump())
     with pytest.raises(MitigationError):
         apply(plan, topo, rules)
     assert topo.to_dict() == topo_before
-    assert rules.dump() == rules_before
+    assert list(rules.dump()) == rules_before
 
 
 def test_apply_rejects_double_scrubber():

@@ -224,18 +224,18 @@ def test_reinstall_is_noop(grid):
     rules = RuleTable()
     key = flow(grid, NodeId.host(1, 0), NodeId.host(6, 1))
     handle_packet_in(rules, grid, key)
-    snapshot = rules.dump()
+    snapshot = list(rules.dump())
     assert handle_packet_in(rules, grid, key) == []
-    assert rules.dump() == snapshot
+    assert list(rules.dump()) == snapshot
 
 
 def test_reverse_install_is_noop(grid):
     rules = RuleTable()
     key = flow(grid, NodeId.host(1, 0), NodeId.host(6, 1))
     handle_packet_in(rules, grid, key)
-    snapshot = rules.dump()
+    snapshot = list(rules.dump())
     assert handle_packet_in(rules, grid, key.reversed()) == []
-    assert rules.dump() == snapshot
+    assert list(rules.dump()) == snapshot
 
 
 def test_identical_sequences_build_identical_tables(grid):
@@ -249,7 +249,7 @@ def test_identical_sequences_build_identical_tables(grid):
         rules = RuleTable()
         for key in keys:
             handle_packet_in(rules, grid, key)
-        tables.append(rules.dump())
+        tables.append(list(rules.dump()))
     assert tables[0] == tables[1]
 
 

@@ -1,6 +1,7 @@
 """The batched engine against the per-packet oracle (``per_packet.py``), and
 north-star invariants on the same random scenarios."""
 
+import json
 import random
 import tempfile
 from pathlib import Path
@@ -22,6 +23,7 @@ import per_packet
 from rule_paths import trace_path
 from conftest import destination_tree_ok
 from test_cli import POLL_KEYS, small_raw
+from test_simnet import run_json
 
 
 @st.composite
@@ -64,10 +66,10 @@ def build(doc):
     return topo, rules, profiles, sim_cfg, ScenarioPipeline(cfg, topo)
 
 
-def outcome(engine_run, *args, **kwargs):
-    """The run's record, or the error it ended with."""
+def outcome(engine_run, topo, rules, *args, **kwargs):
+    """The run's report section, or the error it ended with."""
     try:
-        return engine_run(*args, **kwargs).to_dict()
+        return run_json(engine_run(topo, rules, *args, **kwargs), rules)
     except Exception as exc:  # both engines must fail alike
         return type(exc).__name__, str(exc)
 
@@ -262,11 +264,12 @@ def test_two_way_link_sends_packets_one_at_a_time():
             attacker: TrafficProfile(TrafficKind.ATTACKER, 1000.0, 1000, 1000),
         }
         cfg = SimConfig(duration=10.0, poll_interval=5.0, attack_start=0.0)
-        records.append(engine_run(topo, rules, profiles, cfg).to_dict())
+        records.append(run_json(engine_run(topo, rules, profiles, cfg), rules))
     assert records[0] == records[1]
     a_ip, s_ip = topo.ip_of[attacker], topo.ip_of[server]
-    assert records[0]["flows"][f"{a_ip}->{s_ip}"]["delivered_packets"] == 114
-    assert records[0]["flows"][f"{s_ip}->{a_ip}"]["delivered_packets"] == 6
+    flows = json.loads(records[0])["flows"]
+    assert flows[f"{a_ip}->{s_ip}"]["delivered_packets"] == 114
+    assert flows[f"{s_ip}->{a_ip}"]["delivered_packets"] == 6
 
 
 def lookups_at(monkeypatch, **overrides):

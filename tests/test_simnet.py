@@ -1,10 +1,11 @@
-import json
+import io
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdnsim.cli import run_section, write_json
 from sdnsim.routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, handle_packet_in
 from sdnsim.mitigation import MitigationError
 from sdnsim.simnet import (
@@ -66,11 +67,11 @@ def test_lossless_counters_for_steady_client():
     topo, rules, profiles, cfg, server, client = simple_scenario()
     record = run(topo, rules, profiles, cfg)
     c_ip, s_ip = topo.ip_of[client], topo.ip_of[server]
-    source_edge = topo.edge_of_host(client).name
-    server_edge = topo.edge_of_host(server).name
+    source_rule = rules.find(topo.edge_of_host(client), c_ip, s_ip, BASE_PRIORITY)
+    server_rule = rules.find(topo.edge_of_host(server), s_ip, c_ip, BASE_PRIORITY)
     # 2 req/s * 10 s = 20 requests of 200 B; 20 responses of 1000 B
-    assert record.counters[(source_edge, c_ip, s_ip, BASE_PRIORITY)] == (20, 20 * 200)
-    assert record.counters[(server_edge, s_ip, c_ip, BASE_PRIORITY)] == (20, 20 * 1000)
+    assert (source_rule.packets, source_rule.bytes) == (20, 20 * 200)
+    assert (server_rule.packets, server_rule.bytes) == (20, 20 * 1000)
     assert record.flows[(c_ip, s_ip)].emitted_packets == 20
     assert record.flows[(c_ip, s_ip)].delivered_packets == 20
     assert record.flows[(s_ip, c_ip)].delivered_bytes == 20 * 1000
@@ -88,7 +89,7 @@ def test_zero_rate_client_creates_nothing():
     topo, rules, profiles, cfg, server, client = simple_scenario(rate=0.0)
     record = run(topo, rules, profiles, cfg)
     assert record.flows == {}
-    assert rules.dump() == []
+    assert list(rules.dump()) == []
     assert not [e for e in record.events if e["event"] == "packet_in"]
 
 
@@ -114,11 +115,18 @@ def test_zero_duration_produces_empty_record():
     assert record.events == []
 
 
+def run_json(record, rules) -> str:
+    """The report's ``run`` section for a run, as report.json holds it."""
+    fh = io.StringIO()
+    write_json(fh, run_section(record, rules))
+    return fh.getvalue()
+
+
 def test_identical_runs_serialize_identically():
     records = []
     for _ in range(2):
         topo, rules, profiles, cfg, _, _ = simple_scenario(duration=20.0)
-        records.append(json.dumps(run(topo, rules, profiles, cfg).to_dict()))
+        records.append(run_json(run(topo, rules, profiles, cfg), rules))
     assert records[0] == records[1]
 
 
@@ -209,7 +217,7 @@ def test_throttled_run_is_deterministic():
     outputs = []
     for _ in range(2):
         topo, rules, profiles, cfg, _ = throttled_scenario()
-        outputs.append(json.dumps(run(topo, rules, profiles, cfg).to_dict()))
+        outputs.append(run_json(run(topo, rules, profiles, cfg), rules))
     assert outputs[0] == outputs[1]
 
 
