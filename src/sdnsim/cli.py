@@ -18,10 +18,11 @@ a ``to_dict``. Poll samples are named tuples, written as the dicts that
 ``telemetry.sample_rows`` builds.
 
 ``report.json`` is written from the live run state and never exists in
-memory as a whole. Its large tables (``run.samples``, ``run.flows``,
-``run.counters`` and ``rules_final``) are ``Table``s: ``write_json`` builds
-their rows from the record and the rule table ``TABLE_CHUNK`` at a time,
-encodes them and lets them go before it builds the next.
+memory as a whole. Each section that grows with the run's length, and each
+per-flow or per-rule table, is named as a ``Table`` where the report is
+assembled. ``write_json`` encodes a ``Table`` ``TABLE_CHUNK`` rows per call,
+building the rows of samples, flows and rules from the run state as it
+goes, and anything else in one call.
 
 Exit codes: 0 clean run, 2 configuration problems, 3 internal invariant
 violations.
@@ -346,8 +347,7 @@ class ScenarioPipeline:
         )
 
 
-# Items per encode call of a large list or dict: memory holds one chunk's
-# text at a time.
+# Rows per encode call of a Table: memory holds one chunk's text at a time.
 TABLE_CHUNK = 256
 # The report is a tree of fresh rows and run state, with no cycle to look
 # for; skipping the check takes about an eighth off each encode call.
@@ -365,60 +365,39 @@ class Table:
     keyed: bool = False
 
 
-_NESTED = (dict, list, tuple, Table)
-
-
-def _write_rows(fh, rows: Iterator, keyed: bool) -> None:
-    fh.write("{" if keyed else "[")
-    separator = ""
-    while chunk := (dict if keyed else list)(itertools.islice(rows, TABLE_CHUNK)):
-        fh.write(separator + _encode(chunk)[1:-1])
-        separator = ", "
-    fh.write("}" if keyed else "]")
-
-
-def _flat(value) -> bool:
-    """A scalar, or a list or dict of at most ``TABLE_CHUNK`` scalars."""
-    if not isinstance(value, _NESTED):
-        return True
-    if isinstance(value, Table) or len(value) > TABLE_CHUNK:
-        return False
-    values = value.values() if isinstance(value, dict) else value
-    return not any(isinstance(v, _NESTED) for v in values)
+def _holds_table(value) -> bool:
+    """A ``Table``, or a dict with one among its values at any depth."""
+    return isinstance(value, Table) or (
+        isinstance(value, dict) and any(map(_holds_table, value.values())))
 
 
 def write_json(fh, obj) -> None:
     """Write ``obj`` as ``json.dump(obj, fh)`` does, with the C encoder; a
     ``Table`` is written as the list or dict of its rows.
 
-    A ``Table``, and a list or dict of more than ``TABLE_CHUNK`` items, is
-    encoded ``TABLE_CHUNK`` items per call. A smaller list or dict whose
-    items are all flat (scalars, or lists or dicts of at most
-    ``TABLE_CHUNK`` scalars) is encoded in one call; any other is written
-    item by item.
+    A ``Table`` is encoded ``TABLE_CHUNK`` rows per call. A dict that holds
+    a ``Table`` (as a value, or in a dict among its values) is written key
+    by key. Anything else is encoded in one call, so a list that grows with
+    the run belongs in a ``Table``.
     """
     if isinstance(obj, Table):
-        _write_rows(fh, iter(obj.rows), obj.keyed)
-        return
-    is_dict = isinstance(obj, dict)
-    if not isinstance(obj, _NESTED) or (
-            len(obj) <= TABLE_CHUNK and all(map(_flat, obj.values() if is_dict else obj))):
-        fh.write(_encode(obj))
-        return
-    items = obj.items() if is_dict else obj
-    if len(obj) > TABLE_CHUNK:
-        _write_rows(fh, iter(items), is_dict)
-        return
-    separator = "{" if is_dict else "["
-    for item in items:
-        if is_dict:
+        rows = iter(obj.rows)
+        fh.write("{" if obj.keyed else "[")
+        separator = ""
+        while chunk := (dict if obj.keyed else list)(itertools.islice(rows, TABLE_CHUNK)):
+            fh.write(separator + _encode(chunk)[1:-1])
+            separator = ", "
+        fh.write("}" if obj.keyed else "]")
+    elif _holds_table(obj):
+        separator = "{"
+        for key, value in obj.items():
             # '"key": ', with the encoder's own quoting of non-str keys.
-            key, item = item
-            separator += _encode({key: 0})[1:-2]
-        fh.write(separator)
-        write_json(fh, item)
-        separator = ", "
-    fh.write("}" if is_dict else "]")
+            fh.write(separator + _encode({key: 0})[1:-2])
+            write_json(fh, value)
+            separator = ", "
+        fh.write("}")
+    else:
+        fh.write(_encode(obj))
 
 
 def _flow_rows(flows: dict[tuple[str, str], simnet.FlowTally]) -> Iterator[tuple[str, dict]]:
@@ -429,27 +408,22 @@ def _flow_rows(flows: dict[tuple[str, str], simnet.FlowTally]) -> Iterator[tuple
 
 def _counter_rows(rules: RuleTable) -> Iterator[tuple[str, list[int]]]:
     # Ordered by the string of the (switch, src, dst, priority) tuple.
-    names: dict[NodeId, str] = {}
-    entries = {}
-    for e in rules.all_entries():
-        rule = e.rule
-        name = names.get(rule.switch)
-        if name is None:
-            name = names[rule.switch] = rule.switch.name
-        entries[name, rule.match_src, rule.match_dst, rule.priority] = e
+    entries = {(e.rule.switch.name, e.rule.match_src, e.rule.match_dst, e.rule.priority): e
+               for e in rules.all_entries()}
     for key in sorted(entries, key=str):
         yield "|".join(map(str, key)), [entries[key].packets, entries[key].bytes]
 
 
 def run_section(record: simnet.RunRecord, rules: RuleTable) -> dict:
-    """report.json's ``run`` section: the record's lists as they stand, and
-    its samples, flow tallies and the rule table's final counters as
-    ``Table``s whose rows are built as they are written."""
+    """report.json's ``run`` section. Each list that grows with the run's
+    length is a ``Table``, and so are the samples, flow tallies and the
+    rule table's final counters, whose rows are built as they are
+    written."""
     return {
-        "poll_times": record.poll_times,
+        "poll_times": Table(record.poll_times),
         "samples": Table(telemetry.sample_rows(record.samples)),
-        "flow_snapshots": record.flow_snapshots,
-        "events": record.events,
+        "flow_snapshots": Table(record.flow_snapshots),
+        "events": Table(record.events),
         "flows": Table(_flow_rows(record.flows), keyed=True),
         "counters": Table(_counter_rows(rules), keyed=True),
         "links": record.link_stats,
@@ -460,8 +434,9 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     """Run one scenario and write stats.csv and report.json.
 
     Each artifact is written under a temporary name beside it and moved
-    into place only once both are complete, so a failed write leaves the
-    previous artifacts as they were.
+    into place only once both are complete. If the second move fails, the
+    previous stats.csv (hard-linked aside before the first) is moved back,
+    so a failed write leaves the previous artifacts as they were.
     """
     out_dir = Path(cfg.output_dir)
     try:
@@ -487,7 +462,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     report = {
         "config": vars(cfg),
         "topology": topo.to_dict(),
-        "polls": pipeline.polls,
+        "polls": Table(pipeline.polls),
         "mitigation": pipeline.plan.to_dict() if pipeline.plan else None,
         "mitigation_time": pipeline.mitigation_time,
         "rules_final": Table(rules.dump()),
@@ -495,18 +470,32 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     }
     artifacts = [out_dir / "stats.csv", out_dir / "report.json"]
     temporaries = [path.with_name(path.name + ".tmp") for path in artifacts]
+    # The previous stats.csv, kept until the new report.json is in place.
+    backup = out_dir / "stats.csv.bak"
     try:
         telemetry.write_stats_csv(record.samples, temporaries[0])
         with open(temporaries[1], "w") as fh:
             write_json(fh, report)
             fh.write("\n")
-        for temporary, path in zip(temporaries, artifacts):
-            os.replace(temporary, path)
+        backup.unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.link(artifacts[0], backup)
+        os.replace(temporaries[0], artifacts[0])
+        try:
+            os.replace(temporaries[1], artifacts[1])
+        except OSError:
+            # Two moves are not one atomic swap: put the previous stats.csv
+            # back, or take the new one away, so the previous pair stands.
+            if backup.exists():
+                os.replace(backup, artifacts[0])
+            else:
+                artifacts[0].unlink()
+            raise
     except OSError as exc:
         print(f"cannot write artifacts: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     finally:
-        for temporary in temporaries:
+        for temporary in (*temporaries, backup):
             with contextlib.suppress(OSError):
                 temporary.unlink(missing_ok=True)
     return EXIT_OK

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import NamedTuple
 
-from .topology import NodeId, NodeKind
+from .topology import NodeKind
 
 
 class CounterRegressionError(RuntimeError):
@@ -49,21 +49,15 @@ def poll(state, t: float) -> list[StatSample]:
     """Sample every per-flow rule on every edge switch at time ``t``.
 
     Counters from rules sharing a (switch, src, dst) key are summed, so a
-    flow yields exactly one sample per switch per poll. Each switch is
-    named once per poll, and its samples share that one name string.
+    flow yields exactly one sample per switch per poll. All samples of a
+    switch share its one name string.
     """
     merged: dict[tuple[str, str, str], list[int]] = {}
-    names: dict[NodeId, str] = {}
     for entry in state.rules.all_entries():
         rule = entry.rule
-        switch = rule.switch
-        if rule.match_src is None or switch.kind is not NodeKind.EDGE:
+        if rule.match_src is None or rule.switch.kind is not NodeKind.EDGE:
             continue
-        name = names.get(switch)
-        if name is None:
-            name = names[switch] = switch.name
-        key = (name, rule.match_src, rule.match_dst)
-        bucket = merged.setdefault(key, [0, 0])
+        bucket = merged.setdefault((rule.switch.name, rule.match_src, rule.match_dst), [0, 0])
         bucket[0] += entry.packets
         bucket[1] += entry.bytes
     ordered = sorted(merged, key=lambda k: (k[0], ip_key(k[1]), ip_key(k[2])))

@@ -7,7 +7,7 @@ on edge ports 80, 81, ... (their own side is always port 1); an edge switch's
 port 1 is its uplink into the core. Scrubber switches are attached later
 through :func:`attach_switch`. A node's identity, :class:`NodeId`, is a
 plain ``(kind, index)`` named tuple: its hash, equality and order are the
-tuple's.
+tuple's. Its name is formatted once per node and shared from then on.
 
 :class:`Topology` keeps an adjacency index, ``node -> {local port: (peer,
 peer port)}``, that :meth:`Topology.add_link` fills, and a switch count that
@@ -25,6 +25,7 @@ compiled forwarding paths the same way.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -48,6 +49,20 @@ HOST_FACING_BASE = 80      # edge port for host slot i is 80 + i
 SCRUBBER_OUT_PORT = 200    # edge port feeding the scrubber
 SCRUBBER_RETURN_PORT = 201 # edge port receiving scrubbed traffic back
 MAX_HOSTS_PER_EDGE = 100   # keeps host-facing ports clear of 200/201
+
+
+@functools.cache
+def _node_name(node: NodeId) -> str:
+    """``NodeId.name``, memoised on the whole node: the run names the same
+    few hundred switches at every poll and in every rule dump."""
+    kind, index = node
+    if kind is NodeKind.CORE:
+        return f"c{index[0]}_{index[1]}"
+    if kind is NodeKind.EDGE:
+        return f"e{index[0]}"
+    if kind is NodeKind.HOST:
+        return f"h{index[1]}s{index[0]}"
+    return f"s{200 + index[0]}"
 
 
 class NodeId(NamedTuple):
@@ -77,15 +92,7 @@ class NodeId(NamedTuple):
     def scrubber(serial: int) -> "NodeId":
         return NodeId(NodeKind.SCRUBBER, (serial,))
 
-    @property
-    def name(self) -> str:
-        if self.kind is NodeKind.CORE:
-            return f"c{self.index[0]}_{self.index[1]}"
-        if self.kind is NodeKind.EDGE:
-            return f"e{self.index[0]}"
-        if self.kind is NodeKind.HOST:
-            return f"h{self.index[1]}s{self.index[0]}"
-        return f"s{200 + self.index[0]}"
+    name = property(_node_name)
 
     @property
     def is_switch(self) -> bool:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import tempfile
 from dataclasses import dataclass
 from enum import IntEnum
@@ -397,6 +398,32 @@ def test_failed_report_write_leaves_no_partial_artifact(tmp_path, monkeypatch, p
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("previous", [False, True])
+def test_failed_report_move_keeps_the_previous_pair(tmp_path, monkeypatch, previous):
+    out = tmp_path / "out"
+    if previous:
+        assert run_document(small_raw(seed=2), out)[0] == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()} if previous else {}
+    replace = os.replace
+
+    def replace_all_but_the_report(src, dst):
+        if Path(dst).name == "report.json":
+            raise OSError(errno.EIO, "Input/output error")
+        return replace(src, dst)
+
+    # stats.csv is already in place when report.json fails to move.
+    monkeypatch.setattr(os, "replace", replace_all_but_the_report)
+    # A longer run: its stats.csv differs from the previous one.
+    code, err = run_document(small_raw(duration=60.0), out)
+    assert code == EXIT_CONFIG
+    assert "Input/output error" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # A good run over the previous pair leaves no backup behind either.
+    monkeypatch.undo()
+    assert run_document(small_raw(duration=60.0), out)[0] == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "stats.csv"]
+
+
 # -- ValueError audit -----------------------------------------------------
 
 # Each ValueError that a traffic profile, the tick rule or an analytics step
@@ -687,13 +714,21 @@ LAZY_TABLES = st.builds(
 )
 
 
+# Where the report holds its Tables: at the top, or as values of dicts at
+# any depth, beside plain values.
+REPORTS = st.recursive(
+    JSON_VALUES | TABLES | LAZY_TABLES,
+    lambda inner: st.dictionaries(KEYS | HOSTILE, inner, min_size=1, max_size=4),
+    max_leaves=8,
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(value=JSON_VALUES | TABLES | LAZY_TABLES
-       | st.builds(lambda k, t, r: {k: [t, r]}, HOSTILE, TABLES | LAZY_TABLES,
-                   DICT_ROWS | LIST_ROWS))
+@given(value=REPORTS)
 @example(value={"polls": [{"t": 1.0, "deltas": [], "gaussian": None}], "run": {}})
 @example(value=[[], {}, (), [[]], {"a": {}}, -0.0, 1e300, math.nan, math.inf, -math.inf])
 @example(value={1: "int", 2.5: "float", True: "bool", None: "none", Level.HIGH: [Level.LOW]})
+@example(value={1: Table([1]), None: {2.5: Table([], keyed=True)}, Level.HIGH: Table([{}])})
 @example(value={"a": {"k": 'x": {y'}, "b": {"k": 1}})
 @example(value=[["],\n    [", 1], [{}], [[1]]])
 def test_report_writer_matches_json_dump(value):
@@ -731,13 +766,58 @@ def test_table_rows_are_drawn_one_chunk_ahead_of_the_text(keyed):
 def test_table_writer_holds_one_chunk_at_a_time():
     rows = [{"switch": "e1", "src": "10.0.0.1", "packets": 12345, "bytes": 0.5}] * 10_000
     # The same table inside small containers, where the report holds its tables.
-    report = {"run": {"samples": rows},
-              "polls": [{"t": 1.0, "clustering": {"labels": [0, 1]}}] * 3}
-    # A long list of scalars in a small dict is a table too.
-    verdict = {"detection": {"attack": True, "suspicious": ["10.0.0.255"] * 10_000}}
-    for value in (rows, report, verdict):
+    report = {"run": {"samples": Table(rows)},
+              "polls": Table([{"t": 1.0, "clustering": {"labels": [0, 1]}}] * 3)}
+    # A Table's rows may be scalars.
+    verdict = {"detection": {"attack": True, "suspicious": Table(["10.0.0.255"] * 10_000)}}
+    for value in (Table(rows), report, verdict):
         writes = []
         fh = type("Recorder", (), {"write": staticmethod(writes.append)})
         write_json(fh, value)
-        assert "".join(writes) == json.dumps(value)
+        assert "".join(writes) == json.dumps(materialised(value))
         assert max(map(len, writes)) <= len(json.dumps(rows[:TABLE_CHUNK]))
+
+
+class Recorder:
+    """A text file that keeps each write's text besides writing it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_long_run_writes_no_more_than_a_chunk_of_any_growing_section(tmp_path, monkeypatch):
+    files = []
+
+    def open_recorded(*args, **kwargs):
+        files.append(Recorder(open(*args, **kwargs)))
+        return files[-1]
+
+    monkeypatch.setattr(cli, "open", open_recorded, raising=False)
+    out = tmp_path / "out"
+    code, err = run_document(small_raw(poll_interval=1.0, duration=300.0), out)
+    assert code == EXIT_OK, err
+    [recorded] = files
+    text = (out / "report.json").read_text()
+    assert "".join(recorded.writes) == text
+    report = json.loads(text)
+    # One marker per poll entry, flow snapshot and sample row.
+    markers = {
+        '"new_clusters": ': len(report["polls"]),
+        '{"10.0.': len(report["run"]["flow_snapshots"]),
+        '"packets_total": ': len(report["run"]["samples"]),
+    }
+    for marker, entries in markers.items():
+        assert entries > TABLE_CHUNK
+        assert sum(w.count(marker) for w in recorded.writes) == entries
+        assert max(w.count(marker) for w in recorded.writes) <= TABLE_CHUNK

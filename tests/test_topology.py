@@ -155,6 +155,14 @@ def test_parse_host_name_roundtrip():
         parse_host_name("c0_0")
 
 
+def test_node_names_are_pinned_per_kind():
+    # Nodes of different kinds share coordinates: the name depends on both.
+    assert [NodeId.core(1, 2).name, NodeId.host(1, 2).name] == ["c1_2", "h2s1"]
+    assert [NodeId.edge(0).name, NodeId.scrubber(0).name] == ["e0", "s200"]
+    assert [NodeId.edge(3).name, NodeId.host(7, 2).name] == ["e3", "h2s7"]
+    assert [str(NodeId.core(1, 2)), str(NodeId.scrubber(1))] == ["c1_2", "s201"]
+
+
 def test_node_names_are_unique():
     topo = build_grid(3, 4, 3)
     names = [n.name for n in topo.nodes]
