@@ -42,6 +42,7 @@ from .telemetry import DeltaRecord, ip_key
 MAX_ITER = 100      # Lloyd iterations per k-means run
 GRID_POINTS = 256   # density grid size
 MIN_WEIGHT = 0.01   # smallest sample fraction a segment keeps on its own
+KDE_BLOCK = 8192    # kernel-matrix elements per density block
 
 
 @dataclass(frozen=True)
@@ -200,11 +201,20 @@ def silverman_bandwidth(values) -> float:
 
 def kernel_density(values, bandwidth: float):
     """Gaussian-kernel density on a uniform grid of ``GRID_POINTS`` points
-    spanning the data +- 3 bw."""
+    spanning the data +- 3 bw.
+
+    The grid-by-data kernel matrix is built ``KDE_BLOCK`` elements (at
+    least one grid row) at a time. Each grid point's density is the same
+    row sum as over the whole matrix at once, bit for bit.
+    """
     data = np.asarray(values, dtype=float)
     grid = np.linspace(data.min() - 3 * bandwidth, data.max() + 3 * bandwidth, GRID_POINTS)
-    z = (grid[:, None] - data[None, :]) / bandwidth
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (len(data) * bandwidth * np.sqrt(2 * np.pi))
+    density = np.empty(GRID_POINTS)
+    rows = max(1, KDE_BLOCK // len(data))
+    for start in range(0, GRID_POINTS, rows):
+        z = (grid[start:start + rows, None] - data[None, :]) / bandwidth
+        density[start:start + rows] = np.exp(-0.5 * z * z).sum(axis=1)
+    density /= len(data) * bandwidth * np.sqrt(2 * np.pi)
     return grid, density
 
 

@@ -2,14 +2,15 @@
 
 A scenario is a flat JSON document (unknown keys are rejected so typos in
 sweep scripts fail loudly). ``run`` executes it and writes two artifacts
-into the output directory: ``stats.csv`` (the raw poll samples) and
-``report.json`` (rule dumps, per-poll analytics, mitigation plan, final
-tallies). Both are byte-stable for a fixed config; its ``seed`` is recorded
-metadata, since the simulation draws no random numbers. The per-poll,
-per-flow deltas and the feature vectors built from them are not stored:
-``telemetry.read_stats_csv`` followed by ``telemetry.delta``, poll by poll,
-rebuilds the deltas from ``stats.csv``, and ``analytics.build_features`` on
-the server edge's deltas rebuilds the features.
+into the output directory: ``stats.csv`` (the raw poll samples, appended
+poll by poll as the run goes) and ``report.json`` (rule dumps, per-poll
+analytics, mitigation plan, final tallies). Both are byte-stable for a
+fixed config; its ``seed`` is recorded metadata, since the simulation draws
+no random numbers. The per-poll, per-flow deltas and the feature vectors
+built from them are not stored: ``telemetry.read_stats_csv`` followed by
+``telemetry.delta``, poll by poll, rebuilds the deltas from ``stats.csv``,
+and ``analytics.build_features`` on the server edge's deltas rebuilds the
+features.
 
 Report records whose serialized form is exactly their dataclass fields
 (config, Gaussian components, verdicts, flow tallies) are written as
@@ -20,9 +21,12 @@ a ``to_dict``. Poll samples are named tuples, written as the dicts that
 ``report.json`` is written from the live run state and never exists in
 memory as a whole. Each section that grows with the run's length, and each
 per-flow or per-rule table, is named as a ``Table`` where the report is
-assembled. ``write_json`` encodes a ``Table`` ``TABLE_CHUNK`` rows per call,
-building the rows of samples, flows and rules from the run state as it
-goes, and anything else in one call.
+assembled. ``write_json`` encodes a ``Table`` ``TABLE_CHUNK`` rows per call
+(poll entries and flow snapshots, whose size follows the network, one per
+call), building the rows of samples, snapshots, flows and rules as it goes,
+and anything else in one call. The run keeps no samples: ``run.samples`` is
+read back from the stats file written during the run, and each flow
+snapshot is a compact array until its row is written.
 
 Exit codes: 0 clean run, 2 configuration problems, 3 internal invariant
 violations.
@@ -40,6 +44,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import TextIO
 
 from . import analytics, mitigation, simnet, telemetry
 from .routing import RuleTable
@@ -277,10 +282,13 @@ def build_scenario(cfg: ScenarioConfig):
 
 
 class ScenarioPipeline:
-    """Per-poll analytics, detection and one-shot mitigation."""
+    """Per-poll analytics, detection and one-shot mitigation. Given a stats
+    file from ``telemetry.open_stats_csv``, each poll's samples are
+    appended to it first."""
 
-    def __init__(self, cfg: ScenarioConfig, topo):
+    def __init__(self, cfg: ScenarioConfig, topo, stats: TextIO | None = None):
         self.cfg = cfg
+        self.stats = stats
         self.server_ip = topo.ip_of[topo.server]
         self.server_edge = topo.edge_of_host(topo.server).name
         self.last_seen: dict[tuple[str, str, str], tuple[int, int]] = {}
@@ -299,6 +307,8 @@ class ScenarioPipeline:
         return radius
 
     def on_poll(self, state, t: float, samples) -> None:
+        if self.stats is not None:
+            telemetry.write_stats_csv(samples, self.stats)
         # Detection looks at the target's own edge switch so the two polled
         # edges of a flow are not double-counted.
         local = [d for d in telemetry.delta(self.last_seen, samples)
@@ -357,12 +367,13 @@ _encode = json.JSONEncoder(check_circular=False).encode
 @dataclass(frozen=True)
 class Table:
     """A JSON list, or with ``keyed`` a JSON object, whose items (or
-    ``(key, value)`` pairs) ``write_json`` draws from ``rows`` one chunk at
-    a time, as it writes them. A generator as ``rows`` is spent by one
+    ``(key, value)`` pairs) ``write_json`` draws from ``rows`` ``chunk``
+    at a time, as it writes them. A generator as ``rows`` is spent by one
     write."""
 
     rows: Iterable
     keyed: bool = False
+    chunk: int = TABLE_CHUNK
 
 
 def _holds_table(value) -> bool:
@@ -375,7 +386,7 @@ def write_json(fh, obj) -> None:
     """Write ``obj`` as ``json.dump(obj, fh)`` does, with the C encoder; a
     ``Table`` is written as the list or dict of its rows.
 
-    A ``Table`` is encoded ``TABLE_CHUNK`` rows per call. A dict that holds
+    A ``Table`` is encoded ``chunk`` rows per call. A dict that holds
     a ``Table`` (as a value, or in a dict among its values) is written key
     by key. Anything else is encoded in one call, so a list that grows with
     the run belongs in a ``Table``.
@@ -384,7 +395,7 @@ def write_json(fh, obj) -> None:
         rows = iter(obj.rows)
         fh.write("{" if obj.keyed else "[")
         separator = ""
-        while chunk := (dict if obj.keyed else list)(itertools.islice(rows, TABLE_CHUNK)):
+        while chunk := (dict if obj.keyed else list)(itertools.islice(rows, obj.chunk)):
             fh.write(separator + _encode(chunk)[1:-1])
             separator = ", "
         fh.write("}" if obj.keyed else "]")
@@ -414,15 +425,28 @@ def _counter_rows(rules: RuleTable) -> Iterator[tuple[str, list[int]]]:
         yield "|".join(map(str, key)), [entries[key].packets, entries[key].bytes]
 
 
-def run_section(record: simnet.RunRecord, rules: RuleTable) -> dict:
-    """report.json's ``run`` section. Each list that grows with the run's
-    length is a ``Table``, and so are the samples, flow tallies and the
-    rule table's final counters, whose rows are built as they are
-    written."""
+def _snapshot_rows(record: simnet.RunRecord) -> Iterator[dict[str, list[int]]]:
+    # Each snapshot as {"src->dst": [packets, bytes]} in (src, dst) order,
+    # over the first len/2 flows of record.flows, whose counts it holds.
+    pairs = list(record.flows)
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)
+    for counts in record.flow_snapshots:
+        known = len(counts) // 2
+        yield {"%s->%s" % pairs[i]: [counts[2 * i], counts[2 * i + 1]]
+               for i in order if i < known}
+
+
+def run_section(record: simnet.RunRecord, rules: RuleTable,
+                samples: Iterable[telemetry.StatSample]) -> dict:
+    """report.json's ``run`` section, with the run's ``samples`` in poll
+    order. Each list that grows with the run's length is a ``Table``, and so
+    are the flow tallies and the rule table's final counters; the rows of
+    samples, flow snapshots (one per encode call), flows and counters are
+    built as they are written."""
     return {
         "poll_times": Table(record.poll_times),
-        "samples": Table(telemetry.sample_rows(record.samples)),
-        "flow_snapshots": Table(record.flow_snapshots),
+        "samples": Table(telemetry.sample_rows(samples)),
+        "flow_snapshots": Table(_snapshot_rows(record), chunk=1),
         "events": Table(record.events),
         "flows": Table(_flow_rows(record.flows), keyed=True),
         "counters": Table(_counter_rows(rules), keyed=True),
@@ -433,10 +457,11 @@ def run_section(record: simnet.RunRecord, rules: RuleTable) -> dict:
 def run_scenario(cfg: ScenarioConfig) -> int:
     """Run one scenario and write stats.csv and report.json.
 
-    Each artifact is written under a temporary name beside it and moved
+    Each artifact is written under a temporary name beside it: stats.csv's
+    rows poll by poll during the run, report.json after it. Both are moved
     into place only once both are complete. If the second move fails, the
     previous stats.csv (hard-linked aside before the first) is moved back,
-    so a failed write leaves the previous artifacts as they were.
+    so a failed run or write leaves the previous artifacts as they were.
     """
     out_dir = Path(cfg.output_dir)
     try:
@@ -445,35 +470,37 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    # Validation rules out every ValueError that the profiles, the tick rule
-    # and the analytics raise on bad values; one that still arrives (with
-    # RoutingError and TopologyError) is a broken invariant.
-    try:
-        topo, rules, profiles, sim_cfg = build_scenario(cfg)
-        pipeline = ScenarioPipeline(cfg, topo)
-        record = simnet.run(topo, rules, profiles, sim_cfg, on_poll=pipeline.on_poll)
-    except (SimulationError, CounterRegressionError, ValueError,
-            mitigation.MitigationError) as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-
-    # Live run state and Tables. One json.dumps of the whole report raised
-    # the in-process peak RSS of a `fabric` run by 3.8 MB (36.0 -> 39.8).
-    report = {
-        "config": vars(cfg),
-        "topology": topo.to_dict(),
-        "polls": Table(pipeline.polls),
-        "mitigation": pipeline.plan.to_dict() if pipeline.plan else None,
-        "mitigation_time": pipeline.mitigation_time,
-        "rules_final": Table(rules.dump()),
-        "run": run_section(record, rules),
-    }
     artifacts = [out_dir / "stats.csv", out_dir / "report.json"]
     temporaries = [path.with_name(path.name + ".tmp") for path in artifacts]
     # The previous stats.csv, kept until the new report.json is in place.
     backup = out_dir / "stats.csv.bak"
     try:
-        telemetry.write_stats_csv(record.samples, temporaries[0])
+        # Validation rules out every ValueError that the profiles, the tick
+        # rule and the analytics raise on bad values; one that still arrives
+        # (with RoutingError and TopologyError) is a broken invariant.
+        try:
+            topo, rules, profiles, sim_cfg = build_scenario(cfg)
+            with telemetry.open_stats_csv(temporaries[0]) as stats:
+                pipeline = ScenarioPipeline(cfg, topo, stats)
+                record = simnet.run(topo, rules, profiles, sim_cfg, on_poll=pipeline.on_poll)
+        except (SimulationError, CounterRegressionError, ValueError,
+                mitigation.MitigationError) as exc:
+            print(f"invariant violation: {exc}", file=sys.stderr)
+            return EXIT_INVARIANT
+
+        # Live run state and Tables. One json.dumps of the whole report
+        # raised the in-process peak RSS of a `fabric` run by 3.8 MB
+        # (36.0 -> 39.8). A poll entry grows with the network, so each is
+        # encoded on its own.
+        report = {
+            "config": vars(cfg),
+            "topology": topo.to_dict(),
+            "polls": Table(pipeline.polls, chunk=1),
+            "mitigation": pipeline.plan.to_dict() if pipeline.plan else None,
+            "mitigation_time": pipeline.mitigation_time,
+            "rules_final": Table(rules.dump()),
+            "run": run_section(record, rules, telemetry.read_stats_csv(temporaries[0])),
+        }
         with open(temporaries[1], "w") as fh:
             write_json(fh, report)
             fh.write("\n")

@@ -71,6 +71,7 @@ constrained links is refreshed once per tick rather than per packet.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -284,14 +285,20 @@ class FlowTally:
 
 @dataclass
 class RunRecord:
-    """What a run produced besides the rule table: the sample timeline,
-    events, flow tallies and link counters. The final rule counters are
+    """What a run produced besides the rule table and the samples: poll
+    times, flow snapshots, events, flow tallies and link counters. The
+    samples go to ``on_poll`` and are not kept. The final rule counters are
     the rule table's own entries; ``cli.run_section`` reads both when it
-    writes the report's ``run`` section."""
+    writes the report's ``run`` section.
 
-    samples: list = field(default_factory=list)
+    ``flow_snapshots`` holds one ``array('q')`` per poll (a list if a count
+    outgrows 64 bits): the delivered packets and bytes of each flow then
+    known, two values per flow, in the insertion order of ``flows`` (flows
+    are only ever added).
+    """
+
     poll_times: list[float] = field(default_factory=list)
-    flow_snapshots: list[dict] = field(default_factory=list)
+    flow_snapshots: list[array | list[int]] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     flows: dict[tuple[str, str], FlowTally] = field(default_factory=dict)
     link_stats: list[dict] = field(default_factory=list)
@@ -532,8 +539,9 @@ def run(
     """Run the full scenario; polls fire every poll_interval ticks.
 
     ``on_poll(state, t, samples)`` runs synchronously at each poll boundary,
-    after the samples for that boundary were recorded; mitigation applied
-    there takes effect from the next tick.
+    with the samples taken there, after the poll time and flow snapshot were
+    recorded; mitigation applied there takes effect from the next tick. The
+    record keeps no samples: ``on_poll`` is their only reader.
     """
     server = topology.server
     if server is None or server not in topology.nodes:
@@ -548,25 +556,18 @@ def run(
             raise SimulationError("the server cannot be an attacker")
 
     state = SimState(topology, rules, profiles, cfg)
-    flows = state.record.flows
-    # Flow snapshots' (key, tally) order. Flows are only ever added, so it
-    # is rebuilt only when the flow count grew.
-    snapshot_order: list[tuple[str, FlowTally]] = []
     for i in range(cfg.steps):
         step(state)
         if (i + 1) % cfg.poll_every == 0:
             t = (i + 1) * cfg.tick
             samples = telemetry.poll(state, t)
-            state.record.samples.extend(samples)
             state.record.poll_times.append(t)
-            if len(snapshot_order) != len(flows):
-                snapshot_order = [
-                    (f"{src}->{dst}", tally) for (src, dst), tally in sorted(flows.items())
-                ]
-            state.record.flow_snapshots.append(
-                {key: [tally.delivered_packets, tally.delivered_bytes]
-                 for key, tally in snapshot_order}
-            )
+            counts = [n for tally in state.record.flows.values()
+                      for n in (tally.delivered_packets, tally.delivered_bytes)]
+            try:
+                state.record.flow_snapshots.append(array("q", counts))
+            except OverflowError:  # a byte count beyond 64 bits
+                state.record.flow_snapshots.append(counts)
             if on_poll is not None:
                 on_poll(state, t, samples)
 

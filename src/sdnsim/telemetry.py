@@ -4,6 +4,10 @@ Only edge switches are polled, and only their per-flow (src+dst match)
 rules; the cumulative totals become per-interval deltas by subtracting the
 last-seen totals per (switch, src, dst). Aggregation by destination folds
 the delta records.
+
+A run keeps no sample history: each poll's samples are appended to the
+stats file as they are taken, and ``read_stats_csv`` draws them back one
+at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import csv
 import functools
 from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from .topology import NodeKind
 
@@ -114,23 +118,28 @@ def sample_rows(samples: Iterable[StatSample]) -> Iterator[dict]:
 CSV_HEADER = ["timestamp", "switch", "src_ip", "dst_ip", "packets_total", "bytes_total"]
 
 
-def write_stats_csv(samples: list[StatSample], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for s in samples:
-            writer.writerow(
-                [str(float(s.timestamp)), s.switch, s.src, s.dst, s.packets_total, s.bytes_total]
-            )
+def open_stats_csv(path: str | Path) -> TextIO:
+    """Create a stats file holding just the header; ``write_stats_csv``
+    appends each poll's rows to it."""
+    fh = open(path, "w", newline="")
+    csv.writer(fh).writerow(CSV_HEADER)
+    return fh
 
 
-def read_stats_csv(path: str | Path) -> list[StatSample]:
+def write_stats_csv(samples: Iterable[StatSample], fh: TextIO) -> None:
+    """Append one poll's samples to a stats file from ``open_stats_csv``."""
+    csv.writer(fh).writerows(
+        [str(float(s.timestamp)), s.switch, s.src, s.dst, s.packets_total, s.bytes_total]
+        for s in samples
+    )
+
+
+def read_stats_csv(path: str | Path) -> Iterator[StatSample]:
+    """The samples of a stats file, one at a time, as they are read."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != CSV_HEADER:
             raise ValueError(f"unexpected stats header: {header}")
-        return [
-            StatSample(float(t), sw, src, dst, int(p), int(b))
-            for t, sw, src, dst, p, b in reader
-        ]
+        for t, sw, src, dst, p, b in reader:
+            yield StatSample(float(t), sw, src, dst, int(p), int(b))

@@ -64,6 +64,20 @@ def destination_tree_ok(topology, rules, dst_ip):
     return True
 
 
+class SampleLog:
+    """An ``on_poll`` that keeps every poll's samples, in poll order, then
+    calls ``then`` if given: a run keeps no samples of its own."""
+
+    def __init__(self, then=None):
+        self.samples = []
+        self.then = then
+
+    def __call__(self, state, t, samples):
+        self.samples.extend(samples)
+        if self.then is not None:
+            self.then(state, t, samples)
+
+
 @pytest.fixture(scope="session")
 def session_start():
     return SESSION_START

@@ -20,7 +20,7 @@ from sdnsim.simnet import run as run_sim
 from sdnsim.telemetry import delta, read_stats_csv
 from sdnsim.topology import build_grid
 
-from conftest import SESSION_START, bfs_distances, destination_tree_ok
+from conftest import SESSION_START, SampleLog, bfs_distances, destination_tree_ok
 from rule_paths import trace_path
 
 
@@ -52,7 +52,7 @@ def reference_attack(tmp_path_factory):
     assert errors == []
     assert run_scenario(cfg) == 0
     report = json.loads((out / "report.json").read_text())
-    samples = read_stats_csv(out / "stats.csv")
+    samples = list(read_stats_csv(out / "stats.csv"))
     return cfg, out, report, samples
 
 
@@ -121,19 +121,20 @@ def test_criterion_3_counter_conservation():
     cfg, errors = validate_config(raw)
     assert errors == []
     topo, rules, profiles, sim_cfg = build_scenario(cfg)
-    record = run_sim(topo, rules, profiles, sim_cfg)
+    log = SampleLog()
+    record = run_sim(topo, rules, profiles, sim_cfg, on_poll=log)
 
     # telescoping: summed deltas equal the final cumulative totals, exactly
     last_seen = {}
     sums = {}
     for t in record.poll_times:
-        for d in delta(last_seen, [s for s in record.samples if s.timestamp == t]):
+        for d in delta(last_seen, [s for s in log.samples if s.timestamp == t]):
             bucket = sums.setdefault((d.switch, d.src, d.dst), [0, 0])
             bucket[0] += d.d_packets
             bucket[1] += d.d_bytes
     finals = {
         (s.switch, s.src, s.dst): (s.packets_total, s.bytes_total)
-        for s in record.samples
+        for s in log.samples
         if s.timestamp == record.poll_times[-1]
     }
     assert {k: tuple(v) for k, v in sums.items()} == finals

@@ -21,7 +21,7 @@ from sdnsim.topology import Link, NodeId, attach_switch, build_grid
 import heap_paths
 import per_packet
 from rule_paths import trace_path
-from conftest import destination_tree_ok
+from conftest import SampleLog, destination_tree_ok
 from test_cli import POLL_KEYS, small_raw
 from test_simnet import run_json
 
@@ -59,6 +59,16 @@ def cli_scenarios(draw):
     }
 
 
+def snapshots(record):
+    """Each poll's flow snapshot as {"src->dst": (packets, bytes)}. A
+    snapshot holds two counts for each of the first flows of
+    ``record.flows``, in their insertion order."""
+    pairs = list(record.flows)
+    return [{f"{src}->{dst}": (counts[2 * i], counts[2 * i + 1])
+             for i, (src, dst) in enumerate(pairs[:len(counts) // 2])}
+            for counts in record.flow_snapshots]
+
+
 def build(doc):
     cfg, errors = validate_config(doc)
     assert errors == []
@@ -66,10 +76,11 @@ def build(doc):
     return topo, rules, profiles, sim_cfg, ScenarioPipeline(cfg, topo)
 
 
-def outcome(engine_run, topo, rules, *args, **kwargs):
+def outcome(engine_run, topo, rules, *args, on_poll=None, **kwargs):
     """The run's report section, or the error it ended with."""
+    log = SampleLog(on_poll)
     try:
-        return run_json(engine_run(topo, rules, *args, **kwargs), rules)
+        return run_json(engine_run(topo, rules, *args, on_poll=log, **kwargs), rules, log.samples)
     except Exception as exc:  # both engines must fail alike
         return type(exc).__name__, str(exc)
 
@@ -264,7 +275,9 @@ def test_two_way_link_sends_packets_one_at_a_time():
             attacker: TrafficProfile(TrafficKind.ATTACKER, 1000.0, 1000, 1000),
         }
         cfg = SimConfig(duration=10.0, poll_interval=5.0, attack_start=0.0)
-        records.append(run_json(engine_run(topo, rules, profiles, cfg), rules))
+        log = SampleLog()
+        records.append(run_json(engine_run(topo, rules, profiles, cfg, on_poll=log), rules,
+                                log.samples))
     assert records[0] == records[1]
     a_ip, s_ip = topo.ip_of[attacker], topo.ip_of[server]
     flows = json.loads(records[0])["flows"]
@@ -381,11 +394,12 @@ def test_random_grids_keep_one_tree_per_destination_and_legit_paths(doc):
 @given(doc=cli_scenarios())
 def test_random_grids_poll_monotone_counters_whose_deltas_telescope(doc):
     topo, rules, profiles, sim_cfg, pipeline = build(doc)
-    record = simnet.run(topo, rules, profiles, sim_cfg, on_poll=pipeline.on_poll)
+    log = SampleLog(pipeline.on_poll)
+    record = simnet.run(topo, rules, profiles, sim_cfg, on_poll=log)
 
     # Samples arrive poll by poll; no flow's totals ever go down.
     totals = {}
-    for sample in record.samples:
+    for sample in log.samples:
         key = (sample.switch, sample.src, sample.dst)
         packets, size = totals.get(key, (0, 0))
         assert sample.packets_total >= packets and sample.bytes_total >= size
@@ -396,7 +410,7 @@ def test_random_grids_poll_monotone_counters_whose_deltas_telescope(doc):
     last_seen = {}
     summed = {}
     for t in record.poll_times:
-        for d in delta(last_seen, [s for s in record.samples if s.timestamp == t]):
+        for d in delta(last_seen, [s for s in log.samples if s.timestamp == t]):
             packets, size = summed.get((d.switch, d.src, d.dst), (0, 0))
             summed[(d.switch, d.src, d.dst)] = (packets + d.d_packets, size + d.d_bytes)
     assert summed == totals
@@ -435,7 +449,7 @@ def test_random_grids_cap_scrubbed_flows_after_mitigation(doc):
     # {"src->dst": bytes}; the scrubbed requests all share the throttled link.
     t0 = pipeline.mitigation_time
     delivered = {t: {flow: n for flow, (_, n) in snapshot.items()}
-                 for t, snapshot in zip(record.poll_times, record.flow_snapshots)}
+                 for t, snapshot in zip(record.poll_times, snapshots(record))}
     delivered[sim_cfg.duration] = {f"{src}->{dst}": tally.delivered_bytes
                                    for (src, dst), tally in record.flows.items()}
     scrubbed = [f"{src}->{pipeline.plan.target}" for src in pipeline.plan.suspicious_sources]

@@ -20,6 +20,7 @@ from sdnsim.simnet import (
 )
 from sdnsim.topology import Link, NodeId, attach_switch, build_grid
 
+from conftest import SampleLog
 from rule_paths import trace_path
 
 
@@ -87,8 +88,15 @@ def test_fractional_rate_dithers_deterministically():
 
 def test_zero_rate_client_creates_nothing():
     topo, rules, profiles, cfg, server, client = simple_scenario(rate=0.0)
-    record = run(topo, rules, profiles, cfg)
+    log = SampleLog()
+    record = run(topo, rules, profiles, cfg, on_poll=log)
     assert record.flows == {}
+    assert log.samples == []
+    # Every poll still records a snapshot, of no flow.
+    assert len(record.poll_times) == 2
+    assert [list(snapshot) for snapshot in record.flow_snapshots] == [[], []]
+    assert run_json(record, rules, log.samples).startswith(
+        '{"poll_times": [5.0, 10.0], "samples": [], "flow_snapshots": [{}, {}], ')
     assert list(rules.dump()) == []
     assert not [e for e in record.events if e["event"] == "packet_in"]
 
@@ -109,16 +117,19 @@ def test_run_polls_every_five_seconds():
 
 def test_zero_duration_produces_empty_record():
     topo, rules, profiles, cfg, server, client = simple_scenario(duration=0.0)
-    record = run(topo, rules, profiles, cfg)
+    log = SampleLog()
+    record = run(topo, rules, profiles, cfg, on_poll=log)
     assert record.poll_times == []
-    assert record.samples == []
+    assert log.samples == []
+    assert record.flow_snapshots == []
     assert record.events == []
 
 
-def run_json(record, rules) -> str:
-    """The report's ``run`` section for a run, as report.json holds it."""
+def run_json(record, rules, samples) -> str:
+    """The report's ``run`` section for a run and the samples its polls
+    took, as report.json holds it."""
     fh = io.StringIO()
-    write_json(fh, run_section(record, rules))
+    write_json(fh, run_section(record, rules, samples))
     return fh.getvalue()
 
 
@@ -126,7 +137,8 @@ def test_identical_runs_serialize_identically():
     records = []
     for _ in range(2):
         topo, rules, profiles, cfg, _, _ = simple_scenario(duration=20.0)
-        records.append(run_json(run(topo, rules, profiles, cfg), rules))
+        log = SampleLog()
+        records.append(run_json(run(topo, rules, profiles, cfg, on_poll=log), rules, log.samples))
     assert records[0] == records[1]
 
 
@@ -217,7 +229,8 @@ def test_throttled_run_is_deterministic():
     outputs = []
     for _ in range(2):
         topo, rules, profiles, cfg, _ = throttled_scenario()
-        outputs.append(run_json(run(topo, rules, profiles, cfg), rules))
+        log = SampleLog()
+        outputs.append(run_json(run(topo, rules, profiles, cfg, on_poll=log), rules, log.samples))
     assert outputs[0] == outputs[1]
 
 

@@ -10,12 +10,15 @@ from sdnsim.telemetry import (
     StatSample,
     aggregate_by_destination,
     delta,
+    open_stats_csv,
     poll,
     read_stats_csv,
     sample_rows,
     write_stats_csv,
 )
 from sdnsim.topology import NodeId, build_grid
+
+from conftest import SampleLog
 
 
 class FakeState:
@@ -67,14 +70,15 @@ def run_simple_scenario(duration=20.0):
         client: TrafficProfile(TrafficKind.LEGIT, 3.0, 200, 1000),
     }
     cfg = SimConfig(duration=duration, poll_interval=5.0, attack_start=0.0)
-    record = run(topo, RuleTable(), profiles, cfg)
-    return record
+    log = SampleLog()
+    record = run(topo, RuleTable(), profiles, cfg, on_poll=log)
+    return record, log.samples
 
 
 def test_totals_are_monotone_across_polls():
-    record = run_simple_scenario()
+    _, samples = run_simple_scenario()
     seen: dict[tuple, tuple] = {}
-    for sample in record.samples:
+    for sample in samples:
         key = (sample.switch, sample.src, sample.dst)
         last = seen.get(key, (0, 0))
         assert (sample.packets_total, sample.bytes_total) >= last
@@ -113,31 +117,31 @@ def test_counter_regression_is_a_hard_error():
 
 
 def test_deltas_telescope_to_final_totals():
-    record = run_simple_scenario()
+    record, samples = run_simple_scenario()
     last_seen = {}
     sums: dict[tuple, list[int]] = {}
     for t in record.poll_times:
-        batch = [s for s in record.samples if s.timestamp == t]
+        batch = [s for s in samples if s.timestamp == t]
         for d in delta(last_seen, batch):
             bucket = sums.setdefault((d.switch, d.src, d.dst), [0, 0])
             bucket[0] += d.d_packets
             bucket[1] += d.d_bytes
     finals = {
         (s.switch, s.src, s.dst): (s.packets_total, s.bytes_total)
-        for s in record.samples
+        for s in samples
         if s.timestamp == record.poll_times[-1]
     }
     assert {k: tuple(v) for k, v in sums.items()} == finals
 
 
 def test_replaying_the_sample_log_reproduces_deltas():
-    record = run_simple_scenario()
+    record, samples = run_simple_scenario()
 
     def replay():
         last_seen = {}
         out = []
         for t in record.poll_times:
-            out.extend(delta(last_seen, [s for s in record.samples if s.timestamp == t]))
+            out.extend(delta(last_seen, [s for s in samples if s.timestamp == t]))
         return out
 
     assert replay() == replay()
@@ -184,9 +188,34 @@ def test_aggregate_matches_nested_loop_oracle():
 
 
 def test_csv_round_trip(tmp_path):
-    record = run_simple_scenario()
+    record, samples = run_simple_scenario()
+    assert samples
     path = tmp_path / "stats.csv"
-    write_stats_csv(record.samples, path)
+    with open_stats_csv(path) as fh:
+        # Appended poll by poll, as a run writes them.
+        for t in record.poll_times:
+            write_stats_csv([s for s in samples if s.timestamp == t], fh)
     header = path.read_text().splitlines()[0]
     assert header == "timestamp,switch,src_ip,dst_ip,packets_total,bytes_total"
-    assert read_stats_csv(path) == record.samples
+    assert list(read_stats_csv(path)) == samples
+
+
+def test_stats_file_is_read_one_sample_at_a_time(tmp_path):
+    path = tmp_path / "stats.csv"
+    with open_stats_csv(path):
+        pass
+    assert path.read_bytes() == b"timestamp,switch,src_ip,dst_ip,packets_total,bytes_total\r\n"
+    assert list(read_stats_csv(path)) == []
+    sample = StatSample(5.0, "e0", "10.0.1.0", "10.0.0.0", 100, 20_000)
+    with open(path, "a", newline="") as fh:
+        write_stats_csv([sample], fh)
+    samples = read_stats_csv(path)
+    assert next(samples) == sample
+    assert list(samples) == []
+
+
+def test_bad_stats_header_is_rejected(tmp_path):
+    path = tmp_path / "stats.csv"
+    path.write_text("t,switch\n")
+    with pytest.raises(ValueError, match="unexpected stats header"):
+        next(read_stats_csv(path))
