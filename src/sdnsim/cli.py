@@ -44,7 +44,6 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import TextIO
 
 from . import analytics, mitigation, simnet, telemetry
 from .routing import RuleTable
@@ -282,13 +281,10 @@ def build_scenario(cfg: ScenarioConfig):
 
 
 class ScenarioPipeline:
-    """Per-poll analytics, detection and one-shot mitigation. Given a stats
-    file from ``telemetry.open_stats_csv``, each poll's samples are
-    appended to it first."""
+    """Per-poll analytics, detection and one-shot mitigation."""
 
-    def __init__(self, cfg: ScenarioConfig, topo, stats: TextIO | None = None):
+    def __init__(self, cfg: ScenarioConfig, topo):
         self.cfg = cfg
-        self.stats = stats
         self.server_ip = topo.ip_of[topo.server]
         self.server_edge = topo.edge_of_host(topo.server).name
         self.last_seen: dict[tuple[str, str, str], tuple[int, int]] = {}
@@ -307,8 +303,6 @@ class ScenarioPipeline:
         return radius
 
     def on_poll(self, state, t: float, samples) -> None:
-        if self.stats is not None:
-            telemetry.write_stats_csv(samples, self.stats)
         # Detection looks at the target's own edge switch so the two polled
         # edges of a flow are not double-counted.
         local = [d for d in telemetry.delta(self.last_seen, samples)
@@ -480,9 +474,14 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         # (with RoutingError and TopologyError) is a broken invariant.
         try:
             topo, rules, profiles, sim_cfg = build_scenario(cfg)
+            pipeline = ScenarioPipeline(cfg, topo)
             with telemetry.open_stats_csv(temporaries[0]) as stats:
-                pipeline = ScenarioPipeline(cfg, topo, stats)
-                record = simnet.run(topo, rules, profiles, sim_cfg, on_poll=pipeline.on_poll)
+                def on_poll(state, t: float, samples) -> None:
+                    # Each poll's rows go to the stats file as they are taken.
+                    telemetry.write_stats_csv(samples, stats)
+                    pipeline.on_poll(state, t, samples)
+
+                record = simnet.run(topo, rules, profiles, sim_cfg, on_poll=on_poll)
         except (SimulationError, CounterRegressionError, ValueError,
                 mitigation.MitigationError) as exc:
             print(f"invariant violation: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdnsim import analytics, cli, simnet
+from sdnsim import analytics, cli, simnet, telemetry
 from sdnsim.analytics import FeatureVector, build_features, decompose_gaussian_1d, kmeans
 from sdnsim.cli import (
     DEFAULTS,
@@ -454,18 +454,24 @@ def test_invariant_violation_mid_run_leaves_no_partial_artifact(tmp_path, monkey
         assert run_document(small_raw(seed=2), out)[0] == EXIT_OK
     before = {p.name: p.read_bytes() for p in out.iterdir()} if previous else {}
     on_poll = cli.ScenarioPipeline.on_poll
+    write_stats_csv = telemetry.write_stats_csv
     polled = []
+
+    def write_and_flush(samples, fh):
+        write_stats_csv(samples, fh)
+        fh.flush()
 
     def broken_at_the_second_poll(pipeline, state, t, samples):
         if polled:
-            # The first poll's rows went to the stats file as they were taken.
-            pipeline.stats.flush()
+            # Each poll's rows went to the stats file as they were taken,
+            # before the analytics saw them.
             rows = (out / "stats.csv.tmp").read_text().splitlines()
-            assert len(rows) == 1 + len(polled[0])
+            assert len(rows) == 1 + len(polled[0]) + len(samples)
             raise SimulationError("broken at the second poll")
         polled.append(samples)
         on_poll(pipeline, state, t, samples)
 
+    monkeypatch.setattr(telemetry, "write_stats_csv", write_and_flush)
     monkeypatch.setattr(cli.ScenarioPipeline, "on_poll", broken_at_the_second_poll)
     code, err = run_document(small_raw(duration=60.0), out)
     assert code == EXIT_INVARIANT
