@@ -100,18 +100,6 @@ class Clustering:
     stds: list[tuple[float, float, float, float]]
     wcss_history: list[float] = field(default_factory=list)
 
-    def sizes(self) -> list[int]:
-        return [len(m) for m in self.members]
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "centroids": [list(c) for c in self.centroids],
-            "stds": [list(s) for s in self.stds],
-            "sizes": self.sizes(),
-            "members": self.members,
-        }
-
 
 def kmeans(features: list[FeatureVector], k: int) -> Clustering:
     """Cluster feature vectors into at most k groups, in at most

@@ -12,11 +12,11 @@ built from them are not stored: ``telemetry.read_stats_csv`` followed by
 and ``analytics.build_features`` on the server edge's deltas rebuilds the
 features.
 
-Report records whose serialized form is exactly their dataclass fields
-(config, Gaussian components, verdicts, flow tallies) are written as
-``vars(record)``; classes whose report form differs from their fields keep
-a ``to_dict``. Poll samples are named tuples, written as the dicts that
-``telemetry.sample_rows`` builds.
+This module alone knows the report's format. Config, Gaussian components,
+verdicts and flow tallies are written as ``vars(record)`` and events as
+they were logged; every other row is built from the live object by one
+``*_row`` or ``*_rows`` function here as it is written, and the classes
+they read carry no report form of their own.
 
 ``report.json`` is written from the live run state and never exists in
 memory as a whole. Each section that grows with the run's length, and each
@@ -45,8 +45,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-from . import analytics, mitigation, simnet, telemetry
-from .routing import RuleTable
+from . import analytics, mitigation, simnet, telemetry, topology
+from .routing import FlowRule, RuleTable
 from .simnet import SimConfig, SimulationError, TrafficKind, TrafficProfile, legit_rate, tick_errors
 from .telemetry import CounterRegressionError
 from .topology import MAX_HOSTS_PER_EDGE, NodeId, TopologyError, build_grid, parse_host_name
@@ -324,7 +324,7 @@ class ScenarioPipeline:
             "new_clusters": analytics.compare_clusterings(
                 self.prev_clustering, clustering, self.match_radius()
             ) if clustering is not None and self.prev_clustering is not None else None,
-            "clustering": clustering.to_dict() if clustering is not None else None,
+            "clustering": clustering_row(clustering) if clustering is not None else None,
             "detection": vars(report) if report is not None else None,
         })
         if clustering is not None:
@@ -343,7 +343,8 @@ class ScenarioPipeline:
         )
         if not report.suspicious_sources:
             return
-        self.plan = mitigation.plan_scrubber(report, state.topology, state.rules)
+        self.plan = mitigation.plan_scrubber(
+            report.target, report.suspicious_sources, state.topology, state.rules)
         mitigation.apply(self.plan, state.topology, state.rules)
         self.mitigation_time = t
         state.record.events.append(
@@ -405,6 +406,81 @@ def write_json(fh, obj) -> None:
         fh.write(_encode(obj))
 
 
+def link_row(link: topology.Link) -> dict:
+    """A link's fields, with node ids replaced by their names."""
+    return {**vars(link), "a": link.a.name, "b": link.b.name}
+
+
+def topology_row(topo: topology.Topology) -> dict:
+    """The nodes in canonical order, the links in the order they were
+    added, and the roles."""
+    return {
+        "nodes": [{"name": n.name, "kind": n.kind.name.lower()} for n in sorted(topo.nodes)],
+        "links": [link_row(link) for link in topo.links],
+        "roles": {
+            "server": topo.server.name if topo.server else None,
+            "attackers": sorted(a.name for a in topo.attackers),
+            "addresses": {n.name: topo.ip_of[n] for n in sorted(topo.ip_of)},
+        },
+    }
+
+
+def rule_row(rule: FlowRule) -> dict:
+    return {"switch": rule.switch.name, "match_src": rule.match_src,
+            "match_dst": rule.match_dst, "in_port": rule.in_port,
+            "out_port": rule.out_port, "priority": rule.priority}
+
+
+def rule_rows(rules: RuleTable) -> Iterator[dict]:
+    """Rule lines with their counters, sorted by (switch, priority desc,
+    install order). Each line is built as it is drawn, from the table as it
+    stands when the first is drawn."""
+    entries = rules.all_entries()
+    entries.sort(key=lambda e: (e.rule.switch, -e.rule.priority, e.seq))
+    for e in entries:
+        yield dict(rule_row(e.rule), packets=e.packets, bytes=e.bytes)
+
+
+def plan_row(plan: mitigation.MitigationPlan) -> dict:
+    return {
+        "scrubber": plan.scrubber.name,
+        "attach_to": plan.attach_to.name,
+        "links": [link_row(link) for link in plan.links],
+        "rule_edits": [{"op": edit.op, **rule_row(edit.rule)} for edit in plan.rule_edits],
+        "target": plan.target,
+        "suspicious_sources": plan.suspicious_sources,
+    }
+
+
+def clustering_row(clustering: analytics.Clustering) -> dict:
+    return {
+        "k": clustering.k,
+        "centroids": [list(c) for c in clustering.centroids],
+        "stds": [list(s) for s in clustering.stds],
+        "sizes": [len(m) for m in clustering.members],
+        "members": clustering.members,
+    }
+
+
+def link_state_row(ls: simnet.LinkState) -> dict:
+    """A throttled link's cumulative counters and its queue at the end."""
+    link = ls.link
+    return {
+        "link": f"{link.a.name}:{link.a_port}-{link.b.name}:{link.b_port}",
+        "entered_packets": ls.entered_packets, "entered_bytes": ls.entered_bytes,
+        "passed_packets": ls.passed_packets, "passed_bytes": ls.passed_bytes,
+        "dropped_packets": ls.dropped_packets, "dropped_bytes": ls.dropped_bytes,
+        "queued_packets": len(ls.queue),
+    }
+
+
+def sample_rows(samples: Iterable[telemetry.StatSample]) -> Iterator[dict]:
+    """Each sample as a dict of its fields, built as it is drawn."""
+    for t, switch, src, dst, packets, bytes_ in samples:
+        yield {"timestamp": t, "switch": switch, "src": src, "dst": dst,
+               "packets_total": packets, "bytes_total": bytes_}
+
+
 def _flow_rows(flows: dict[tuple[str, str], simnet.FlowTally]) -> Iterator[tuple[str, dict]]:
     for src, dst in sorted(flows, key=lambda pair: (telemetry.ip_key(pair[0]),
                                                      telemetry.ip_key(pair[1]))):
@@ -439,12 +515,12 @@ def run_section(record: simnet.RunRecord, rules: RuleTable,
     built as they are written."""
     return {
         "poll_times": Table(record.poll_times),
-        "samples": Table(telemetry.sample_rows(samples)),
+        "samples": Table(sample_rows(samples)),
         "flow_snapshots": Table(_snapshot_rows(record), chunk=1),
         "events": Table(record.events),
         "flows": Table(_flow_rows(record.flows), keyed=True),
         "counters": Table(_counter_rows(rules), keyed=True),
-        "links": record.link_stats,
+        "links": [link_state_row(ls) for ls in record.link_states],
     }
 
 
@@ -453,9 +529,10 @@ def run_scenario(cfg: ScenarioConfig) -> int:
 
     Each artifact is written under a temporary name beside it: stats.csv's
     rows poll by poll during the run, report.json after it. Both are moved
-    into place only once both are complete. If the second move fails, the
-    previous stats.csv (hard-linked aside before the first) is moved back,
-    so a failed run or write leaves the previous artifacts as they were.
+    into place only once both are complete. If either move fails, the
+    previous stats.csv (moved aside to stats.csv.bak before the first) is
+    moved back, so a failed run or write leaves the previous artifacts as
+    they were.
     """
     out_dir = Path(cfg.output_dir)
     try:
@@ -493,28 +570,30 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         # encoded on its own.
         report = {
             "config": vars(cfg),
-            "topology": topo.to_dict(),
+            "topology": topology_row(topo),
             "polls": Table(pipeline.polls, chunk=1),
-            "mitigation": pipeline.plan.to_dict() if pipeline.plan else None,
+            "mitigation": plan_row(pipeline.plan) if pipeline.plan else None,
             "mitigation_time": pipeline.mitigation_time,
-            "rules_final": Table(rules.dump()),
+            "rules_final": Table(rule_rows(rules)),
             "run": run_section(record, rules, telemetry.read_stats_csv(temporaries[0])),
         }
         with open(temporaries[1], "w") as fh:
             write_json(fh, report)
             fh.write("\n")
         backup.unlink(missing_ok=True)
-        with contextlib.suppress(FileNotFoundError):
-            os.link(artifacts[0], backup)
-        os.replace(temporaries[0], artifacts[0])
+        # Anything but a file in stats.csv's place stays, failing the move.
+        if artifacts[0].is_file():
+            os.replace(artifacts[0], backup)
         try:
+            os.replace(temporaries[0], artifacts[0])
             os.replace(temporaries[1], artifacts[1])
-        except OSError:
+        except BaseException:
             # Two moves are not one atomic swap: put the previous stats.csv
-            # back, or take the new one away, so the previous pair stands.
+            # back, or take a new one away, so the previous pair stands,
+            # also when the run is interrupted between them.
             if backup.exists():
                 os.replace(backup, artifacts[0])
-            else:
+            elif artifacts[0].is_file():
                 artifacts[0].unlink()
             raise
     except OSError as exc:

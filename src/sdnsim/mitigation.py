@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analytics import DetectionReport
 from .routing import BASE_PRIORITY, FlowRule, RuleTable
 from .telemetry import ip_key
 from .topology import (
@@ -45,9 +44,6 @@ class RuleEdit:
     op: str  # "delete" | "add"
     rule: FlowRule
 
-    def to_dict(self) -> dict:
-        return {"op": self.op, **self.rule.dump()}
-
 
 @dataclass
 class MitigationPlan:
@@ -58,24 +54,12 @@ class MitigationPlan:
     target: str
     suspicious_sources: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "scrubber": self.scrubber.name,
-            "attach_to": self.attach_to.name,
-            "links": [link.to_dict() for link in self.links],
-            "rule_edits": [e.to_dict() for e in self.rule_edits],
-            "target": self.target,
-            "suspicious_sources": self.suspicious_sources,
-        }
-
 
 def plan_scrubber(
-    report: DetectionReport, topology: Topology, rules: RuleTable
+    target: str, suspicious_sources: list[str], topology: Topology, rules: RuleTable
 ) -> MitigationPlan:
-    """Plan the detour for every suspicious flow of an attack verdict."""
-    if not report.attack:
-        raise MitigationError("mitigation requires an attack verdict")
-    if not report.suspicious_sources:
+    """Plan the detour toward ``target`` for every suspicious source's flow."""
+    if not suspicious_sources:
         raise MitigationError("no suspicious sources to mitigate")
 
     serial = len(topology.scrubbers())
@@ -83,9 +67,9 @@ def plan_scrubber(
         raise MitigationError("scrubber serial numbers exhausted")
     scrubber = NodeId.scrubber(serial)
 
-    server_host = topology.host_of_ip.get(report.target)
+    server_host = topology.host_of_ip.get(target)
     if server_host is None:
-        raise MitigationError(f"unknown target {report.target}")
+        raise MitigationError(f"unknown target {target}")
     edge = topology.edge_of_host(server_host)
     used = topology.used_ports(edge)
     if SCRUBBER_OUT_PORT in used or SCRUBBER_RETURN_PORT in used:
@@ -105,17 +89,17 @@ def plan_scrubber(
 
     server_port = topology.port_toward(edge, server_host)
     edits: list[RuleEdit] = []
-    for src in sorted(report.suspicious_sources, key=ip_key):
-        existing = rules.find(edge, src, report.target, BASE_PRIORITY)
+    for src in sorted(suspicious_sources, key=ip_key):
+        existing = rules.find(edge, src, target, BASE_PRIORITY)
         if existing is None:
             raise MitigationError(
-                f"no rule for suspicious flow {src}->{report.target} on {edge}"
+                f"no rule for suspicious flow {src}->{target} on {edge}"
             )
         edits.append(RuleEdit("delete", existing.rule))
         edits.append(
             RuleEdit(
                 "add",
-                FlowRule(edge, src, report.target, SCRUBBER_OUT_PORT, REDIRECT_PRIORITY),
+                FlowRule(edge, src, target, SCRUBBER_OUT_PORT, REDIRECT_PRIORITY),
             )
         )
         if len(edits) == 2:
@@ -127,7 +111,7 @@ def plan_scrubber(
                     FlowRule(
                         edge,
                         None,
-                        report.target,
+                        target,
                         server_port,
                         RETURN_PRIORITY,
                         in_port=SCRUBBER_RETURN_PORT,
@@ -138,7 +122,7 @@ def plan_scrubber(
             RuleEdit(
                 "add",
                 FlowRule(
-                    scrubber, src, report.target, SCRUBBER_RETURN_PORT, LOOP_PRIORITY
+                    scrubber, src, target, SCRUBBER_RETURN_PORT, LOOP_PRIORITY
                 ),
             )
         )
@@ -148,8 +132,8 @@ def plan_scrubber(
         edge,
         links,
         edits,
-        report.target,
-        sorted(report.suspicious_sources, key=ip_key),
+        target,
+        sorted(suspicious_sources, key=ip_key),
     )
 
 
@@ -164,10 +148,10 @@ def apply(plan: MitigationPlan, topology: Topology, rules: RuleTable) -> None:
         r = edit.rule
         ident = (r.switch, r.match_src, r.match_dst, r.priority)
         exists = pending.get(ident, rules.find(*ident) is not None)
-        if edit.op == "delete" and not exists:
-            raise MitigationError(f"cannot delete missing rule {r.dump()}")
-        if edit.op == "add" and exists:
-            raise MitigationError(f"cannot add duplicate rule {r.dump()}")
+        if exists == (edit.op == "add"):
+            problem = "duplicate" if exists else "missing"
+            raise MitigationError(f"cannot {edit.op} {problem} rule ({r.match_src}, "
+                                  f"{r.match_dst}, prio {r.priority}) on {r.switch}")
         pending[ident] = edit.op == "add"
 
     try:

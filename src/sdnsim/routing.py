@@ -50,16 +50,6 @@ class FlowRule:
     priority: int
     in_port: int | None = None
 
-    def dump(self) -> dict:
-        return {
-            "switch": self.switch.name,
-            "match_src": self.match_src,
-            "match_dst": self.match_dst,
-            "in_port": self.in_port,
-            "out_port": self.out_port,
-            "priority": self.priority,
-        }
-
 
 @dataclass
 class RuleEntry:
@@ -93,7 +83,8 @@ class RuleTable:
 
     def install(self, rule: FlowRule) -> RuleEntry:
         if self.find(rule.switch, rule.match_src, rule.match_dst, rule.priority):
-            raise RoutingError(f"duplicate rule on {rule.switch}: {rule.dump()}")
+            raise RoutingError(f"duplicate rule ({rule.match_src}, {rule.match_dst}, "
+                               f"prio {rule.priority}) on {rule.switch}")
         entry = RuleEntry(rule, self._next_seq)
         self._next_seq += 1
         self.versions[rule.match_dst, rule.match_src] += 1
@@ -150,15 +141,6 @@ class RuleTable:
     def all_entries(self) -> list[RuleEntry]:
         """Every installed entry, in no promised order."""
         return [entry for bucket in self._index.values() for entry in bucket]
-
-    def dump(self) -> Iterator[dict]:
-        """Rule lines with their counters, sorted by (switch, priority desc,
-        install order). Each line is built as it is drawn, from the table
-        as it stands when the first is drawn."""
-        entries = self.all_entries()
-        entries.sort(key=lambda e: (e.rule.switch, -e.rule.priority, e.seq))
-        for e in entries:
-            yield dict(e.rule.dump(), packets=e.packets, bytes=e.bytes)
 
 
 def walk_rules(

@@ -258,18 +258,6 @@ class LinkState:
         tally.dropped_bytes += dropped * size
         return count - rest
 
-    def to_dict(self) -> dict:
-        return {
-            "link": f"{self.link.a.name}:{self.link.a_port}-{self.link.b.name}:{self.link.b_port}",
-            "entered_packets": self.entered_packets,
-            "entered_bytes": self.entered_bytes,
-            "passed_packets": self.passed_packets,
-            "passed_bytes": self.passed_bytes,
-            "dropped_packets": self.dropped_packets,
-            "dropped_bytes": self.dropped_bytes,
-            "queued_packets": len(self.queue),
-        }
-
 
 @dataclass
 class FlowTally:
@@ -286,10 +274,10 @@ class FlowTally:
 @dataclass
 class RunRecord:
     """What a run produced besides the rule table and the samples: poll
-    times, flow snapshots, events, flow tallies and link counters. The
-    samples go to ``on_poll`` and are not kept. The final rule counters are
-    the rule table's own entries; ``cli.run_section`` reads both when it
-    writes the report's ``run`` section.
+    times, flow snapshots, events, flow tallies and the engine's own
+    ``LinkState`` of each throttled link, ordered by its first endpoint and
+    port. The samples go to ``on_poll`` and are not kept. Nothing here is a
+    copy made for the report: ``cli.run_section`` formats it as it writes.
 
     ``flow_snapshots`` holds one ``array('q')`` per poll (a list if a count
     outgrows 64 bits): the delivered packets and bytes of each flow then
@@ -301,7 +289,7 @@ class RunRecord:
     flow_snapshots: list[array | list[int]] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     flows: dict[tuple[str, str], FlowTally] = field(default_factory=dict)
-    link_stats: list[dict] = field(default_factory=list)
+    link_states: list[LinkState] = field(default_factory=list)
 
     def tally(self, key: FlowKey) -> FlowTally:
         pair = (key.src, key.dst)
@@ -571,8 +559,6 @@ def run(
             if on_poll is not None:
                 on_poll(state, t, samples)
 
-    state.record.link_stats = [
-        state.link_states[link].to_dict()
-        for link in sorted(state.link_states, key=lambda l: (l.a, l.a_port))
-    ]
+    state.record.link_states = sorted(
+        state.link_states.values(), key=lambda ls: (ls.link.a, ls.link.a_port))
     return state.record

@@ -107,14 +107,6 @@ def aggregate_by_destination(deltas: list[DeltaRecord]) -> dict[str, tuple[int, 
     return {dst: (sums[dst][0], sums[dst][1]) for dst in sorted(sums, key=ip_key)}
 
 
-def sample_rows(samples: Iterable[StatSample]) -> Iterator[dict]:
-    """Each sample as a dict of its fields, built as it is drawn: the rows
-    of report.json's ``run.samples``."""
-    for t, switch, src, dst, packets, bytes_ in samples:
-        yield {"timestamp": t, "switch": switch, "src": src, "dst": dst,
-               "packets_total": packets, "bytes_total": bytes_}
-
-
 CSV_HEADER = ["timestamp", "switch", "src_ip", "dst_ip", "packets_total", "bytes_total"]
 
 

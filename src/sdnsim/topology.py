@@ -143,10 +143,6 @@ class Link:
     def endpoints(self) -> tuple[tuple[NodeId, int], tuple[NodeId, int]]:
         return (self.a, self.a_port), (self.b, self.b_port)
 
-    def to_dict(self) -> dict:
-        """The fields, with node ids replaced by their names."""
-        return {**vars(self), "a": self.a.name, "b": self.b.name}
-
 
 @dataclass
 class Topology:
@@ -270,23 +266,6 @@ class Topology:
     def edge_of_host(self, host: NodeId) -> NodeId:
         edge, _ = self.peer(host, HOST_PORT)
         return edge
-
-    def to_dict(self) -> dict:
-        """Stable serializable form (nodes, links, roles) for reports."""
-        return {
-            "nodes": [
-                {"name": n.name, "kind": n.kind.name.lower()}
-                for n in sorted(self.nodes)
-            ],
-            "links": [link.to_dict() for link in self.links],
-            "roles": {
-                "server": self.server.name if self.server else None,
-                "attackers": sorted(a.name for a in self.attackers),
-                "addresses": {
-                    n.name: self.ip_of[n] for n in sorted(self.ip_of)
-                },
-            },
-        }
 
 
 def perimeter_positions(n: int, m: int) -> list[tuple[int, int]]:

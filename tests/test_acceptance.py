@@ -256,12 +256,7 @@ def test_criterion_7_mitigation_effectiveness(reference_attack, reference_contro
     # no forwarding loops: every flow's path walk terminates at a host
     topo, rules, profiles, sim_cfg = build_scenario(cfg)
     from sdnsim import mitigation as mit
-    from sdnsim.analytics import DetectionReport
 
-    verdict = DetectionReport(
-        server_ip, 1e9, cfg.threshold, True,
-        suspicious_sources=sorted(scrubbed),
-    )
     for src in sorted(scrubbed):
         handle_packet_in(rules, topo, FlowKey(src, server_ip))
     legit_ips = [
@@ -271,7 +266,7 @@ def test_criterion_7_mitigation_effectiveness(reference_attack, reference_contro
     ]
     for ip in legit_ips:
         handle_packet_in(rules, topo, FlowKey(ip, server_ip))
-    mit.apply(mit.plan_scrubber(verdict, topo, rules), topo, rules)
+    mit.apply(mit.plan_scrubber(server_ip, sorted(scrubbed), topo, rules), topo, rules)
     for ip in sorted(scrubbed) + legit_ips:
         path = trace_path(topo, rules, FlowKey(ip, server_ip))
         assert not path[-1].is_switch

@@ -25,15 +25,17 @@ from sdnsim.cli import (
     TABLE_CHUNK,
     Table,
     build_scenario,
+    clustering_row,
     main,
     matrix_rates,
     reference_template,
     run_scenario,
+    sample_rows,
     validate_config,
     write_json,
 )
 from sdnsim.simnet import SimConfig, SimulationError, TrafficKind, TrafficProfile
-from sdnsim.telemetry import aggregate_by_destination, delta, read_stats_csv
+from sdnsim.telemetry import StatSample, aggregate_by_destination, delta, read_stats_csv
 from sdnsim.topology import MAX_HOSTS_PER_EDGE
 
 
@@ -181,7 +183,7 @@ def test_csv_replay_rebuilds_report_aggregates_and_analytics(tmp_path):
             assert (poll["clustering"], poll["detection"], poll["gaussian"]) == (None,) * 3
             continue
         clustering = kmeans(vectors, min(cfg.k_clusters, len(vectors)))
-        assert poll["clustering"] == as_json(clustering.to_dict())
+        assert poll["clustering"] == as_json(clustering_row(clustering))
         verdict = analytics.detect(byte_rate, cfg.threshold, clustering, server_ip)
         assert poll["detection"] == as_json(vars(verdict))
         up_rates = [v.byte_rate_up for v in vectors]
@@ -425,6 +427,68 @@ def test_failed_report_move_keeps_the_previous_pair(tmp_path, monkeypatch, previ
     assert sorted(p.name for p in out.iterdir()) == ["report.json", "stats.csv"]
 
 
+@pytest.mark.parametrize("previous", [False, True])
+def test_failed_stats_move_keeps_the_previous_pair(tmp_path, monkeypatch, previous):
+    out = tmp_path / "out"
+    if previous:
+        assert run_document(small_raw(seed=2), out)[0] == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()} if previous else {}
+    replace = os.replace
+
+    def replace_all_but_the_new_stats(src, dst):
+        if Path(src).name == "stats.csv.tmp":
+            raise OSError(errno.EIO, "Input/output error")
+        return replace(src, dst)
+
+    # The previous stats.csv is already moved aside when the new one fails to move.
+    monkeypatch.setattr(os, "replace", replace_all_but_the_new_stats)
+    code, err = run_document(small_raw(duration=60.0), out)
+    assert code == EXIT_CONFIG
+    assert "Input/output error" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("moving", ["stats.csv.tmp", "report.json.tmp"])
+def test_interrupted_commit_keeps_the_previous_pair(tmp_path, monkeypatch, moving):
+    out = tmp_path / "out"
+    assert run_document(small_raw(seed=2), out)[0] == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    replace = os.replace
+
+    def interrupted(src, dst):
+        if Path(src).name == moving:
+            raise KeyboardInterrupt
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_document(small_raw(duration=60.0), out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("previous", [False, True])
+def test_run_without_hard_links_commits_the_new_pair(tmp_path, monkeypatch, previous):
+    out = tmp_path / "out"
+    if previous:
+        assert run_document(small_raw(seed=2), out)[0] == EXIT_OK
+
+    def no_hard_links(*args, **kwargs):
+        raise PermissionError(errno.EPERM, "Operation not permitted")
+
+    monkeypatch.setattr(os, "link", no_hard_links)
+    assert run_document(small_raw(duration=60.0), out) == (EXIT_OK, "")
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "stats.csv"]
+    # The pair is the new run's, as a run into an empty directory writes it.
+    fresh = tmp_path / "fresh" / "out"
+    fresh.parent.mkdir()
+    assert run_document(small_raw(duration=60.0), fresh)[0] == EXIT_OK
+    assert (out / "stats.csv").read_bytes() == (fresh / "stats.csv").read_bytes()
+    reports = [json.loads((d / "report.json").read_text()) for d in (out, fresh)]
+    for report in reports:
+        del report["config"]["output_dir"]
+    assert reports[0] == reports[1]
+
+
 class Stop(Exception):
     """Raised at ``simnet.run`` entry, as a set-up-only benchmark run does."""
 
@@ -478,6 +542,14 @@ def test_invariant_violation_mid_run_leaves_no_partial_artifact(tmp_path, monkey
     assert err == "invariant violation: broken at the second poll\n"
     assert len(polled) == 1 and polled[0]
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_sample_rows_hold_each_field_in_order():
+    samples = [StatSample(5.0, "e0", "10.0.1.0", "10.0.0.0", 100, 20_000),
+               StatSample(10.0, "e1", "10.0.2.0", "10.0.0.0", 7, 1_400)]
+    rows = list(sample_rows(samples))
+    assert rows == [s._asdict() for s in samples]
+    assert [list(row) for row in rows] == [list(StatSample._fields)] * 2
 
 
 def test_counts_beyond_64_bits_are_written_exactly(tmp_path):

@@ -71,7 +71,7 @@ def test_no_empty_clusters_in_result():
     features += [vec(10 + i, (9.0, 9.0, 9.0, 9.0)) for i in range(6)]
     clustering = kmeans(features, 5)
     assert clustering.k == 2
-    assert all(size > 0 for size in clustering.sizes())
+    assert all(len(members) > 0 for members in clustering.members)
 
 
 def test_input_validation():

@@ -1,8 +1,9 @@
+import copy
 import json
 
 import pytest
 
-from sdnsim.analytics import DetectionReport
+from sdnsim.cli import plan_row
 from sdnsim.mitigation import (
     LOOP_PRIORITY,
     REDIRECT_PRIORITY,
@@ -40,19 +41,12 @@ def attack_state(suspicious_hosts, legit_hosts=("h1s1",)):
         ip = topo.ip_of[NodeId.host(int(edge), int(slot))]
         legit_ips.append(ip)
         handle_packet_in(rules, topo, FlowKey(ip, server_ip))
-    report = DetectionReport(
-        target=server_ip,
-        aggregate_byte_rate=1e6,
-        threshold=1e4,
-        attack=True,
-        suspicious_sources=sorted(suspicious_ips),
-    )
-    return topo, rules, report, server_ip, suspicious_ips, legit_ips
+    return topo, rules, server_ip, suspicious_ips, legit_ips
 
 
 def test_single_flow_plan_shape():
-    topo, rules, report, server_ip, (attacker_ip,), _ = attack_state(["h1s3"])
-    plan = plan_scrubber(report, topo, rules)
+    topo, rules, server_ip, (attacker_ip,), _ = attack_state(["h1s3"])
+    plan = plan_scrubber(server_ip, [attacker_ip], topo, rules)
     assert plan.scrubber == NodeId.scrubber(0)
     assert plan.scrubber.name == "s200"
     assert plan.attach_to == topo.edge_of_host(topo.server)
@@ -76,29 +70,24 @@ def test_single_flow_plan_shape():
 
 
 def test_throttled_return_link_parameters():
-    topo, rules, report, *_ = attack_state(["h1s3"])
-    plan = plan_scrubber(report, topo, rules)
+    topo, rules, server_ip, suspicious_ips, _ = attack_state(["h1s3"])
+    plan = plan_scrubber(server_ip, suspicious_ips, topo, rules)
     unconstrained, throttled = plan.links
     assert not unconstrained.constrained
     assert throttled.capacity == 12_500.0
     assert throttled.queue_cap == 1000
 
 
-def test_plan_requires_attack_verdict():
-    topo, rules, report, *_ = attack_state(["h1s3"])
-    report.attack = False
-    with pytest.raises(MitigationError):
-        plan_scrubber(report, topo, rules)
-    report.attack = True
-    report.suspicious_sources = []
-    with pytest.raises(MitigationError):
-        plan_scrubber(report, topo, rules)
+def test_plan_requires_suspicious_sources():
+    topo, rules, server_ip, _, _ = attack_state(["h1s3"])
+    with pytest.raises(MitigationError, match="no suspicious sources"):
+        plan_scrubber(server_ip, [], topo, rules)
 
 
 def test_five_flows_one_scrubber_and_single_detour_each():
     names = ["h1s3", "h2s5", "h0s7", "h1s9", "h2s2"]
-    topo, rules, report, server_ip, suspicious_ips, legit_ips = attack_state(names)
-    plan = plan_scrubber(report, topo, rules)
+    topo, rules, server_ip, suspicious_ips, legit_ips = attack_state(names)
+    plan = plan_scrubber(server_ip, suspicious_ips, topo, rules)
     assert len([e for e in plan.rule_edits if e.op == "delete"]) == 5
     # 5 redirects + 5 loops + 1 shared return rule
     assert len([e for e in plan.rule_edits if e.op == "add"]) == 11
@@ -112,21 +101,21 @@ def test_five_flows_one_scrubber_and_single_detour_each():
 
 
 def test_legit_paths_and_reverse_paths_untouched():
-    topo, rules, report, server_ip, suspicious_ips, legit_ips = attack_state(
+    topo, rules, server_ip, suspicious_ips, legit_ips = attack_state(
         ["h1s3", "h2s5"], legit_hosts=("h1s1", "h0s4")
     )
     legit_keys = [FlowKey(ip, server_ip) for ip in legit_ips]
     reverse_keys = [FlowKey(server_ip, ip) for ip in suspicious_ips + legit_ips]
     before = {k: trace_path(topo, rules, k) for k in legit_keys + reverse_keys}
-    plan = plan_scrubber(report, topo, rules)
+    plan = plan_scrubber(server_ip, suspicious_ips, topo, rules)
     apply(plan, topo, rules)
     for key, path in before.items():
         assert trace_path(topo, rules, key) == path
 
 
 def test_same_edge_attacker_detours_once():
-    topo, rules, report, server_ip, (attacker_ip,), _ = attack_state(["h2s0"])
-    plan = plan_scrubber(report, topo, rules)
+    topo, rules, server_ip, (attacker_ip,), _ = attack_state(["h2s0"])
+    plan = plan_scrubber(server_ip, [attacker_ip], topo, rules)
     apply(plan, topo, rules)
     path = trace_path(topo, rules, FlowKey(attacker_ip, server_ip))
     names = [n.name for n in path]
@@ -134,36 +123,37 @@ def test_same_edge_attacker_detours_once():
 
 
 def test_apply_is_atomic_on_bad_plan():
-    topo, rules, report, server_ip, *_ = attack_state(["h1s3"])
-    plan = plan_scrubber(report, topo, rules)
+    topo, rules, server_ip, suspicious_ips, _ = attack_state(["h1s3"])
+    plan = plan_scrubber(server_ip, suspicious_ips, topo, rules)
     plan.rule_edits.append(
         RuleEdit(
             "delete",
             FlowRule(NodeId.edge(1), "10.0.9.9", server_ip, 1, BASE_PRIORITY),
         )
     )
-    topo_before = topo.to_dict()
-    rules_before = list(rules.dump())
-    with pytest.raises(MitigationError):
+    topo_before, rules_before = copy.deepcopy(topo), copy.deepcopy(rules)
+    # The message names the rule: its switch, its match and its priority.
+    with pytest.raises(MitigationError, match=(
+            rf"cannot delete missing rule \(10\.0\.9\.9, {server_ip}, prio 20001\) on e1$")):
         apply(plan, topo, rules)
-    assert topo.to_dict() == topo_before
-    assert list(rules.dump()) == rules_before
+    assert (topo, topo.version) == (topo_before, topo_before.version)
+    assert rules == rules_before
 
 
 def test_apply_rejects_double_scrubber():
-    topo, rules, report, *_ = attack_state(["h1s3"])
-    plan = plan_scrubber(report, topo, rules)
+    topo, rules, server_ip, suspicious_ips, _ = attack_state(["h1s3"])
+    plan = plan_scrubber(server_ip, suspicious_ips, topo, rules)
     apply(plan, topo, rules)
     with pytest.raises(MitigationError):
-        plan_scrubber(report, topo, rules)
+        plan_scrubber(server_ip, suspicious_ips, topo, rules)
 
 
 def test_redirect_inherits_deleted_rule_counters():
-    topo, rules, report, server_ip, (attacker_ip,), _ = attack_state(["h1s3"])
+    topo, rules, server_ip, (attacker_ip,), _ = attack_state(["h1s3"])
     edge = topo.edge_of_host(topo.server)
     entry = rules.find(edge, attacker_ip, server_ip, BASE_PRIORITY)
     entry.packets, entry.bytes = 123, 45_600
-    plan = plan_scrubber(report, topo, rules)
+    plan = plan_scrubber(server_ip, [attacker_ip], topo, rules)
     apply(plan, topo, rules)
     redirect = rules.find(edge, attacker_ip, server_ip, REDIRECT_PRIORITY)
     assert (redirect.packets, redirect.bytes) == (123, 45_600)
@@ -196,8 +186,7 @@ def test_mitigated_attacker_is_throttled_while_legit_flows_match_control():
 
     # mitigated: scrubber applied before traffic starts
     topo, rules, profiles, cfg, server_ip, a_ip, l_ip = scenario()
-    report = DetectionReport(server_ip, 1e6, 1e3, True, suspicious_sources=[a_ip])
-    apply(plan_scrubber(report, topo, rules), topo, rules)
+    apply(plan_scrubber(server_ip, [a_ip], topo, rules), topo, rules)
     mitigated = run(topo, rules, profiles, cfg)
 
     throttled = mitigated.flows[(a_ip, server_ip)]
@@ -209,15 +198,15 @@ def test_mitigated_attacker_is_throttled_while_legit_flows_match_control():
 
 
 def test_scrubber_serials_exhaust_at_one_hundred():
-    topo, rules, report, *_ = attack_state(["h1s3"])
+    topo, rules, server_ip, suspicious_ips, _ = attack_state(["h1s3"])
     for serial in range(100):
         topo.add_node(NodeId.scrubber(serial))
     with pytest.raises(MitigationError, match="exhausted"):
-        plan_scrubber(report, topo, rules)
+        plan_scrubber(server_ip, suspicious_ips, topo, rules)
 
 
 def test_plan_serialization_is_stable():
-    topo, rules, report, *_ = attack_state(["h1s3", "h2s5"])
-    plan = plan_scrubber(report, topo, rules)
-    assert json.dumps(plan.to_dict()) == json.dumps(plan.to_dict())
-    assert plan.to_dict()["scrubber"] == "s200"
+    topo, rules, server_ip, suspicious_ips, _ = attack_state(["h1s3", "h2s5"])
+    plan = plan_scrubber(server_ip, suspicious_ips, topo, rules)
+    assert json.dumps(plan_row(plan)) == json.dumps(plan_row(plan))
+    assert plan_row(plan)["scrubber"] == "s200"

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -224,18 +225,18 @@ def test_reinstall_is_noop(grid):
     rules = RuleTable()
     key = flow(grid, NodeId.host(1, 0), NodeId.host(6, 1))
     handle_packet_in(rules, grid, key)
-    snapshot = list(rules.dump())
+    snapshot = copy.deepcopy(rules)
     assert handle_packet_in(rules, grid, key) == []
-    assert list(rules.dump()) == snapshot
+    assert rules == snapshot
 
 
 def test_reverse_install_is_noop(grid):
     rules = RuleTable()
     key = flow(grid, NodeId.host(1, 0), NodeId.host(6, 1))
     handle_packet_in(rules, grid, key)
-    snapshot = list(rules.dump())
+    snapshot = copy.deepcopy(rules)
     assert handle_packet_in(rules, grid, key.reversed()) == []
-    assert list(rules.dump()) == snapshot
+    assert rules == snapshot
 
 
 def test_identical_sequences_build_identical_tables(grid):
@@ -249,7 +250,7 @@ def test_identical_sequences_build_identical_tables(grid):
         rules = RuleTable()
         for key in keys:
             handle_packet_in(rules, grid, key)
-        tables.append(list(rules.dump()))
+        tables.append(rules)
     assert tables[0] == tables[1]
 
 
@@ -357,5 +358,7 @@ def test_duplicate_rule_install_rejected(grid):
     rules = RuleTable()
     rule = FlowRule(NodeId.edge(0), "10.0.0.0", "10.0.1.0", 1, BASE_PRIORITY)
     rules.install(rule)
-    with pytest.raises(RoutingError):
+    # The message names the rule: its switch, its match and its priority.
+    with pytest.raises(RoutingError, match=(
+            r"^duplicate rule \(10\.0\.0\.0, 10\.0\.1\.0, prio 20001\) on e0$")):
         rules.install(FlowRule(NodeId.edge(0), "10.0.0.0", "10.0.1.0", 2, BASE_PRIORITY))

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from sdnsim import routing, simnet
 from sdnsim.cli import EXIT_OK, ScenarioPipeline, build_scenario, run_scenario, validate_config
 from sdnsim.mitigation import SCRUBBER_CAPACITY_BPS, MitigationError
-from sdnsim.routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, handle_packet_in
-from sdnsim.simnet import SimConfig, TrafficKind, TrafficProfile
-from sdnsim.telemetry import delta
+from sdnsim.routing import (
+    BASE_PRIORITY, FlowKey, FlowRule, RoutingError, RuleTable, handle_packet_in,
+)
+from sdnsim.simnet import SimConfig, SimulationError, TrafficKind, TrafficProfile
+from sdnsim.telemetry import CounterRegressionError, delta
 from sdnsim.topology import Link, NodeId, attach_switch, build_grid
 
 import heap_paths
@@ -76,13 +78,20 @@ def build(doc):
     return topo, rules, profiles, sim_cfg, ScenarioPipeline(cfg, topo)
 
 
+# The errors a run may end with; both engines must end alike. Anything
+# else, and any error in writing the report section, fails the test.
+ENGINE_ERRORS = (SimulationError, RoutingError, MitigationError, CounterRegressionError,
+                 ValueError)
+
+
 def outcome(engine_run, topo, rules, *args, on_poll=None, **kwargs):
-    """The run's report section, or the error it ended with."""
+    """The run's report section, or the engine error it ended with."""
     log = SampleLog(on_poll)
     try:
-        return run_json(engine_run(topo, rules, *args, on_poll=log, **kwargs), rules, log.samples)
-    except Exception as exc:  # both engines must fail alike
+        record = engine_run(topo, rules, *args, on_poll=log, **kwargs)
+    except ENGINE_ERRORS as exc:
         return type(exc).__name__, str(exc)
+    return run_json(record, rules, log.samples)
 
 
 @settings(max_examples=40, deadline=None)

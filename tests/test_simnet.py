@@ -97,7 +97,7 @@ def test_zero_rate_client_creates_nothing():
     assert [list(snapshot) for snapshot in record.flow_snapshots] == [[], []]
     assert run_json(record, rules, log.samples).startswith(
         '{"poll_times": [5.0, 10.0], "samples": [], "flow_snapshots": [{}, {}], ')
-    assert list(rules.dump()) == []
+    assert rules.all_entries() == []
     assert not [e for e in record.events if e["event"] == "packet_in"]
 
 
@@ -212,17 +212,13 @@ def test_throttled_link_caps_delivery_and_conserves_packets():
     # never faster than the link: 12.5 kB/s over 10 s
     assert tally.delivered_bytes <= 12_500 * 10
     assert tally.delivered_packets == 120  # 12 x 1000 B per tick fit the budget
-    (link_stats,) = record.link_stats
-    assert link_stats["queued_packets"] <= 1000
+    (ls,) = record.link_states
+    assert len(ls.queue) <= 1000
     # emitted = delivered + dropped + still queued, exactly
     assert tally.emitted_packets == (
-        tally.delivered_packets + tally.dropped_packets + link_stats["queued_packets"]
+        tally.delivered_packets + tally.dropped_packets + len(ls.queue)
     )
-    assert link_stats["entered_packets"] == (
-        link_stats["passed_packets"]
-        + link_stats["dropped_packets"]
-        + link_stats["queued_packets"]
-    )
+    assert ls.entered_packets == ls.passed_packets + ls.dropped_packets + len(ls.queue)
 
 
 def test_throttled_run_is_deterministic():
@@ -274,8 +270,8 @@ def test_queued_packets_deliver_on_later_ticks():
     assert tally.emitted_packets == 12
     # tick 0 passes 1 fresh packet, each later tick drains 1 from the queue
     assert tally.delivered_packets == 4
-    (link_stats,) = record.link_stats
-    assert link_stats["queued_packets"] == 8
+    (ls,) = record.link_states
+    assert len(ls.queue) == 8
 
 
 def test_link_gate_catches_a_packet_lost_from_the_queue():

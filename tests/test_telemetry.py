@@ -13,7 +13,6 @@ from sdnsim.telemetry import (
     open_stats_csv,
     poll,
     read_stats_csv,
-    sample_rows,
     write_stats_csv,
 )
 from sdnsim.topology import NodeId, build_grid
@@ -93,14 +92,6 @@ def test_delta_subtracts_last_seen():
     second = [StatSample(10.0, "e0", "10.0.1.0", "10.0.0.0", 150, 30_000)]
     (record,) = delta(last_seen, second)
     assert (record.d_packets, record.d_bytes) == (50, 10_000)
-
-
-def test_sample_rows_hold_each_field_in_order():
-    samples = [StatSample(5.0, "e0", "10.0.1.0", "10.0.0.0", 100, 20_000),
-               StatSample(10.0, "e1", "10.0.2.0", "10.0.0.0", 7, 1_400)]
-    rows = list(sample_rows(samples))
-    assert rows == [s._asdict() for s in samples]
-    assert [list(row) for row in rows] == [list(StatSample._fields)] * 2
 
 
 def test_first_observation_uses_zero_baseline():

@@ -1,8 +1,9 @@
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdnsim.analytics import DetectionReport
 from sdnsim.mitigation import apply, plan_scrubber
 from sdnsim.routing import FlowKey, RuleTable, handle_packet_in
 from sdnsim.topology import (
@@ -64,7 +65,7 @@ def test_perimeter_order_is_clockwise_and_complete():
 
 
 def test_build_grid_is_deterministic():
-    assert build_grid(3, 4, 3).to_dict() == build_grid(3, 4, 3).to_dict()
+    assert build_grid(3, 4, 3) == build_grid(3, 4, 3)
 
 
 def test_ip_map_is_a_bijection_with_expected_format():
@@ -123,10 +124,11 @@ def test_attach_with_used_port_is_rejected_and_rolled_back():
     topo = build_grid(2, 2, 1)
     edge = NodeId.edge(0)
     scrub = NodeId.scrubber(0)
-    before = topo.to_dict()
+    before = copy.deepcopy(topo)
     with pytest.raises(TopologyError):
         attach_switch(topo, scrub, [Link(edge, 1, scrub, 1)])  # port 1 is the uplink
-    assert topo.to_dict() == before
+    assert topo == before
+    assert topo.version == before.version
 
 
 def test_attach_duplicate_node_rejected():
@@ -176,14 +178,7 @@ def _attach_scrubber_for(topo, client):
     rules = RuleTable()
     client_ip, server_ip = topo.ip_of[client], topo.ip_of[topo.server]
     handle_packet_in(rules, topo, FlowKey(client_ip, server_ip))
-    report = DetectionReport(
-        target=server_ip,
-        aggregate_byte_rate=1e6,
-        threshold=1e4,
-        attack=True,
-        suspicious_sources=[client_ip],
-    )
-    apply(plan_scrubber(report, topo, rules), topo, rules)
+    apply(plan_scrubber(server_ip, [client_ip], topo, rules), topo, rules)
 
 
 @settings(max_examples=30, deadline=None)
