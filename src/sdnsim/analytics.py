@@ -29,20 +29,105 @@ at or below the across-cluster median) are flagged; their members become
 the suspicious sources. Homogeneous senders produce near-zero coefficients
 of variation, which is what separates a botnet's cluster from dispersed
 legitimate users.
+
+Arithmetic. The module needs the standard library alone, and every float it
+returns equals what the numpy formulation it replaced returns (kept in
+``tests/numpy_analytics.py`` as the test oracle). That takes numpy's
+summation order, written out:
+
+- A 1-D sum is ``pairwise_sum``: 0.0 plus numpy's pairwise sum, which keeps
+  8 accumulators over blocks of up to 128 values and splits longer runs in
+  halves rounded down to a multiple of 8. A mean divides the sum by the
+  count; a std is the square root of the mean squared deviation.
+- A column sum over rows (numpy's ``axis=0``) is ``running_sum``: the rows
+  added in order, from 0.0.
+- A squared distance between two 4-D points is
+  ``0.0 + a*a + b*b + c*c + d*d`` over the coordinate differences.
+- The density grid is ``linspace``: ``i*step + start``, the last point set
+  to ``stop``. A value's segment is ``bisect_right`` over the boundaries.
+
+The builtin ``sum()`` is never used on floats: since Python 3.12 it
+compensates its rounding, so its result would depend on the Python version.
+Two results may still differ from numpy's in the last ulp. ``math.exp`` and
+numpy's ``exp`` do (numpy picks a SIMD ``exp`` on AVX-512 hosts), so the
+density is within a few ulp of numpy's; it only places the minima, where an
+ulp counts only at an exact tie between neighbouring grid points. And
+``compare_clusterings`` measures a distance as k-means does, not as numpy's
+BLAS-backed ``linalg.norm``.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import reduce
+from operator import add
 
 from .telemetry import DeltaRecord, ip_key
 
 MAX_ITER = 100      # Lloyd iterations per k-means run
 GRID_POINTS = 256   # density grid size
 MIN_WEIGHT = 0.01   # smallest sample fraction a segment keeps on its own
-KDE_BLOCK = 8192    # kernel-matrix elements per density block
+KDE_BLOCK = 8192    # kernel values per density block
+PAIRWISE_BLOCK = 128  # longest run numpy's pairwise sum adds without splitting
+
+
+def _pairwise(items: list, lo: int, n: int, plus):
+    """numpy's pairwise sum of ``items[lo:lo + n]`` (n >= 1), adding with
+    ``plus``: floats, or the KDE's term ids."""
+    if n < 8:
+        total = items[lo]  # numpy starts from -0.0, and -0.0 + x is x
+        for i in range(lo + 1, lo + n):
+            total = plus(total, items[i])
+        return total
+    if n <= PAIRWISE_BLOCK:
+        r = items[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            r = [plus(a, b) for a, b in zip(r, items[i:i + 8])]
+        total = plus(plus(plus(r[0], r[1]), plus(r[2], r[3])),
+                     plus(plus(r[4], r[5]), plus(r[6], r[7])))
+        for i in range(end, lo + n):
+            total = plus(total, items[i])
+        return total
+    half = n // 2
+    half -= half % 8
+    return plus(_pairwise(items, lo, half, plus), _pairwise(items, lo + half, n - half, plus))
+
+
+def pairwise_sum(values: list[float]) -> float:
+    """numpy's ``sum()`` of a 1-D float array."""
+    return 0.0 + _pairwise(values, 0, len(values), add) if values else 0.0
+
+
+def running_sum(values) -> float:
+    """numpy's ``sum(axis=0)`` of one column: in row order, from 0.0."""
+    return reduce(add, values, 0.0)
+
+
+def mean(values, total=pairwise_sum) -> float:
+    """numpy's ``mean()``: the ``total`` over the count."""
+    return total(values) / len(values)
+
+
+def std(values, total=pairwise_sum) -> float:
+    """numpy's ``std()``: the root of the mean squared deviation."""
+    m = mean(values, total)
+    return math.sqrt(mean([(v - m) * (v - m) for v in values], total))
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """numpy's ``linspace(start, stop, num)``, num >= 2."""
+    step = (stop - start) / (num - 1)
+    points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
+def _sq_dist(p, q) -> float:
+    a, b, c, d = p[0] - q[0], p[1] - q[1], p[2] - q[2], p[3] - q[3]
+    return 0.0 + a * a + b * b + c * c + d * d
 
 
 @dataclass(frozen=True)
@@ -110,66 +195,69 @@ def kmeans(features: list[FeatureVector], k: int) -> Clustering:
         raise ValueError(f"k must be in [1, {len(features)}], got {k}")
 
     clients = [f.client for f in features]
-    points = np.array([f.as_tuple() for f in features], dtype=float)
-
+    points = [tuple(map(float, f.as_tuple())) for f in features]
+    # Distances depend on the point alone, so they are worked out once per
+    # distinct feature vector (`fabric` has 1-3 among 159 clients); ties
+    # are still broken per client.
+    distinct: dict[tuple[float, ...], int] = {}
+    ids = [distinct.setdefault(p, len(distinct)) for p in points]
     order = sorted(range(len(clients)), key=lambda i: ip_key(clients[i]))
 
-    def tie_break(candidates: np.ndarray) -> int:
-        return min(candidates.tolist(), key=lambda i: ip_key(clients[i]))
-
     chosen = [order[0]]
-    min_dist = np.linalg.norm(points - points[chosen[0]], axis=1)
+    min_dist = [math.sqrt(_sq_dist(p, points[chosen[0]])) for p in distinct]
     while len(chosen) < k:
-        best = min_dist.max()
-        idx = tie_break(np.flatnonzero(min_dist == best))
+        best = max(min_dist)
+        idx = next(i for i in order if min_dist[ids[i]] == best)
         chosen.append(idx)
-        min_dist = np.minimum(min_dist, np.linalg.norm(points - points[idx], axis=1))
+        min_dist = [min(d, math.sqrt(_sq_dist(p, points[idx])))
+                    for d, p in zip(min_dist, distinct)]
 
-    centroids = points[chosen].copy()
-    labels = np.full(len(points), -1, dtype=int)
+    centroids = [points[i] for i in chosen]
+    labels: list[int] = []
     history: list[float] = []
     for _ in range(MAX_ITER):
-        dist_sq = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dist_sq.argmin(axis=1)
-        history.append(float(dist_sq[np.arange(len(points)), new_labels].sum()))
-        if np.array_equal(new_labels, labels):
+        nearest = []  # (centroid index, squared distance) per distinct point
+        for p in distinct:
+            dists = [_sq_dist(p, c) for c in centroids]
+            best = min(dists)
+            nearest.append((dists.index(best), best))
+        new_labels = [nearest[i][0] for i in ids]
+        history.append(pairwise_sum([nearest[i][1] for i in ids]))
+        if new_labels == labels:
             break
-        # Empty clusters are dropped and the survivors renumbered in order
-        # (not by np.unique, which imports numpy.ma, about 14 ms of start-up).
-        present = sorted(set(new_labels.tolist()))
-        remap = {old: new for new, old in enumerate(present)}
-        labels = np.array([remap[l] for l in new_labels.tolist()], dtype=int)
-        centroids = np.array(
-            [points[labels == c].mean(axis=0) for c in range(len(present))]
-        )
+        # Empty clusters are dropped and the survivors renumbered in order.
+        remap = {old: new for new, old in enumerate(sorted(set(new_labels)))}
+        labels = [remap[c] for c in new_labels]
+        groups: list[list[tuple[float, ...]]] = [[] for _ in remap]
+        for p, c in zip(points, labels):
+            groups[c].append(p)
+        centroids = [tuple(mean(col, running_sum) for col in zip(*rows)) for rows in groups]
 
     # The first iteration always updates, so each centroid is now the mean
     # of its members under the final labels.
-    means = [tuple(float(v) for v in c) for c in centroids]
-    stds = []
-    members: list[list[str]] = []
-    for c in range(len(centroids)):
-        mask = labels == c
-        stds.append(tuple(float(v) for v in points[mask].std(axis=0)))
-        members.append(sorted((clients[i] for i in np.flatnonzero(mask)), key=ip_key))
-    assignment = {clients[i]: int(labels[i]) for i in range(len(clients))}
-    return Clustering(len(centroids), means, assignment, members, stds, history)
+    stds = [tuple(std(col, running_sum) for col in zip(*rows)) for rows in groups]
+    members: list[list[str]] = [[] for _ in centroids]
+    for client, c in zip(clients, labels):
+        members[c].append(client)
+    members = [sorted(m, key=ip_key) for m in members]
+    return Clustering(len(centroids), centroids, dict(zip(clients, labels)), members, stds,
+                      history)
 
 
 def compare_clusterings(
     prev: Clustering, cur: Clustering, match_radius: float
 ) -> list[int]:
-    """Indices of current clusters with no previous centroid within radius."""
-    new_indices = []
-    prev_centroids = [np.array(c) for c in prev.centroids]
-    for idx, centroid in enumerate(cur.centroids):
-        point = np.array(centroid)
-        if not any(
-            float(np.linalg.norm(point - old)) <= match_radius
-            for old in prev_centroids
-        ):
-            new_indices.append(idx)
-    return new_indices
+    """Indices of current clusters with no previous centroid within radius.
+
+    numpy's ``linalg.norm`` of one vector calls BLAS ``dot``, which may
+    fuse a multiply-add, so only a distance within an ulp of the radius
+    could be judged differently from the numpy formulation.
+    """
+    return [
+        idx for idx, centroid in enumerate(cur.centroids)
+        if not any(math.sqrt(_sq_dist(centroid, old)) <= match_radius
+                   for old in prev.centroids)
+    ]
 
 
 @dataclass(frozen=True)
@@ -183,37 +271,62 @@ class GaussComponent:
 
 def silverman_bandwidth(values) -> float:
     """Rule-of-thumb kernel bandwidth 1.06 * std * n^(-1/5)."""
-    data = np.asarray(values, dtype=float)
-    return float(1.06 * data.std() * len(data) ** (-0.2))
+    data = [float(v) for v in values]
+    return 1.06 * std(data) * len(data) ** (-0.2)
 
 
-def kernel_density(values, bandwidth: float):
+def kernel_density(values, bandwidth: float) -> tuple[list[float], list[float]]:
     """Gaussian-kernel density on a uniform grid of ``GRID_POINTS`` points
     spanning the data +- 3 bw.
 
-    The grid-by-data kernel matrix is built ``KDE_BLOCK`` elements (at
-    least one grid row) at a time. Each grid point's density is the same
-    row sum as over the whole matrix at once, bit for bit.
+    A grid point's density is the pairwise sum of one kernel value per data
+    element, in data order. The sum's additions are laid out once, each as
+    a pair of earlier terms, and a pair that repeats (the same values added
+    in the same order) is laid out once. They are then carried out for
+    ``KDE_BLOCK // n`` grid points (at least one) at a time, one list
+    addition per pair, from one kernel value per distinct data value; each
+    term is let go after the last addition that reads it.
     """
-    data = np.asarray(values, dtype=float)
-    grid = np.linspace(data.min() - 3 * bandwidth, data.max() + 3 * bandwidth, GRID_POINTS)
-    density = np.empty(GRID_POINTS)
-    rows = max(1, KDE_BLOCK // len(data))
+    data = [float(v) for v in values]
+    n = len(data)
+    grid = linspace(min(data) - 3 * bandwidth, max(data) + 3 * bandwidth, GRID_POINTS)
+    norm = n * bandwidth * math.sqrt(2 * math.pi)
+    # Term ids: the distinct data values first, then the distinct additions.
+    distinct: dict[float, int] = {}
+    ids = [distinct.setdefault(v, len(distinct)) for v in data]
+    additions: dict[tuple[int, int], int] = {}
+
+    def plus(a: int, b: int) -> int:
+        return additions.setdefault((a, b), len(distinct) + len(additions))
+
+    total = _pairwise(ids, 0, n, plus)
+    last_read = {}
+    for i, (a, b) in enumerate(additions, len(distinct)):
+        last_read[a] = last_read[b] = i
+    rows = max(1, KDE_BLOCK // n)
+    density: list[float] = []
     for start in range(0, GRID_POINTS, rows):
-        z = (grid[start:start + rows, None] - data[None, :]) / bandwidth
-        density[start:start + rows] = np.exp(-0.5 * z * z).sum(axis=1)
-    density /= len(data) * bandwidth * np.sqrt(2 * np.pi)
+        block = grid[start:start + rows]
+        terms: list = [[math.exp(-0.5 * z * z) for z in [(g - v) / bandwidth for g in block]]
+                       for v in distinct]
+        terms += [None] * len(additions)
+        for i, (a, b) in enumerate(additions, len(distinct)):
+            terms[i] = list(map(add, terms[a], terms[b]))
+            if last_read[a] == i:
+                terms[a] = None
+            if last_read[b] == i:
+                terms[b] = None
+        density += [(0.0 + s) / norm for s in terms[total]]
     return grid, density
 
 
-def density_minima(density) -> list[int]:
+def density_minima(density: list[float]) -> list[int]:
     """Indices of strict interior local minima (positive second difference)."""
-    d2 = density[:-2] - 2 * density[1:-1] + density[2:]
-    idx = []
-    for i in range(1, len(density) - 1):
-        if density[i] < density[i - 1] and density[i] < density[i + 1] and d2[i - 1] > 0:
-            idx.append(i)
-    return idx
+    return [
+        i for i in range(1, len(density) - 1)
+        if density[i] < density[i - 1] and density[i] < density[i + 1]
+        and density[i - 1] - 2 * density[i] + density[i + 1] > 0
+    ]
 
 
 def decompose_gaussian_1d(values, bandwidth: float | None = None) -> list[GaussComponent]:
@@ -222,14 +335,14 @@ def decompose_gaussian_1d(values, bandwidth: float | None = None) -> list[GaussC
     Components come back ordered by mean. A zero-variance sample (or
     segment) yields a degenerate component whose std is the bandwidth.
     """
-    data = np.asarray(values, dtype=float)
+    data = [float(v) for v in values]
     n = len(data)
     if n < 2:
         raise ValueError("need at least two values")
 
-    if float(data.min()) == float(data.max()):
+    if min(data) == max(data):
         bw = bandwidth if bandwidth is not None and bandwidth > 0 else 1.0
-        return [GaussComponent(float(data[0]), bw, 1.0, n, degenerate=True)]
+        return [GaussComponent(data[0], bw, 1.0, n, degenerate=True)]
 
     if bandwidth is None:
         bandwidth = silverman_bandwidth(data)
@@ -238,13 +351,15 @@ def decompose_gaussian_1d(values, bandwidth: float | None = None) -> list[GaussC
 
     grid, density = kernel_density(data, bandwidth)
     minima = density_minima(density)
-    boundaries = [float(grid[i]) for i in minima]
-    boundary_density = [float(density[i]) for i in minima]
+    boundaries = [grid[i] for i in minima]
+    boundary_density = [density[i] for i in minima]
 
     # Drop boundaries producing undersized segments, weakest boundary first.
     while True:
-        segment = np.searchsorted(np.array(boundaries), data, side="right")
-        counts = np.bincount(segment, minlength=len(boundaries) + 1).tolist()
+        segment = [bisect_right(boundaries, v) for v in data]
+        counts = [0] * (len(boundaries) + 1)
+        for s in segment:
+            counts[s] += 1
         if not boundaries or min(counts) >= MIN_WEIGHT * n:
             break
         s = counts.index(min(counts))
@@ -261,13 +376,13 @@ def decompose_gaussian_1d(values, bandwidth: float | None = None) -> list[GaussC
     for s, count in enumerate(counts):
         if count == 0:
             continue
-        part = data[segment == s]
-        std = float(part.std())
-        degenerate = std == 0.0
+        part = [v for v, t in zip(data, segment) if t == s]
+        spread = std(part)
+        degenerate = spread == 0.0
         components.append(
             GaussComponent(
-                float(part.mean()),
-                bandwidth if degenerate else std,
+                mean(part),
+                bandwidth if degenerate else spread,
                 count / n,
                 count,
                 degenerate=degenerate,
@@ -292,21 +407,16 @@ def cluster_sharpness(centroid, std) -> float:
     ratios = [s / c for c, s in zip(centroid, std) if c != 0.0]
     if not ratios:
         return 0.0
-    return float(sum(ratios) / len(ratios))
+    return mean(ratios, running_sum)
 
 
 def median(values: list[float]) -> float:
     """The median as ``numpy.median`` computes it: the mean of the middle
-    value, or of the two middle values, summed from 0.0 (so a middle -0.0
-    comes back as 0.0). ``numpy.median`` imports ``numpy.ma``, about 14 ms
-    of start-up."""
+    value, or of the two middle values (so a middle -0.0 comes back as
+    0.0)."""
     ordered = sorted(values)
     n = len(ordered)
-    middle = ordered[(n - 1) // 2 : n // 2 + 1]
-    total = 0.0
-    for value in middle:
-        total += value
-    return total / len(middle)
+    return mean(ordered[(n - 1) // 2 : n // 2 + 1])
 
 
 def detect(
@@ -348,7 +458,7 @@ def detect(
         flagged = [0]
         report.rationale["low_confidence"] = True
     else:
-        mean_intensity = float(np.mean(intensities))
+        mean_intensity = mean(intensities)
         median_sharpness = median(sharpness)
         flagged = [
             i

@@ -532,7 +532,8 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     into place only once both are complete. If either move fails, the
     previous stats.csv (moved aside to stats.csv.bak before the first) is
     moved back, so a failed run or write leaves the previous artifacts as
-    they were.
+    they were. A process killed between the moves cannot move it back; the
+    next run does, before it starts.
     """
     out_dir = Path(cfg.output_dir)
     try:
@@ -546,6 +547,15 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     # The previous stats.csv, kept until the new report.json is in place.
     backup = out_dir / "stats.csv.bak"
     try:
+        # A run killed inside the commit below leaves the backup behind.
+        # With report.json.tmp still there, the report (moved last) is the
+        # previous one, so its stats.csv goes back; without it, the new
+        # pair was committed and the backup is stale.
+        if backup.exists():
+            if temporaries[1].exists():
+                os.replace(backup, artifacts[0])
+            else:
+                backup.unlink()
         # Validation rules out every ValueError that the profiles, the tick
         # rule and the analytics raise on bad values; one that still arrives
         # (with RoutingError and TopologyError) is a broken invariant.
@@ -580,7 +590,6 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         with open(temporaries[1], "w") as fh:
             write_json(fh, report)
             fh.write("\n")
-        backup.unlink(missing_ok=True)
         # Anything but a file in stats.csv's place stays, failing the move.
         if artifacts[0].is_file():
             os.replace(artifacts[0], backup)

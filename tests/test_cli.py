@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import dataclass
@@ -482,6 +484,70 @@ def test_run_without_hard_links_commits_the_new_pair(tmp_path, monkeypatch, prev
     fresh = tmp_path / "fresh" / "out"
     fresh.parent.mkdir()
     assert run_document(small_raw(duration=60.0), fresh)[0] == EXIT_OK
+    assert (out / "stats.csv").read_bytes() == (fresh / "stats.csv").read_bytes()
+    reports = [json.loads((d / "report.json").read_text()) for d in (out, fresh)]
+    for report in reports:
+        del report["config"]["output_dir"]
+    assert reports[0] == reports[1]
+
+
+# A run whose process dies right after its n-th artifact move, as SIGKILL
+# would end it: no handler runs.
+KILLED_RUN = """\
+import os, sys
+from sdnsim import cli
+replace, moves = os.replace, []
+
+def replace_then_die(src, dst):
+    replace(src, dst)
+    moves.append(dst)
+    if len(moves) == {moves}:
+        os._exit(9)
+
+os.replace = replace_then_die
+cli.main(["run", "--config", {config!r}, "--out", {out!r}])
+"""
+
+
+@pytest.mark.parametrize("moves, left", [
+    # the previous stats.csv moved aside
+    (1, ["report.json", "report.json.tmp", "stats.csv.bak", "stats.csv.tmp"]),
+    # the new stats.csv moved in, the previous report.json still in place
+    (2, ["report.json", "report.json.tmp", "stats.csv", "stats.csv.bak"]),
+    # the new report.json moved in: committed, but the backup is left
+    (3, ["report.json", "stats.csv", "stats.csv.bak"]),
+])
+def test_next_run_recovers_from_a_kill_inside_the_commit(tmp_path, monkeypatch, moves, left):
+    out = tmp_path / "out"
+    assert run_document(small_raw(seed=2), out)[0] == EXIT_OK
+    previous = {p.name: p.read_bytes() for p in out.iterdir()}
+    config = tmp_path / "killed.json"
+    config.write_text(json.dumps(small_raw(duration=60.0)))
+    code = KILLED_RUN.format(moves=moves, config=str(config), out=str(out))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    killed = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert killed.returncode == 9, killed.stderr
+    assert sorted(p.name for p in out.iterdir()) == left
+    # The pair that stands: the killed run's once its report moved in.
+    standing = previous if "report.json.tmp" in left else {
+        name: (out / name).read_bytes() for name in ("report.json", "stats.csv")}
+
+    def broken(*args):
+        raise SimulationError("broken mid-run")
+
+    # A run that fails mid-run leaves that pair, byte for byte.
+    monkeypatch.setattr(cli.ScenarioPipeline, "on_poll", broken)
+    assert run_document(small_raw(duration=30.0), out)[0] == EXIT_INVARIANT
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == standing
+    # A good run leaves its own pair alone, as it writes it into an empty
+    # directory.
+    monkeypatch.undo()
+    assert run_document(small_raw(duration=40.0), out)[0] == EXIT_OK
+    fresh = tmp_path / "fresh" / "out"
+    fresh.parent.mkdir()
+    assert run_document(small_raw(duration=40.0), fresh)[0] == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "stats.csv"]
     assert (out / "stats.csv").read_bytes() == (fresh / "stats.csv").read_bytes()
     reports = [json.loads((d / "report.json").read_text()) for d in (out, fresh)]
     for report in reports:

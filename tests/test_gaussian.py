@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-import kde_matrix
-from sdnsim.analytics import (
-    GRID_POINTS,
-    KDE_BLOCK,
-    decompose_gaussian_1d,
-    kernel_density,
-    silverman_bandwidth,
-)
+from sdnsim.analytics import decompose_gaussian_1d, silverman_bandwidth
 
 
 def test_single_gaussian_yields_one_component():
@@ -105,32 +96,3 @@ def test_silverman_bandwidth_formula():
     expected = 1.06 * values.std() * 4 ** (-0.2)
     assert silverman_bandwidth(values) == pytest.approx(expected)
 
-
-# Sample sizes around those where the grid rows per block change: one
-# block up to KDE_BLOCK / GRID_POINTS values, then blocks of 16, 8 and 5
-# rows.
-BLOCK_EDGES = [n + d for n in (KDE_BLOCK // GRID_POINTS, KDE_BLOCK // 16, KDE_BLOCK // 8,
-                               KDE_BLOCK // 5) for d in (-1, 0, 1)] + [1999, 2000]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(2, 2000) | st.sampled_from(BLOCK_EDGES),
-    seed=st.integers(0, 2**32 - 1),
-    scale=st.sampled_from([1e-3, 1.0, 1e3, 1e6]),
-    ties=st.booleans(),
-    bandwidth=st.floats(1e-3, 1e4),
-)
-@example(n=2, seed=0, scale=1.0, ties=False, bandwidth=1.0)
-@example(n=KDE_BLOCK // GRID_POINTS, seed=1, scale=1e3, ties=False, bandwidth=50.0)
-@example(n=KDE_BLOCK // GRID_POINTS + 1, seed=1, scale=1e3, ties=False, bandwidth=50.0)
-@example(n=2000, seed=2, scale=1e6, ties=True, bandwidth=1e4)
-def test_blocked_density_matches_the_whole_matrix_bit_for_bit(n, seed, scale, ties, bandwidth):
-    rng = np.random.default_rng(seed)
-    values = rng.exponential(scale, n)
-    if ties:  # rates of homogeneous senders repeat exactly
-        values = np.round(values[: max(2, n // 10)], 1)[rng.integers(0, max(2, n // 10), n)]
-    grid, density = kernel_density(values, bandwidth)
-    oracle_grid, oracle_density = kde_matrix.kernel_density(values, bandwidth)
-    assert grid.tobytes() == oracle_grid.tobytes()
-    assert density.tobytes() == oracle_density.tobytes()

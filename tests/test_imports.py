@@ -4,11 +4,12 @@ the layers stay apart.
 Only the standard library is needed. A name bound by an import at module
 level must be read somewhere in the module, or be listed in its
 ``__all__``. Only ``cli`` knows the report's format, so no other module
-gives a class a ``to_dict`` or ``dump`` method; and the engine's layers
-load no numpy, which only the analytics need.
+gives a class a ``to_dict`` or ``dump`` method; and no module, nor a whole
+run, loads numpy, which only the tests' oracle needs.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -67,12 +68,21 @@ def test_check_finds_a_report_method():
     assert report_methods(source) == ["A.to_dict"]
 
 
-def test_engine_layers_import_no_numpy():
-    # numpy is for the analytics alone; a fresh interpreter tells.
+def test_engine_layers_import_no_numpy(tmp_path):
+    # numpy is the tests' oracle alone: importing every module and running
+    # the reference scenario, one that detects with k > 1 (the path that
+    # takes a median), loads none of it. A fresh interpreter tells.
+    modules = ", ".join(f"sdnsim.{p.stem}" for p in sorted(PACKAGE.glob("*.py")))
     code = ("import sys\n"
-            "import sdnsim.topology, sdnsim.routing, sdnsim.telemetry, sdnsim.simnet,"
-            " sdnsim.mitigation\n"
-            "print('numpy' in sys.modules)\n")
+            f"import {modules}\n"
+            "from sdnsim import cli\n"
+            "cfg, _ = cli.validate_config(\n"
+            f"    dict(cli.reference_template(), output_dir={str(tmp_path)!r}))\n"
+            "assert cli.run_scenario(cfg) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
-    assert result.stdout == "False\n"
+    assert result.stdout == "[]\n"
+    polls = json.loads((tmp_path / "report.json").read_text())["polls"]
+    assert any(p["detection"] and p["detection"]["attack"] and p["clustering"]["k"] > 1
+               for p in polls)

@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from sdnsim import routing, simnet
@@ -26,6 +26,11 @@ from rule_paths import trace_path
 from conftest import SampleLog, destination_tree_ok
 from test_cli import POLL_KEYS, small_raw
 from test_simnet import run_json
+
+# The per-packet differential tests report a failing example without
+# shrinking it: a broken engine or writer fails every example, and
+# shrinking those took over a minute.
+FAIL_FAST = [Phase.explicit, Phase.reuse, Phase.generate]
 
 
 @st.composite
@@ -94,7 +99,7 @@ def outcome(engine_run, topo, rules, *args, on_poll=None, **kwargs):
     return run_json(record, rules, log.samples)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=FAIL_FAST)
 @given(doc=cli_scenarios())
 def test_runs_match_the_per_packet_engine_on_cli_scenarios(doc):
     records = []
@@ -174,7 +179,7 @@ def edit_rules(rng, topo, rules):
                     rules.install(rule)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=FAIL_FAST)
 @given(doc=cli_scenarios(), seed=st.integers(0, 2**32 - 1))
 # a shortcut, then packet-ins whose shortest paths take it
 @example(doc={"grid_n": 2, "grid_m": 2, "hosts_per_edge": 3, "server_edge": 0,
@@ -242,7 +247,7 @@ def detour_scenario(capacity, queue_cap, responses, feed_capacity):
     return topo, rules, server, attacker
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, phases=FAIL_FAST)
 @given(
     capacity=st.floats(100.0, 20_000.0),
     queue_cap=st.integers(1, 40),
