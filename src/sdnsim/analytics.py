@@ -44,7 +44,9 @@ summation order, written out:
 - A squared distance between two 4-D points is
   ``0.0 + a*a + b*b + c*c + d*d`` over the coordinate differences.
 - The density grid is ``linspace``: ``i*step + start``, the last point set
-  to ``stop``. A value's segment is ``bisect_right`` over the boundaries.
+  to ``stop``. A grid point's density is ``pairwise_sum`` of its kernel
+  values, replayed one addition at a time (``kernel_density``). A value's
+  segment is ``bisect_right`` over the boundaries.
 
 The builtin ``sum()`` is never used on floats: since Python 3.12 it
 compensates its rounding, so its result would depend on the Python version.
@@ -69,7 +71,6 @@ from .telemetry import DeltaRecord, ip_key
 MAX_ITER = 100      # Lloyd iterations per k-means run
 GRID_POINTS = 256   # density grid size
 MIN_WEIGHT = 0.01   # smallest sample fraction a segment keeps on its own
-KDE_BLOCK = 8192    # kernel values per density block
 PAIRWISE_BLOCK = 128  # longest run numpy's pairwise sum adds without splitting
 
 
@@ -282,10 +283,9 @@ def kernel_density(values, bandwidth: float) -> tuple[list[float], list[float]]:
     A grid point's density is the pairwise sum of one kernel value per data
     element, in data order. The sum's additions are laid out once, each as
     a pair of earlier terms, and a pair that repeats (the same values added
-    in the same order) is laid out once. They are then carried out for
-    ``KDE_BLOCK // n`` grid points (at least one) at a time, one list
-    addition per pair, from one kernel value per distinct data value; each
-    term is let go after the last addition that reads it.
+    in the same order) is laid out once. They are then carried out one grid
+    point at a time: one kernel value per distinct data value, then one
+    addition per pair, each appended to the point's list of terms.
     """
     data = [float(v) for v in values]
     n = len(data)
@@ -300,23 +300,12 @@ def kernel_density(values, bandwidth: float) -> tuple[list[float], list[float]]:
         return additions.setdefault((a, b), len(distinct) + len(additions))
 
     total = _pairwise(ids, 0, n, plus)
-    last_read = {}
-    for i, (a, b) in enumerate(additions, len(distinct)):
-        last_read[a] = last_read[b] = i
-    rows = max(1, KDE_BLOCK // n)
-    density: list[float] = []
-    for start in range(0, GRID_POINTS, rows):
-        block = grid[start:start + rows]
-        terms: list = [[math.exp(-0.5 * z * z) for z in [(g - v) / bandwidth for g in block]]
-                       for v in distinct]
-        terms += [None] * len(additions)
-        for i, (a, b) in enumerate(additions, len(distinct)):
-            terms[i] = list(map(add, terms[a], terms[b]))
-            if last_read[a] == i:
-                terms[a] = None
-            if last_read[b] == i:
-                terms[b] = None
-        density += [(0.0 + s) / norm for s in terms[total]]
+    density = []
+    for g in grid:
+        terms = [math.exp(-0.5 * z * z) for z in [(g - v) / bandwidth for v in distinct]]
+        for a, b in additions:
+            terms.append(terms[a] + terms[b])
+        density.append((0.0 + terms[total]) / norm)
     return grid, density
 
 
@@ -334,6 +323,10 @@ def decompose_gaussian_1d(values, bandwidth: float | None = None) -> list[GaussC
 
     Components come back ordered by mean. A zero-variance sample (or
     segment) yields a degenerate component whose std is the bandwidth.
+
+    A two-value sample's density is symmetric about the grid's middle,
+    which falls between two grid points, so whether it splits rests on the
+    last ulp of ``exp``.
     """
     data = [float(v) for v in values]
     n = len(data)

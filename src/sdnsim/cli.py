@@ -307,8 +307,9 @@ class ScenarioPipeline:
         # edges of a flow are not double-counted.
         local = [d for d in telemetry.delta(self.last_seen, samples)
                  if d.switch == self.server_edge]
-        agg = telemetry.aggregate_by_destination(local).get(self.server_ip, (0, 0))
-        byte_rate = agg[1] / self.cfg.poll_interval
+        packets = sum(d.d_packets for d in local if d.dst == self.server_ip)
+        size = sum(d.d_bytes for d in local if d.dst == self.server_ip)
+        byte_rate = size / self.cfg.poll_interval
         vectors = analytics.build_features(local, self.server_ip, self.cfg.poll_interval)
         clustering = report = None
         if vectors:
@@ -317,7 +318,7 @@ class ScenarioPipeline:
         up_rates = [v.byte_rate_up for v in vectors]
         self.polls.append({
             "t": t,
-            "aggregate": {"packets": agg[0], "bytes": agg[1], "byte_rate": byte_rate},
+            "aggregate": {"packets": packets, "bytes": size, "byte_rate": byte_rate},
             "gaussian": [
                 vars(c) for c in analytics.decompose_gaussian_1d(up_rates, self.cfg.bandwidth)
             ] if len(up_rates) >= 2 else None,
@@ -371,20 +372,13 @@ class Table:
     chunk: int = TABLE_CHUNK
 
 
-def _holds_table(value) -> bool:
-    """A ``Table``, or a dict with one among its values at any depth."""
-    return isinstance(value, Table) or (
-        isinstance(value, dict) and any(map(_holds_table, value.values())))
-
-
 def write_json(fh, obj) -> None:
     """Write ``obj`` as ``json.dump(obj, fh)`` does, with the C encoder; a
     ``Table`` is written as the list or dict of its rows.
 
-    A ``Table`` is encoded ``chunk`` rows per call. A dict that holds
-    a ``Table`` (as a value, or in a dict among its values) is written key
-    by key. Anything else is encoded in one call, so a list that grows with
-    the run belongs in a ``Table``.
+    A ``Table`` is encoded ``chunk`` rows per call, and a dict is written
+    key by key. Anything else is encoded in one call, so a list that grows
+    with the run belongs in a ``Table``.
     """
     if isinstance(obj, Table):
         rows = iter(obj.rows)
@@ -394,8 +388,9 @@ def write_json(fh, obj) -> None:
             fh.write(separator + _encode(chunk)[1:-1])
             separator = ", "
         fh.write("}" if obj.keyed else "]")
-    elif _holds_table(obj):
-        separator = "{"
+    elif isinstance(obj, dict):
+        fh.write("{")
+        separator = ""
         for key, value in obj.items():
             # '"key": ', with the encoder's own quoting of non-str keys.
             fh.write(separator + _encode({key: 0})[1:-2])
@@ -532,8 +527,9 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     into place only once both are complete. If either move fails, the
     previous stats.csv (moved aside to stats.csv.bak before the first) is
     moved back, so a failed run or write leaves the previous artifacts as
-    they were. A process killed between the moves cannot move it back; the
-    next run does, before it starts.
+    they were. A process killed between the moves can neither move it back
+    nor take a first run's stats.csv away; the next run does, before it
+    starts.
     """
     out_dir = Path(cfg.output_dir)
     try:
@@ -556,6 +552,11 @@ def run_scenario(cfg: ScenarioConfig) -> int:
                 os.replace(backup, artifacts[0])
             else:
                 backup.unlink()
+        # A first run killed between its moves leaves its stats.csv beside
+        # report.json.tmp with no report.json: there is no previous pair.
+        elif (temporaries[1].exists() and artifacts[0].is_file()
+              and not temporaries[0].exists() and not artifacts[1].exists()):
+            artifacts[0].unlink()
         # Validation rules out every ValueError that the profiles, the tick
         # rule and the analytics raise on bad values; one that still arrives
         # (with RoutingError and TopologyError) is a broken invariant.

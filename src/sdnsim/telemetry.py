@@ -1,9 +1,8 @@
-"""Per-flow statistics: polling, deltas, aggregation, CSV persistence.
+"""Per-flow statistics: polling, deltas, CSV persistence.
 
 Only edge switches are polled, and only their per-flow (src+dst match)
 rules; the cumulative totals become per-interval deltas by subtracting the
-last-seen totals per (switch, src, dst). Aggregation by destination folds
-the delta records.
+last-seen totals per (switch, src, dst).
 
 A run keeps no sample history: each poll's samples are appended to the
 stats file as they are taken, and ``read_stats_csv`` draws them back one
@@ -94,17 +93,6 @@ def delta(
         last_seen[key] = (sample.packets_total, sample.bytes_total)
         records.append(DeltaRecord(sample.switch, sample.src, sample.dst, d_p, d_b))
     return records
-
-
-def aggregate_by_destination(deltas: list[DeltaRecord]) -> dict[str, tuple[int, int]]:
-    """Sum (d_packets, d_bytes) per destination address, keyed in
-    canonical address order."""
-    sums: dict[str, list[int]] = {}
-    for record in deltas:
-        bucket = sums.setdefault(record.dst, [0, 0])
-        bucket[0] += record.d_packets
-        bucket[1] += record.d_bytes
-    return {dst: (sums[dst][0], sums[dst][1]) for dst in sorted(sums, key=ip_key)}
 
 
 CSV_HEADER = ["timestamp", "switch", "src_ip", "dst_ip", "packets_total", "bytes_total"]

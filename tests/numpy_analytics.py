@@ -16,7 +16,6 @@ import numpy as np
 
 from sdnsim.analytics import (
     GRID_POINTS,
-    KDE_BLOCK,
     MAX_ITER,
     MIN_WEIGHT,
     Clustering,
@@ -25,6 +24,8 @@ from sdnsim.analytics import (
     GaussComponent,
 )
 from sdnsim.telemetry import ip_key
+
+KDE_BLOCK = 8192  # kernel matrix elements per block; no row sum depends on it
 
 
 def cluster_sharpness(centroid, std) -> float:

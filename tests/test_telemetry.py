@@ -1,14 +1,10 @@
-import random
-
 import pytest
 
 from sdnsim.routing import FlowKey, RuleTable, handle_packet_in
 from sdnsim.simnet import SimConfig, TrafficKind, TrafficProfile, run
 from sdnsim.telemetry import (
     CounterRegressionError,
-    DeltaRecord,
     StatSample,
-    aggregate_by_destination,
     delta,
     open_stats_csv,
     poll,
@@ -136,46 +132,6 @@ def test_replaying_the_sample_log_reproduces_deltas():
         return out
 
     assert replay() == replay()
-
-
-def test_aggregate_sums_by_destination():
-    deltas = [
-        DeltaRecord("e0", "10.0.1.0", "10.0.0.0", 30, 3000),
-        DeltaRecord("e0", "10.0.2.0", "10.0.0.0", 70, 7000),
-    ]
-    assert aggregate_by_destination(deltas) == {"10.0.0.0": (100, 10_000)}
-
-
-def test_aggregate_empty_input():
-    assert aggregate_by_destination([]) == {}
-
-
-def test_aggregate_matches_nested_loop_oracle():
-    rng = random.Random(11)
-    addresses = [f"10.0.{u}.{i}" for u in range(4) for i in range(3)]
-    deltas = [
-        DeltaRecord(
-            "e0",
-            rng.choice(addresses),
-            rng.choice(addresses),
-            rng.randrange(100),
-            rng.randrange(10_000),
-        )
-        for _ in range(50)
-    ]
-    got = aggregate_by_destination(deltas)
-    # brute-force independent grouping
-    expected = {}
-    for dst in {d.dst for d in deltas}:
-        p = sum(d.d_packets for d in deltas if d.dst == dst)
-        b = sum(d.d_bytes for d in deltas if d.dst == dst)
-        expected[dst] = (p, b)
-    assert got == expected
-    total = (sum(v[0] for v in got.values()), sum(v[1] for v in got.values()))
-    assert total == (
-        sum(d.d_packets for d in deltas),
-        sum(d.d_bytes for d in deltas),
-    )
 
 
 def test_csv_round_trip(tmp_path):
