@@ -1,7 +1,7 @@
 """Deterministic SDN simulator with volumetric-attack detection and mitigation."""
 
 from .routing import FlowKey, FlowRule, RuleTable, handle_packet_in, shortest_path
-from .simnet import RunRecord, SimConfig, SimState, TrafficKind, TrafficProfile, legit_rate, run, step
+from .simnet import RunRecord, SimConfig, SimState, legit_rate, run, step
 from .topology import Link, NodeId, NodeKind, Topology, attach_switch, build_grid
 
 __version__ = "0.1.0"
@@ -17,8 +17,6 @@ __all__ = [
     "SimConfig",
     "SimState",
     "Topology",
-    "TrafficKind",
-    "TrafficProfile",
     "attach_switch",
     "build_grid",
     "handle_packet_in",

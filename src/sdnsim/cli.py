@@ -46,8 +46,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from . import analytics, mitigation, simnet, telemetry, topology
-from .routing import FlowRule, RuleTable
-from .simnet import SimConfig, SimulationError, TrafficKind, TrafficProfile, legit_rate, tick_errors
+from .routing import FlowKey, FlowRule, RuleTable
+from .simnet import SimConfig, SimulationError, legit_rate, tick_errors
 from .telemetry import CounterRegressionError
 from .topology import MAX_HOSTS_PER_EDGE, NodeId, TopologyError, build_grid, parse_host_name
 
@@ -247,37 +247,25 @@ def validate_config(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
 
 
 def build_scenario(cfg: ScenarioConfig):
-    """Materialize topology, rule table and traffic profiles from a config."""
+    """Materialize topology, rule table, request rates and engine config
+    from a config."""
     topo = build_grid(cfg.grid_n, cfg.grid_m, cfg.hosts_per_edge)
     server = NodeId.host(cfg.server_edge, cfg.server_slot)
     topo.server = server
-    attackers = {parse_host_name(name) for name in cfg.attackers}
-    topo.attackers = attackers
+    topo.attackers = {parse_host_name(name) for name in cfg.attackers}
 
-    profiles: dict[NodeId, TrafficProfile] = {
-        server: TrafficProfile(
-            TrafficKind.SERVER,
-            request_size=cfg.request_bytes,
-            response_size=cfg.response_bytes,
-        )
-    }
-    legit = [h for h in topo.hosts() if h != server and h not in attackers]
-    for rate, host in zip(matrix_rates(len(legit), cfg.client_matrix, cfg.base_rate), legit):
-        profiles[host] = TrafficProfile(
-            TrafficKind.LEGIT, rate, cfg.request_bytes, cfg.response_bytes
-        )
-    for host in sorted(attackers):
-        profiles[host] = TrafficProfile(
-            TrafficKind.ATTACKER, cfg.attacker_rate, cfg.request_bytes, cfg.response_bytes
-        )
-
+    legit = [h for h in topo.hosts() if h != server and h not in topo.attackers]
+    rates = dict(zip(legit, matrix_rates(len(legit), cfg.client_matrix, cfg.base_rate)))
+    rates.update(dict.fromkeys(topo.attackers, cfg.attacker_rate))
     sim_cfg = SimConfig(
         tick=cfg.tick,
         duration=cfg.duration,
         attack_start=cfg.attack_start,
         poll_interval=cfg.poll_interval,
+        request_size=cfg.request_bytes,
+        response_size=cfg.response_bytes,
     )
-    return topo, RuleTable(), profiles, sim_cfg
+    return topo, RuleTable(), rates, sim_cfg
 
 
 class ScenarioPipeline:
@@ -476,7 +464,7 @@ def sample_rows(samples: Iterable[telemetry.StatSample]) -> Iterator[dict]:
                "packets_total": packets, "bytes_total": bytes_}
 
 
-def _flow_rows(flows: dict[tuple[str, str], simnet.FlowTally]) -> Iterator[tuple[str, dict]]:
+def _flow_rows(flows: dict[FlowKey, simnet.FlowTally]) -> Iterator[tuple[str, dict]]:
     for src, dst in sorted(flows, key=lambda pair: (telemetry.ip_key(pair[0]),
                                                      telemetry.ip_key(pair[1]))):
         yield f"{src}->{dst}", vars(flows[src, dst])
@@ -557,11 +545,12 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         elif (temporaries[1].exists() and artifacts[0].is_file()
               and not temporaries[0].exists() and not artifacts[1].exists()):
             artifacts[0].unlink()
-        # Validation rules out every ValueError that the profiles, the tick
-        # rule and the analytics raise on bad values; one that still arrives
-        # (with RoutingError and TopologyError) is a broken invariant.
+        # Validation rules out every ValueError that the rates, the packet
+        # sizes, the tick rule and the analytics raise on bad values; one
+        # that still arrives (with RoutingError and TopologyError) is a
+        # broken invariant.
         try:
-            topo, rules, profiles, sim_cfg = build_scenario(cfg)
+            topo, rules, rates, sim_cfg = build_scenario(cfg)
             pipeline = ScenarioPipeline(cfg, topo)
             with telemetry.open_stats_csv(temporaries[0]) as stats:
                 def on_poll(state, t: float, samples) -> None:
@@ -569,7 +558,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
                     telemetry.write_stats_csv(samples, stats)
                     pipeline.on_poll(state, t, samples)
 
-                record = simnet.run(topo, rules, profiles, sim_cfg, on_poll=on_poll)
+                record = simnet.run(topo, rules, rates, sim_cfg, on_poll=on_poll)
         except (SimulationError, CounterRegressionError, ValueError,
                 mitigation.MitigationError) as exc:
             print(f"invariant violation: {exc}", file=sys.stderr)

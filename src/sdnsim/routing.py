@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .topology import NodeId, NodeKind, Topology
 
@@ -22,14 +23,12 @@ class RoutingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FlowKey:
+class FlowKey(NamedTuple):
+    """A flow's source and destination addresses: a plain tuple, equal to
+    ``(src, dst)``."""
+
     src: str
     dst: str
-
-    def __post_init__(self) -> None:
-        if self.src == self.dst:
-            raise RoutingError("flow source and destination must differ")
 
     def reversed(self) -> "FlowKey":
         return FlowKey(self.dst, self.src)
@@ -226,6 +225,8 @@ def handle_packet_in(
     Returns the rules written; an already-programmed flow is a no-op and
     returns an empty list.
     """
+    if key.src == key.dst:
+        raise RoutingError("flow source and destination must differ")
     src_host = topology.host_of_ip.get(key.src)
     dst_host = topology.host_of_ip.get(key.dst)
     if src_host is None or dst_host is None:

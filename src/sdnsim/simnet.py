@@ -1,10 +1,12 @@
 """Discrete-time traffic engine.
 
-Each tick, hosts emit whole request packets (fractional per-tick request
-counts accumulate in a per-host residue, so rates below 1/tick still emit
-deterministically), switches forward along the rule table, counters
-accumulate on every matched rule, and the server answers each delivered
-request with one response in the same tick.
+Each tick, every host with a request rate emits whole request packets to
+the topology's server (fractional per-tick request counts accumulate in a
+per-host residue, so rates below 1/tick still emit deterministically; the
+topology's attackers start at ``attack_start``), switches forward along the
+rule table, counters accumulate on every matched rule, and the server
+answers each delivered request with one response in the same tick. Every
+request and every response has the size that ``SimConfig`` sets.
 
 Constrained links model the scrubber throttle: a link passes at most
 ``capacity * tick`` bytes per tick, holds up to ``queue_cap`` packets in a
@@ -75,7 +77,6 @@ from array import array
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import NamedTuple
 
 from . import telemetry
@@ -85,26 +86,6 @@ from .topology import HOST_PORT, Link, NodeId, Topology
 
 class SimulationError(RuntimeError):
     """An engine invariant was violated (forwarding loop, accounting leak...)."""
-
-
-class TrafficKind(Enum):
-    LEGIT = "legit"
-    ATTACKER = "attacker"
-    SERVER = "server"
-
-
-@dataclass(frozen=True)
-class TrafficProfile:
-    kind: TrafficKind
-    request_rate: float = 0.0
-    request_size: int = 200
-    response_size: int = 1000
-
-    def __post_init__(self) -> None:
-        if self.request_rate < 0:
-            raise ValueError("request_rate must be >= 0")
-        if self.request_size <= 0 or self.response_size <= 0:
-            raise ValueError("packet sizes must be positive")
 
 
 def tick_errors(tick: float, duration: float | None, poll_interval: float | None) -> list[str]:
@@ -129,8 +110,12 @@ class SimConfig:
     duration: float = 60.0
     attack_start: float = 20.0
     poll_interval: float = 5.0
+    request_size: int = 200
+    response_size: int = 1000
 
     def __post_init__(self) -> None:
+        if self.request_size <= 0 or self.response_size <= 0:
+            raise ValueError("packet sizes must be positive")
         if self.tick <= 0:
             raise ValueError("tick must be positive")
         if self.duration < 0:
@@ -288,28 +273,27 @@ class RunRecord:
     poll_times: list[float] = field(default_factory=list)
     flow_snapshots: list[array | list[int]] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
-    flows: dict[tuple[str, str], FlowTally] = field(default_factory=dict)
+    flows: dict[FlowKey, FlowTally] = field(default_factory=dict)
     link_states: list[LinkState] = field(default_factory=list)
 
     def tally(self, key: FlowKey) -> FlowTally:
-        pair = (key.src, key.dst)
-        if pair not in self.flows:
-            self.flows[pair] = FlowTally()
-        return self.flows[pair]
+        if key not in self.flows:
+            self.flows[key] = FlowTally()
+        return self.flows[key]
 
 
 @dataclass
 class SimState:
     topology: Topology
     rules: RuleTable
-    profiles: dict[NodeId, TrafficProfile]
+    rates: dict[NodeId, float]
     cfg: SimConfig
     record: RunRecord = field(default_factory=RunRecord)
     step_index: int = 0
     residues: dict[NodeId, float] = field(default_factory=dict)
     link_states: dict[Link, LinkState] = field(default_factory=dict)
     attack_logged: bool = False
-    # Emitting order: every profiled host, sorted once per run.
+    # Emitting order: every host with a rate, sorted once per run.
     hosts: list[NodeId] = field(init=False, repr=False)
     # node -> {local port: state of the constrained link on that port}
     _constrained: dict[NodeId, dict[int, LinkState]] = field(default_factory=dict)
@@ -320,7 +304,7 @@ class SimState:
     )
 
     def __post_init__(self) -> None:
-        self.hosts = sorted(self.profiles)
+        self.hosts = sorted(self.rates)
 
     @property
     def time(self) -> float:
@@ -347,9 +331,7 @@ def _deliver(
     tally.delivered_packets += count
     tally.delivered_bytes += count * size
     if host == state.topology.server:
-        profile = state.profiles.get(host)
-        if profile is not None:
-            _emit(state, host, key.src, profile.response_size, count)
+        _emit(state, host, key.src, state.cfg.response_size, count)
 
 
 class Path(NamedTuple):
@@ -492,19 +474,17 @@ def step(state: SimState) -> None:
     server = state.topology.server
     server_ip = state.topology.ip_of.get(server) if server else None
     for host in state.hosts:
-        profile = state.profiles[host]
-        if profile.kind is TrafficKind.SERVER:
-            continue
-        if profile.kind is TrafficKind.ATTACKER and t < cfg.attack_start - 1e-9:
-            continue
-        if profile.kind is TrafficKind.ATTACKER and not state.attack_logged:
-            state.record.events.append({"t": t, "event": "attack_active"})
-            state.attack_logged = True
-        acc = state.residues.get(host, 0.0) + profile.request_rate * cfg.tick
+        if host in state.topology.attackers:
+            if t < cfg.attack_start - 1e-9:
+                continue
+            if not state.attack_logged:
+                state.record.events.append({"t": t, "event": "attack_active"})
+                state.attack_logged = True
+        acc = state.residues.get(host, 0.0) + state.rates[host] * cfg.tick
         count = math.floor(acc + 1e-9)
         state.residues[host] = acc - count
         for run in _runs(state, count):
-            _emit(state, host, server_ip, profile.request_size, run)
+            _emit(state, host, server_ip, cfg.request_size, run)
 
     # Exact conservation, checked every tick from an empty start: every
     # packet that entered has passed, been dropped, or is still queued.
@@ -520,11 +500,16 @@ def step(state: SimState) -> None:
 def run(
     topology: Topology,
     rules: RuleTable,
-    profiles: dict[NodeId, TrafficProfile],
+    rates: dict[NodeId, float],
     cfg: SimConfig,
     on_poll=None,
 ) -> RunRecord:
     """Run the full scenario; polls fire every poll_interval ticks.
+
+    ``rates`` holds the request rate of each sending host, in requests per
+    second toward ``topology.server``; the hosts in ``topology.attackers``
+    start sending at ``cfg.attack_start``. The server sends only responses,
+    so it has no rate and is no attacker.
 
     ``on_poll(state, t, samples)`` runs synchronously at each poll boundary,
     with the samples taken there, after the poll time and flow snapshot were
@@ -534,16 +519,15 @@ def run(
     server = topology.server
     if server is None or server not in topology.nodes:
         raise SimulationError("no server designated")
-    server_profile = profiles.get(server)
-    if server_profile is None or server_profile.kind is not TrafficKind.SERVER:
-        raise SimulationError("server host needs a server profile")
-    for host, profile in profiles.items():
+    if server in rates or server in topology.attackers:
+        raise SimulationError("the server sends no requests and cannot be an attacker")
+    for host, rate in rates.items():
         if host not in topology.nodes:
-            raise SimulationError(f"profile for unknown host {host}")
-        if profile.kind is TrafficKind.ATTACKER and host == server:
-            raise SimulationError("the server cannot be an attacker")
+            raise SimulationError(f"rate for unknown host {host}")
+        if rate < 0:
+            raise ValueError("request rate must be >= 0")
 
-    state = SimState(topology, rules, profiles, cfg)
+    state = SimState(topology, rules, rates, cfg)
     for i in range(cfg.steps):
         step(state)
         if (i + 1) % cfg.poll_every == 0:

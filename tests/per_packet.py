@@ -14,7 +14,7 @@ from unittest import mock
 
 from sdnsim import simnet
 from sdnsim.routing import FlowKey, handle_packet_in
-from sdnsim.simnet import LinkState, QueuedRun, SimulationError, TrafficKind
+from sdnsim.simnet import LinkState, QueuedRun, SimulationError
 from sdnsim.topology import HOST_PORT
 
 
@@ -45,9 +45,7 @@ def _deliver(state, throttled, key, tally, size, host):
     tally.delivered_packets += 1
     tally.delivered_bytes += size
     if host == state.topology.server:
-        profile = state.profiles.get(host)
-        if profile is not None:
-            _emit(state, throttled, host, key.src, profile.response_size)
+        _emit(state, throttled, host, key.src, state.cfg.response_size)
 
 
 def _walk(state, throttled, key, tally, size, node, in_port):
@@ -119,20 +117,18 @@ def step(state):
 
     server = state.topology.server
     server_ip = state.topology.ip_of.get(server) if server else None
-    for host in sorted(state.profiles):
-        profile = state.profiles[host]
-        if profile.kind is TrafficKind.SERVER:
-            continue
-        if profile.kind is TrafficKind.ATTACKER and t < cfg.attack_start - 1e-9:
-            continue
-        if profile.kind is TrafficKind.ATTACKER and not state.attack_logged:
-            state.record.events.append({"t": t, "event": "attack_active"})
-            state.attack_logged = True
-        acc = state.residues.get(host, 0.0) + profile.request_rate * cfg.tick
+    for host in sorted(state.rates):
+        if host in state.topology.attackers:
+            if t < cfg.attack_start - 1e-9:
+                continue
+            if not state.attack_logged:
+                state.record.events.append({"t": t, "event": "attack_active"})
+                state.attack_logged = True
+        acc = state.residues.get(host, 0.0) + state.rates[host] * cfg.tick
         count = math.floor(acc + 1e-9)
         state.residues[host] = acc - count
         for _ in range(count):
-            _emit(state, throttled, host, server_ip, profile.request_size)
+            _emit(state, throttled, host, server_ip, cfg.request_size)
 
     for ls in state.link_states.values():
         if ls.entered_packets != ls.passed_packets + ls.dropped_packets + len(ls.queue):

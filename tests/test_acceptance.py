@@ -120,9 +120,9 @@ def test_criterion_3_counter_conservation():
     raw["attackers"] = []
     cfg, errors = validate_config(raw)
     assert errors == []
-    topo, rules, profiles, sim_cfg = build_scenario(cfg)
+    topo, rules, rates, sim_cfg = build_scenario(cfg)
     log = SampleLog()
-    record = run_sim(topo, rules, profiles, sim_cfg, on_poll=log)
+    record = run_sim(topo, rules, rates, sim_cfg, on_poll=log)
 
     # telescoping: summed deltas equal the final cumulative totals, exactly
     last_seen = {}
@@ -254,7 +254,7 @@ def test_criterion_7_mitigation_effectiveness(reference_attack, reference_contro
         assert mitigated_tally["delivered_bytes"] == tally["delivered_bytes"]
 
     # no forwarding loops: every flow's path walk terminates at a host
-    topo, rules, profiles, sim_cfg = build_scenario(cfg)
+    topo, rules, rates, sim_cfg = build_scenario(cfg)
     from sdnsim import mitigation as mit
 
     for src in sorted(scrubbed):

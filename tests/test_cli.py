@@ -36,9 +36,11 @@ from sdnsim.cli import (
     validate_config,
     write_json,
 )
-from sdnsim.simnet import SimConfig, SimulationError, TrafficKind, TrafficProfile
+from sdnsim.simnet import SimConfig, SimulationError
 from sdnsim.telemetry import StatSample, delta, read_stats_csv
 from sdnsim.topology import MAX_HOSTS_PER_EDGE
+
+from test_simnet import simple_scenario
 
 
 def small_raw(**overrides):
@@ -119,15 +121,13 @@ def test_matrix_rates_wrap_beyond_the_matrix():
 
 def test_build_scenario_assigns_roles():
     cfg, errors = validate_config(small_raw())
-    topo, rules, profiles, sim_cfg = build_scenario(cfg)
-    kinds = {}
-    for host, profile in profiles.items():
-        kinds[profile.kind] = kinds.get(profile.kind, 0) + 1
-    assert kinds[TrafficKind.SERVER] == 1
-    assert kinds[TrafficKind.ATTACKER] == 2
-    # 2*(2*2+2*3-4) hosts = 12; minus server and 2 attackers
-    assert kinds[TrafficKind.LEGIT] == 9
+    topo, rules, rates, sim_cfg = build_scenario(cfg)
     assert topo.server == topo.host_of_ip["10.0.0.0"]
+    assert topo.server not in rates
+    assert len(topo.attackers) == 2 and topo.attackers <= rates.keys()
+    # 2*(2*2+2*3-4) hosts = 12; minus server and 2 attackers
+    assert len(rates) - len(topo.attackers) == 9
+    assert (sim_cfg.request_size, sim_cfg.response_size) == (200, 1000)
 
 
 # -- run_scenario ----------------------------------------------------------
@@ -658,18 +658,22 @@ def test_memory_at_ten_times_the_length_stays_near_the_short_run(tmp_path):
 
 # -- ValueError audit -----------------------------------------------------
 
-# Each ValueError that a traffic profile, the tick rule or an analytics step
+def run_one_client(rate, attacker=False):
+    topo, rules, rates, cfg, server, client = simple_scenario(rate=rate)
+    if attacker:
+        topo.attackers = {client}
+    simnet.run(topo, rules, rates, cfg)
+
+
+# Each ValueError that the engine's rates, its config or an analytics step
 # raises on a bad value, with a config document that would carry that value
 # to it.
 VALUE_ERRORS = {
-    "negative legit rate": (lambda: TrafficProfile(TrafficKind.LEGIT, -1.0),
-                            {"base_rate": -1.0}),
-    "negative attacker rate": (lambda: TrafficProfile(TrafficKind.ATTACKER, -1.0),
+    "negative legit rate": (lambda: run_one_client(-1.0), {"base_rate": -1.0}),
+    "negative attacker rate": (lambda: run_one_client(-1.0, attacker=True),
                                {"attackers": ["h1s1"], "attacker_rate": -1.0}),
-    "empty request": (lambda: TrafficProfile(TrafficKind.LEGIT, 1.0, request_size=0),
-                      {"request_bytes": 0}),
-    "empty response": (lambda: TrafficProfile(TrafficKind.SERVER, response_size=0),
-                       {"response_bytes": 0}),
+    "empty request": (lambda: SimConfig(request_size=0), {"request_bytes": 0}),
+    "empty response": (lambda: SimConfig(response_size=0), {"response_bytes": 0}),
     "zero tick": (lambda: SimConfig(tick=0.0), {"tick": 0.0}),
     "negative duration": (lambda: SimConfig(duration=-1.0), {"duration": -1.0}),
     "zero poll interval": (lambda: SimConfig(poll_interval=0.0), {"poll_interval": 0.0}),
@@ -700,7 +704,7 @@ def test_validation_rules_out_each_value_error(raise_it, doc):
 @pytest.mark.parametrize("owner, name", [
     (analytics, "kmeans"),
     (analytics, "decompose_gaussian_1d"),
-    (cli, "TrafficProfile"),
+    (cli, "build_grid"),
     (cli, "SimConfig"),
 ])
 def test_value_error_in_a_run_exits_3(tmp_path, monkeypatch, owner, name):

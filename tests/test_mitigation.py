@@ -16,7 +16,7 @@ from sdnsim.mitigation import (
     plan_scrubber,
 )
 from sdnsim.routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, handle_packet_in
-from sdnsim.simnet import SimConfig, TrafficKind, TrafficProfile, run
+from sdnsim.simnet import SimConfig, run
 from sdnsim.topology import NodeId, NodeKind, build_grid
 
 from rule_paths import trace_path
@@ -166,28 +166,26 @@ def test_mitigated_attacker_is_throttled_while_legit_flows_match_control():
         topo.server = server
         attacker = NodeId.host(3, 1)
         legit = NodeId.host(1, 1)
-        profiles = {
-            server: TrafficProfile(TrafficKind.SERVER, request_size=1000, response_size=1000),
-            attacker: TrafficProfile(TrafficKind.ATTACKER, 100.0, 1000, 1000),
-            legit: TrafficProfile(TrafficKind.LEGIT, 5.0, 1000, 1000),
-        }
-        cfg = SimConfig(duration=10.0, poll_interval=5.0, attack_start=0.0)
+        topo.attackers = {attacker}
+        rates = {attacker: 100.0, legit: 5.0}
+        cfg = SimConfig(duration=10.0, poll_interval=5.0, attack_start=0.0,
+                        request_size=1000, response_size=1000)
         rules = RuleTable()
         server_ip = topo.ip_of[server]
         a_ip, l_ip = topo.ip_of[attacker], topo.ip_of[legit]
         handle_packet_in(rules, topo, FlowKey(a_ip, server_ip))
         handle_packet_in(rules, topo, FlowKey(l_ip, server_ip))
-        return topo, rules, profiles, cfg, server_ip, a_ip, l_ip
+        return topo, rules, rates, cfg, server_ip, a_ip, l_ip
 
     # control: no mitigation
-    topo, rules, profiles, cfg, server_ip, a_ip, l_ip = scenario()
-    control = run(topo, rules, profiles, cfg)
+    topo, rules, rates, cfg, server_ip, a_ip, l_ip = scenario()
+    control = run(topo, rules, rates, cfg)
     assert control.flows[(a_ip, server_ip)].delivered_bytes == 100_000 * 10
 
     # mitigated: scrubber applied before traffic starts
-    topo, rules, profiles, cfg, server_ip, a_ip, l_ip = scenario()
+    topo, rules, rates, cfg, server_ip, a_ip, l_ip = scenario()
     apply(plan_scrubber(server_ip, [a_ip], topo, rules), topo, rules)
-    mitigated = run(topo, rules, profiles, cfg)
+    mitigated = run(topo, rules, rates, cfg)
 
     throttled = mitigated.flows[(a_ip, server_ip)]
     assert throttled.delivered_bytes <= SCRUBBER_CAPACITY_BPS * cfg.duration

@@ -157,6 +157,16 @@ def test_first_flow_installs_both_directions(grid):
         assert rules.find(edge, fkey.src, fkey.dst, BASE_PRIORITY) is not None
 
 
+def test_flow_to_itself_is_rejected(grid):
+    rules = RuleTable()
+    ip = grid.ip_of[NodeId.host(0, 1)]
+    key = FlowKey(ip, ip)
+    assert key == (ip, ip)
+    with pytest.raises(RoutingError, match="must differ"):
+        handle_packet_in(rules, grid, key)
+    assert rules.all_entries() == []
+
+
 def test_core_rules_match_destination_only(grid):
     rules = RuleTable()
     key = flow(grid, NodeId.host(0, 0), NodeId.host(5, 1))

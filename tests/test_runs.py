@@ -16,7 +16,7 @@ from sdnsim.mitigation import SCRUBBER_CAPACITY_BPS, MitigationError
 from sdnsim.routing import (
     BASE_PRIORITY, FlowKey, FlowRule, RoutingError, RuleTable, handle_packet_in,
 )
-from sdnsim.simnet import SimConfig, SimulationError, TrafficKind, TrafficProfile
+from sdnsim.simnet import SimConfig, SimulationError
 from sdnsim.telemetry import CounterRegressionError, delta
 from sdnsim.topology import Link, NodeId, attach_switch, build_grid
 
@@ -79,8 +79,8 @@ def snapshots(record):
 def build(doc):
     cfg, errors = validate_config(doc)
     assert errors == []
-    topo, rules, profiles, sim_cfg = build_scenario(cfg)
-    return topo, rules, profiles, sim_cfg, ScenarioPipeline(cfg, topo)
+    topo, rules, rates, sim_cfg = build_scenario(cfg)
+    return topo, rules, rates, sim_cfg, ScenarioPipeline(cfg, topo)
 
 
 # The errors a run may end with; both engines must end alike. Anything
@@ -104,8 +104,8 @@ def outcome(engine_run, topo, rules, *args, on_poll=None, **kwargs):
 def test_runs_match_the_per_packet_engine_on_cli_scenarios(doc):
     records = []
     for engine_run in (simnet.run, per_packet.run):
-        topo, rules, profiles, sim_cfg, pipeline = build(doc)
-        records.append(outcome(engine_run, topo, rules, profiles, sim_cfg,
+        topo, rules, rates, sim_cfg, pipeline = build(doc)
+        records.append(outcome(engine_run, topo, rules, rates, sim_cfg,
                                on_poll=pipeline.on_poll))
     assert records[0] == records[1]
 
@@ -194,14 +194,14 @@ def test_runs_match_the_per_packet_engine_under_rule_edits(doc, seed):
     records = []
     for engine_run, search in ((simnet.run, routing.shortest_path),
                                (per_packet.run, heap_paths.shortest_path)):
-        topo, rules, profiles, sim_cfg, _ = build(doc)
+        topo, rules, rates, sim_cfg, _ = build(doc)
         rng = random.Random(seed)
 
         def on_poll(state, t, samples):
             edit_rules(rng, state.topology, state.rules)
 
         with mock.patch.object(routing, "shortest_path", search):
-            records.append(outcome(engine_run, topo, rules, profiles, sim_cfg, on_poll=on_poll))
+            records.append(outcome(engine_run, topo, rules, rates, sim_cfg, on_poll=on_poll))
     assert records[0] == records[1]
 
 
@@ -219,6 +219,7 @@ def detour_scenario(capacity, queue_cap, responses, feed_capacity):
     topo = build_grid(2, 2, 1)
     server, attacker = NodeId.host(0, 0), NodeId.host(1, 0)
     topo.server = server
+    topo.attackers = {attacker}
     rules = RuleTable()
     s_ip, a_ip = topo.ip_of[server], topo.ip_of[attacker]
     handle_packet_in(rules, topo, FlowKey(a_ip, s_ip))
@@ -266,13 +267,9 @@ def test_runs_match_the_per_packet_engine_on_throttled_links(
         topo, rules, server, attacker = detour_scenario(
             capacity, queue_cap, responses, feed_capacity
         )
-        profiles = {
-            server: TrafficProfile(TrafficKind.SERVER, request_size=request,
-                                   response_size=response),
-            attacker: TrafficProfile(TrafficKind.ATTACKER, rate, request, response),
-        }
-        cfg = SimConfig(tick=tick, duration=10.0, poll_interval=5.0, attack_start=0.0)
-        records.append(outcome(engine_run, topo, rules, profiles, cfg))
+        cfg = SimConfig(tick=tick, duration=10.0, poll_interval=5.0, attack_start=0.0,
+                        request_size=request, response_size=response)
+        records.append(outcome(engine_run, topo, rules, {attacker: rate}, cfg))
     assert records[0] == records[1]
 
 
@@ -284,14 +281,11 @@ def test_two_way_link_sends_packets_one_at_a_time():
     records = []
     for engine_run in (simnet.run, per_packet.run):
         topo, rules, server, attacker = detour_scenario(12_500.0, 1000, "same", None)
-        profiles = {
-            server: TrafficProfile(TrafficKind.SERVER, request_size=1000, response_size=1000),
-            attacker: TrafficProfile(TrafficKind.ATTACKER, 1000.0, 1000, 1000),
-        }
-        cfg = SimConfig(duration=10.0, poll_interval=5.0, attack_start=0.0)
+        cfg = SimConfig(duration=10.0, poll_interval=5.0, attack_start=0.0,
+                        request_size=1000, response_size=1000)
         log = SampleLog()
-        records.append(run_json(engine_run(topo, rules, profiles, cfg, on_poll=log), rules,
-                                log.samples))
+        records.append(run_json(engine_run(topo, rules, {attacker: 1000.0}, cfg, on_poll=log),
+                                rules, log.samples))
     assert records[0] == records[1]
     a_ip, s_ip = topo.ip_of[attacker], topo.ip_of[server]
     flows = json.loads(records[0])["flows"]
@@ -310,10 +304,10 @@ def lookups_at(monkeypatch, **overrides):
 
     monkeypatch.setattr(RuleTable, "lookup", counted)
     # The threshold is never reached, so no scrubber throttles the attack.
-    topo, rules, profiles, sim_cfg, pipeline = build(small_raw(
+    topo, rules, rates, sim_cfg, pipeline = build(small_raw(
         **{"attack_start": 0.0, "duration": 5.0, "threshold": 1e30, **overrides}
     ))
-    record = simnet.run(topo, rules, profiles, sim_cfg, on_poll=pipeline.on_poll)
+    record = simnet.run(topo, rules, rates, sim_cfg, on_poll=pipeline.on_poll)
     emitted = sum(t.emitted_packets for t in record.flows.values())
     return calls, emitted
 
@@ -336,9 +330,9 @@ def test_rule_lookups_do_not_grow_with_duration(monkeypatch):
 
 def test_packet_in_keeps_compiled_paths_toward_other_destinations(monkeypatch):
     # Every client sends at least one request each tick from the first.
-    topo, rules, profiles, sim_cfg, _ = build(small_raw(
+    topo, rules, rates, sim_cfg, _ = build(small_raw(
         attackers=[], base_rate=1.0, client_matrix=1, duration=5.0))
-    state = simnet.SimState(topo, rules, profiles, sim_cfg)
+    state = simnet.SimState(topo, rules, rates, sim_cfg)
     simnet.step(state)  # every client's packet-in
     simnet.step(state)  # paths compiled before a later packet-in recompile
     compiled = []
@@ -386,7 +380,7 @@ def traced(topo, rules, keys):
 @settings(max_examples=40, deadline=None)
 @given(doc=cli_scenarios())
 def test_random_grids_keep_one_tree_per_destination_and_legit_paths(doc):
-    topo, rules, profiles, sim_cfg, pipeline = build(doc)
+    topo, rules, rates, sim_cfg, pipeline = build(doc)
 
     def on_poll(state, t, samples):
         before = traced(topo, rules, server_keys(topo))
@@ -399,7 +393,7 @@ def test_random_grids_keep_one_tree_per_destination_and_legit_paths(doc):
                 if key.src not in suspicious:
                     assert trace_path(topo, rules, key) == path
 
-    simnet.run(topo, rules, profiles, sim_cfg, on_poll=on_poll)
+    simnet.run(topo, rules, rates, sim_cfg, on_poll=on_poll)
     for dst in {e.rule.match_dst for e in rules.all_entries()}:
         assert destination_tree_ok(topo, rules, dst)
 
@@ -407,9 +401,9 @@ def test_random_grids_keep_one_tree_per_destination_and_legit_paths(doc):
 @settings(max_examples=40, deadline=None)
 @given(doc=cli_scenarios())
 def test_random_grids_poll_monotone_counters_whose_deltas_telescope(doc):
-    topo, rules, profiles, sim_cfg, pipeline = build(doc)
+    topo, rules, rates, sim_cfg, pipeline = build(doc)
     log = SampleLog(pipeline.on_poll)
-    record = simnet.run(topo, rules, profiles, sim_cfg, on_poll=log)
+    record = simnet.run(topo, rules, rates, sim_cfg, on_poll=log)
 
     # Samples arrive poll by poll; no flow's totals ever go down.
     totals = {}
@@ -455,8 +449,8 @@ def test_random_grids_repeat_byte_identical_artifacts(doc):
               "tick": 1.0, "duration": 12.0, "poll_interval": 1.0,
               "threshold": 1000.0, "k_clusters": 2})
 def test_random_grids_cap_scrubbed_flows_after_mitigation(doc):
-    topo, rules, profiles, sim_cfg, pipeline = build(doc)
-    record = simnet.run(topo, rules, profiles, sim_cfg, on_poll=pipeline.on_poll)
+    topo, rules, rates, sim_cfg, pipeline = build(doc)
+    record = simnet.run(topo, rules, rates, sim_cfg, on_poll=pipeline.on_poll)
     if pipeline.plan is None:
         return
     # Delivered bytes at each poll after mitigation and at the end, as

@@ -1,5 +1,6 @@
 import io
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,6 @@ from sdnsim.simnet import (
     SimConfig,
     SimState,
     SimulationError,
-    TrafficKind,
-    TrafficProfile,
     legit_rate,
     run,
     step,
@@ -56,17 +55,15 @@ def simple_scenario(rate=2.0, duration=10.0, request=200, response=1000):
     server = NodeId.host(0, 0)
     client = NodeId.host(2, 0)
     topo.server = server
-    profiles = {
-        server: TrafficProfile(TrafficKind.SERVER, request_size=request, response_size=response),
-        client: TrafficProfile(TrafficKind.LEGIT, rate, request, response),
-    }
-    cfg = SimConfig(duration=duration, poll_interval=5.0, attack_start=0.0)
-    return topo, RuleTable(), profiles, cfg, server, client
+    rates = {client: rate}
+    cfg = SimConfig(duration=duration, poll_interval=5.0, attack_start=0.0,
+                    request_size=request, response_size=response)
+    return topo, RuleTable(), rates, cfg, server, client
 
 
 def test_lossless_counters_for_steady_client():
-    topo, rules, profiles, cfg, server, client = simple_scenario()
-    record = run(topo, rules, profiles, cfg)
+    topo, rules, rates, cfg, server, client = simple_scenario()
+    record = run(topo, rules, rates, cfg)
     c_ip, s_ip = topo.ip_of[client], topo.ip_of[server]
     source_rule = rules.find(topo.edge_of_host(client), c_ip, s_ip, BASE_PRIORITY)
     server_rule = rules.find(topo.edge_of_host(server), s_ip, c_ip, BASE_PRIORITY)
@@ -79,17 +76,17 @@ def test_lossless_counters_for_steady_client():
 
 
 def test_fractional_rate_dithers_deterministically():
-    topo, rules, profiles, cfg, server, client = simple_scenario(rate=0.6)
-    record = run(topo, rules, profiles, cfg)
+    topo, rules, rates, cfg, server, client = simple_scenario(rate=0.6)
+    record = run(topo, rules, rates, cfg)
     key = (topo.ip_of[client], topo.ip_of[server])
     # floor of the running 0.6/s accumulation over 10 ticks
     assert record.flows[key].emitted_packets == 6
 
 
 def test_zero_rate_client_creates_nothing():
-    topo, rules, profiles, cfg, server, client = simple_scenario(rate=0.0)
+    topo, rules, rates, cfg, server, client = simple_scenario(rate=0.0)
     log = SampleLog()
-    record = run(topo, rules, profiles, cfg, on_poll=log)
+    record = run(topo, rules, rates, cfg, on_poll=log)
     assert record.flows == {}
     assert log.samples == []
     # Every poll still records a snapshot, of no flow.
@@ -102,23 +99,23 @@ def test_zero_rate_client_creates_nothing():
 
 
 def test_first_emission_raises_exactly_one_packet_in():
-    topo, rules, profiles, cfg, server, client = simple_scenario()
-    record = run(topo, rules, profiles, cfg)
+    topo, rules, rates, cfg, server, client = simple_scenario()
+    record = run(topo, rules, rates, cfg)
     packet_ins = [e for e in record.events if e["event"] == "packet_in"]
     assert len(packet_ins) == 1
     assert packet_ins[0]["t"] == 0.0
 
 
 def test_run_polls_every_five_seconds():
-    topo, rules, profiles, cfg, server, client = simple_scenario(duration=60.0)
-    record = run(topo, rules, profiles, cfg)
+    topo, rules, rates, cfg, server, client = simple_scenario(duration=60.0)
+    record = run(topo, rules, rates, cfg)
     assert record.poll_times == [5.0 * i for i in range(1, 13)]
 
 
 def test_zero_duration_produces_empty_record():
-    topo, rules, profiles, cfg, server, client = simple_scenario(duration=0.0)
+    topo, rules, rates, cfg, server, client = simple_scenario(duration=0.0)
     log = SampleLog()
-    record = run(topo, rules, profiles, cfg, on_poll=log)
+    record = run(topo, rules, rates, cfg, on_poll=log)
     assert record.poll_times == []
     assert log.samples == []
     assert record.flow_snapshots == []
@@ -136,32 +133,39 @@ def run_json(record, rules, samples) -> str:
 def test_identical_runs_serialize_identically():
     records = []
     for _ in range(2):
-        topo, rules, profiles, cfg, _, _ = simple_scenario(duration=20.0)
+        topo, rules, rates, cfg, _, _ = simple_scenario(duration=20.0)
         log = SampleLog()
-        records.append(run_json(run(topo, rules, profiles, cfg, on_poll=log), rules, log.samples))
+        records.append(run_json(run(topo, rules, rates, cfg, on_poll=log), rules, log.samples))
     assert records[0] == records[1]
 
 
 def test_run_requires_a_server():
-    topo, rules, profiles, cfg, server, client = simple_scenario()
+    topo, rules, rates, cfg, server, client = simple_scenario()
     topo.server = None
     with pytest.raises(SimulationError):
-        run(topo, rules, profiles, cfg)
+        run(topo, rules, rates, cfg)
 
 
 def test_run_rejects_attacking_server():
-    topo, rules, profiles, cfg, server, client = simple_scenario()
-    profiles[server] = TrafficProfile(TrafficKind.ATTACKER, 1.0)
-    with pytest.raises(SimulationError):
-        run(topo, rules, profiles, cfg)
+    # The server sends only responses: it has no request rate...
+    topo, rules, rates, cfg, server, client = simple_scenario()
+    rates[server] = 1.0
+    with pytest.raises(SimulationError, match="the server sends no requests"):
+        run(topo, rules, rates, cfg)
+    # ...and is no attacker, even without one.
+    topo, rules, rates, cfg, server, client = simple_scenario()
+    topo.attackers = {server}
+    with pytest.raises(SimulationError, match="cannot be an attacker"):
+        run(topo, rules, rates, cfg)
 
 
 def test_attackers_idle_until_attack_start():
-    topo, rules, profiles, cfg, server, client = simple_scenario(rate=0.0, duration=10.0)
+    topo, rules, rates, cfg, server, client = simple_scenario(rate=0.0, duration=10.0)
     attacker = NodeId.host(1, 0)
-    profiles[attacker] = TrafficProfile(TrafficKind.ATTACKER, 4.0, 200, 1000)
+    topo.attackers = {attacker}
+    rates[attacker] = 4.0
     cfg = SimConfig(duration=10.0, poll_interval=5.0, attack_start=6.0)
-    record = run(topo, rules, profiles, cfg)
+    record = run(topo, rules, rates, cfg)
     key = (topo.ip_of[attacker], topo.ip_of[server])
     # active for ticks starting at t=6,7,8,9
     assert record.flows[key].emitted_packets == 16
@@ -175,6 +179,7 @@ def throttled_scenario(capacity=12_500.0, queue_cap=1000):
     topo = build_grid(2, 2, 1)
     server, attacker = NodeId.host(0, 0), NodeId.host(1, 0)
     topo.server = server
+    topo.attackers = {attacker}
     rules = RuleTable()
     s_ip, a_ip = topo.ip_of[server], topo.ip_of[attacker]
     handle_packet_in(rules, topo, FlowKey(a_ip, s_ip))
@@ -196,17 +201,15 @@ def throttled_scenario(capacity=12_500.0, queue_cap=1000):
     )
     rules.install(FlowRule(scrub, a_ip, s_ip, 201, 30002))
 
-    profiles = {
-        server: TrafficProfile(TrafficKind.SERVER, request_size=1000, response_size=1000),
-        attacker: TrafficProfile(TrafficKind.ATTACKER, 1000.0, 1000, 1000),
-    }
-    cfg = SimConfig(duration=10.0, poll_interval=5.0, attack_start=0.0)
-    return topo, rules, profiles, cfg, (a_ip, s_ip)
+    rates = {attacker: 1000.0}
+    cfg = SimConfig(duration=10.0, poll_interval=5.0, attack_start=0.0,
+                    request_size=1000, response_size=1000)
+    return topo, rules, rates, cfg, (a_ip, s_ip)
 
 
 def test_throttled_link_caps_delivery_and_conserves_packets():
-    topo, rules, profiles, cfg, key = throttled_scenario()
-    record = run(topo, rules, profiles, cfg)
+    topo, rules, rates, cfg, key = throttled_scenario()
+    record = run(topo, rules, rates, cfg)
     tally = record.flows[key]
     assert tally.emitted_packets == 10_000
     # never faster than the link: 12.5 kB/s over 10 s
@@ -224,33 +227,33 @@ def test_throttled_link_caps_delivery_and_conserves_packets():
 def test_throttled_run_is_deterministic():
     outputs = []
     for _ in range(2):
-        topo, rules, profiles, cfg, _ = throttled_scenario()
+        topo, rules, rates, cfg, _ = throttled_scenario()
         log = SampleLog()
-        outputs.append(run_json(run(topo, rules, profiles, cfg, on_poll=log), rules, log.samples))
+        outputs.append(run_json(run(topo, rules, rates, cfg, on_poll=log), rules, log.samples))
     assert outputs[0] == outputs[1]
 
 
-def test_run_rejects_profiles_for_unknown_hosts():
-    topo, rules, profiles, cfg, server, client = simple_scenario()
-    profiles[NodeId.host(9, 9)] = TrafficProfile(TrafficKind.LEGIT, 1.0)
-    with pytest.raises(SimulationError):
-        run(topo, rules, profiles, cfg)
+def test_run_rejects_rates_for_unknown_hosts():
+    topo, rules, rates, cfg, server, client = simple_scenario()
+    rates[NodeId.host(9, 9)] = 1.0
+    with pytest.raises(SimulationError, match="unknown host"):
+        run(topo, rules, rates, cfg)
 
 
 def test_packets_without_a_scrubber_rule_drop_as_misses():
     # redirect to the scrubber but leave its table empty: MISS accounting
-    topo, rules, profiles, cfg, key = throttled_scenario()
+    topo, rules, rates, cfg, key = throttled_scenario()
     rules.delete(NodeId.scrubber(0), key[0], key[1], 30002)
-    record = run(topo, rules, profiles, cfg)
+    record = run(topo, rules, rates, cfg)
     tally = record.flows[key]
     assert tally.delivered_packets == 0
     assert tally.missed_packets == tally.emitted_packets
 
 
 def test_fractional_tick_keeps_poll_boundaries_and_totals():
-    topo, rules, profiles, cfg, server, client = simple_scenario()
+    topo, rules, rates, cfg, server, client = simple_scenario()
     cfg = SimConfig(duration=10.0, tick=0.5, poll_interval=5.0, attack_start=0.0)
-    record = run(topo, rules, profiles, cfg)
+    record = run(topo, rules, rates, cfg)
     assert record.poll_times == [5.0, 10.0]
     key = (topo.ip_of[client], topo.ip_of[server])
     # 2 req/s over 10 s regardless of tick granularity
@@ -260,12 +263,10 @@ def test_fractional_tick_keeps_poll_boundaries_and_totals():
 
 def test_queued_packets_deliver_on_later_ticks():
     # capacity passes exactly one packet per tick; the queue carries the rest
-    topo, rules, profiles, cfg, key = throttled_scenario(capacity=1000.0)
-    profiles[topo.host_of_ip[key[0]]] = TrafficProfile(
-        TrafficKind.ATTACKER, 3.0, 1000, 1000
-    )
-    cfg = SimConfig(duration=4.0, poll_interval=2.0, attack_start=0.0)
-    record = run(topo, rules, profiles, cfg)
+    topo, rules, rates, cfg, key = throttled_scenario(capacity=1000.0)
+    rates[topo.host_of_ip[key[0]]] = 3.0
+    cfg = replace(cfg, duration=4.0, poll_interval=2.0)
+    record = run(topo, rules, rates, cfg)
     tally = record.flows[key]
     assert tally.emitted_packets == 12
     # tick 0 passes 1 fresh packet, each later tick drains 1 from the queue
@@ -275,8 +276,8 @@ def test_queued_packets_deliver_on_later_ticks():
 
 
 def test_link_gate_catches_a_packet_lost_from_the_queue():
-    topo, rules, profiles, cfg, key = throttled_scenario(capacity=1000.0)
-    state = SimState(topo, rules, profiles, cfg)
+    topo, rules, rates, cfg, key = throttled_scenario(capacity=1000.0)
+    state = SimState(topo, rules, rates, cfg)
     step(state)
     step(state)
     (ls,) = state.link_states.values()
@@ -294,10 +295,9 @@ def test_link_gate_catches_a_packet_lost_from_the_queue():
     size=st.integers(1, 3000),
 )
 def test_throttled_link_conserves_every_tick(capacity, queue_cap, rate, size):
-    topo, rules, profiles, cfg, key = throttled_scenario(capacity, queue_cap)
-    attacker = topo.host_of_ip[key[0]]
-    profiles[attacker] = TrafficProfile(TrafficKind.ATTACKER, rate, size, 1000)
-    state = SimState(topo, rules, profiles, cfg)
+    topo, rules, rates, cfg, key = throttled_scenario(capacity, queue_cap)
+    rates[topo.host_of_ip[key[0]]] = rate
+    state = SimState(topo, rules, rates, replace(cfg, request_size=size))
     before = (0, 0, 0, 0)
     for ticks in range(1, cfg.steps + 1):
         step(state)
@@ -320,11 +320,14 @@ def test_throttled_link_conserves_every_tick(capacity, queue_cap, rate, size):
             assert scrubbed.delivered_bytes <= capacity * cfg.tick * ticks
 
 
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        TrafficProfile(TrafficKind.LEGIT, -1.0)
-    with pytest.raises(ValueError):
-        TrafficProfile(TrafficKind.LEGIT, 1.0, request_size=0)
+def test_rate_and_size_validation():
+    topo, rules, rates, cfg, server, client = simple_scenario(rate=-1.0)
+    with pytest.raises(ValueError, match="request rate"):
+        run(topo, rules, rates, cfg)
+    with pytest.raises(ValueError, match="packet sizes"):
+        SimConfig(request_size=0)
+    with pytest.raises(ValueError, match="packet sizes"):
+        SimConfig(response_size=0)
 
 
 def test_config_validation():
@@ -342,14 +345,14 @@ def test_config_validation():
 # -- forwarding-loop check -------------------------------------------------
 
 def test_two_switch_rule_cycle_is_a_forwarding_loop():
-    topo, rules, profiles, cfg, server, client = simple_scenario()
+    topo, rules, rates, cfg, server, client = simple_scenario()
     c_ip, s_ip = topo.ip_of[client], topo.ip_of[server]
     edge = topo.edge_of_host(client)
     core, _ = topo.peer(edge, 1)
     # edge -> core -> edge -> ... : the request never reaches the server.
     rules.install(FlowRule(edge, c_ip, s_ip, topo.port_toward(edge, core), BASE_PRIORITY))
     rules.install(FlowRule(core, None, s_ip, topo.port_toward(core, edge), BASE_PRIORITY))
-    state = SimState(topo, rules, profiles, cfg)
+    state = SimState(topo, rules, rates, cfg)
     with pytest.raises(SimulationError, match="forwarding loop"):
         step(state)
     # The rule-table walker applies the same bound.
@@ -360,7 +363,7 @@ def test_two_switch_rule_cycle_is_a_forwarding_loop():
 def test_engine_and_trace_path_share_the_loop_bound():
     # Requests loop through the 2x2 core on a walk of 11 switch visits;
     # responses take the shortest way back.
-    topo, rules, profiles, cfg, server, client = simple_scenario()
+    topo, rules, rates, cfg, server, client = simple_scenario()
     key = FlowKey(topo.ip_of[client], topo.ip_of[server])
     by_name = {node.name: node for node in topo.nodes}
     loop = "e2 c1_1 c1_0 e3 c1_0 c0_0 c0_1 c1_1 c0_1 c0_0 e0".split()
@@ -381,7 +384,7 @@ def test_engine_and_trace_path_share_the_loop_bound():
     # 8 switches: a walk of more than 10 switch visits is a loop.
     assert topo.hop_limit == 10
     with pytest.raises(SimulationError, match="forwarding loop"):
-        run(topo, rules, profiles, cfg)
+        run(topo, rules, rates, cfg)
     with pytest.raises(MitigationError) as caught:
         trace_path(topo, rules, key)
     walk = " -> ".join(["h0s2", *loop])
@@ -390,7 +393,7 @@ def test_engine_and_trace_path_share_the_loop_bound():
     scrub = NodeId.scrubber(0)
     attach_switch(topo, scrub, [Link(by_name["e0"], 200, scrub, 1)])
     assert topo.hop_limit == 11
-    record = run(topo, rules, profiles, cfg)
+    record = run(topo, rules, rates, cfg)
     requests = record.flows[(key.src, key.dst)]
     assert requests.delivered_packets == requests.emitted_packets == 20
     assert record.flows[(key.dst, key.src)].delivered_packets == 20

@@ -1,7 +1,7 @@
 import pytest
 
 from sdnsim.routing import FlowKey, RuleTable, handle_packet_in
-from sdnsim.simnet import SimConfig, TrafficKind, TrafficProfile, run
+from sdnsim.simnet import SimConfig, run
 from sdnsim.telemetry import (
     CounterRegressionError,
     StatSample,
@@ -60,13 +60,9 @@ def run_simple_scenario(duration=20.0):
     topo = build_grid(2, 2, 1)
     server, client = NodeId.host(0, 0), NodeId.host(2, 0)
     topo.server = server
-    profiles = {
-        server: TrafficProfile(TrafficKind.SERVER),
-        client: TrafficProfile(TrafficKind.LEGIT, 3.0, 200, 1000),
-    }
     cfg = SimConfig(duration=duration, poll_interval=5.0, attack_start=0.0)
     log = SampleLog()
-    record = run(topo, RuleTable(), profiles, cfg, on_poll=log)
+    record = run(topo, RuleTable(), {client: 3.0}, cfg, on_poll=log)
     return record, log.samples
 
 
