@@ -34,7 +34,7 @@ class FlowKey(NamedTuple):
         return FlowKey(self.dst, self.src)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowRule:
     """Match-action entry: (src?, dst, in_port?) -> out_port at a priority.
 
@@ -50,7 +50,7 @@ class FlowRule:
     in_port: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RuleEntry:
     """An installed rule plus its cumulative counters."""
 

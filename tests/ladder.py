@@ -7,25 +7,32 @@ scenarios.
 For each scenario (all of them unless some are named), runs ``python -m
 sdnsim.cli run`` from each ``src`` tree in turn with the same ``--out``
 directory, and compares the exit codes and the sha256 of ``stats.csv`` and
-``report.json``. Prints one line per scenario and exits 1 if any of them
-differs or fails. The scenario configs come from ``perfbench/workloads.py``.
+``report.json``. Prints one line per scenario, with each tree's peak RSS
+and wall time, and exits 1 if any of them differs or fails. The scenario
+configs come from ``perfbench/workloads.py``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import make_config  # noqa: E402
 
 ARTIFACTS = ("stats.csv", "report.json")
+# The artifacts are hashed in a child: hashlib loads OpenSSL (about 3.5 MB
+# resident), and a child's peak RSS from wait4 is never below that of the
+# process that started it, so this process stays smaller than any run.
+DIGESTS = """import hashlib, pathlib, sys
+for path in map(pathlib.Path, sys.argv[1:]):
+    print(hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else "-")"""
 
 
 def _big(**overrides) -> dict:
@@ -45,19 +52,23 @@ SCENARIOS = {
 }
 
 
-def run_tree(src: Path, config: Path, out: Path) -> tuple:
-    """The exit code and the artifacts' digests of one run from ``src``."""
+def run_tree(src: Path, config: Path, out: Path) -> tuple[tuple, float, float]:
+    """The exit code and the artifacts' digests of one run from ``src``,
+    with the run's peak RSS in MB and its wall time in seconds."""
     shutil.rmtree(out, ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
+    start = time.monotonic()
+    proc = subprocess.Popen(
         [sys.executable, "-m", "sdnsim.cli", "run", "--config", str(config), "--out", str(out)],
-        cwd=out.parent, env=env, capture_output=True, text=True,
+        cwd=out.parent, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
-    digests = tuple(
-        hashlib.sha256((out / name).read_bytes()).hexdigest() if (out / name).is_file() else None
-        for name in ARTIFACTS
-    )
-    return proc.returncode, digests
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.monotonic() - start
+    digests = tuple(subprocess.run(
+        [sys.executable, "-c", DIGESTS, *(str(out / name) for name in ARTIFACTS)],
+        capture_output=True, text=True, check=True,
+    ).stdout.split())
+    return (os.waitstatus_to_exitcode(status), digests), usage.ru_maxrss / 1024, wall
 
 
 def main(argv: list[str]) -> int:
@@ -77,12 +88,15 @@ def main(argv: list[str]) -> int:
         for name in names:
             config = work / f"{name}.json"
             config.write_text(json.dumps(SCENARIOS[name]))
-            old, new = (run_tree(src, config, work / "out") for src in trees)
+            (old, *old_cost), (new, *new_cost) = (
+                run_tree(src, config, work / "out") for src in trees)
             verdict = "DIFFERENT" if old != new else "FAILED" if old[0] else "identical"
             differ += verdict != "identical"
             code, digests = new
             print(f"{verdict}  {name}: exit {old[0]} -> {code}, "
-                  + ", ".join(f"{a} {d[:12] if d else '-'}" for a, d in zip(ARTIFACTS, digests)),
+                  + ", ".join(f"{a} {d[:12]}" for a, d in zip(ARTIFACTS, digests))
+                  + ", peak RSS {:.2f} -> {:.2f} MB, wall {:.3f} -> {:.3f} s".format(
+                      old_cost[0], new_cost[0], old_cost[1], new_cost[1]),
                   flush=True)
     print(f"{len(names) - differ} of {len(names)} scenarios identical")
     return 1 if differ else 0

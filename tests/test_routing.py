@@ -372,3 +372,10 @@ def test_duplicate_rule_install_rejected(grid):
     with pytest.raises(RoutingError, match=(
             r"^duplicate rule \(10\.0\.0\.0, 10\.0\.1\.0, prio 20001\) on e0$")):
         rules.install(FlowRule(NodeId.edge(0), "10.0.0.0", "10.0.1.0", 2, BASE_PRIORITY))
+
+
+def test_rule_records_keep_no_instance_dict():
+    # A run's state is mostly its rule table: `fabric` holds 1 610 of each.
+    entry = RuleTable().install(FlowRule(NodeId.edge(0), None, "10.0.1.0", 1, BASE_PRIORITY))
+    for record in (entry, entry.rule):
+        assert not hasattr(record, "__dict__")
