@@ -66,7 +66,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
-from .telemetry import DeltaRecord, ip_key
+from .telemetry import DeltaRecord
+from .topology import ip_key
 
 MAX_ITER = 100      # Lloyd iterations per k-means run
 GRID_POINTS = 256   # density grid size

@@ -473,8 +473,8 @@ def sample_rows(samples: Iterable[telemetry.StatSample]) -> Iterator[dict]:
 
 
 def _flow_rows(flows: dict[FlowKey, simnet.FlowTally]) -> Iterator[tuple[str, dict]]:
-    for src, dst in sorted(flows, key=lambda pair: (telemetry.ip_key(pair[0]),
-                                                     telemetry.ip_key(pair[1]))):
+    for src, dst in sorted(flows, key=lambda pair: (topology.ip_key(pair[0]),
+                                                     topology.ip_key(pair[1]))):
         yield f"{src}->{dst}", vars(flows[src, dst])
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .routing import BASE_PRIORITY, FlowRule, RuleTable
-from .telemetry import ip_key
 from .topology import (
     SCRUBBER_OUT_PORT,
     SCRUBBER_RETURN_PORT,
@@ -25,6 +24,7 @@ from .topology import (
     Topology,
     TopologyError,
     attach_switch,
+    ip_key,
 )
 
 SCRUBBER_CAPACITY_BPS = 12_500.0  # 0.1 Mbit/s

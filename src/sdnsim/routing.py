@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .topology import NodeId, NodeKind, Topology
+from .topology import NodeId, NodeKind, Topology, ip_key
 
 BASE_PRIORITY = 20001
 
@@ -60,10 +60,17 @@ class RuleEntry:
     bytes: int = 0
 
 
+def _is_polled(switch: NodeId, match_src: str | None) -> bool:
+    """Whether a rule's counters are polled: a per-flow rule on an edge switch."""
+    return match_src is not None and switch.kind is NodeKind.EDGE
+
+
 @dataclass
 class RuleTable:
     """The controller's entire state: one index of installed rules, keyed
-    by (switch, match_src, match_dst), each bucket in installation order.
+    by (switch, match_src, match_dst), each bucket a tuple in installation
+    order. A bucket is replaced whenever it changes, and a key whose last
+    rule is deleted leaves the index.
 
     Lookup picks the highest-priority matching rule, ties broken by
     installation order (older first). A lookup for ``src``/``dst`` reads
@@ -72,13 +79,20 @@ class RuleTable:
     every install and delete of such a rule, so a caller can tell from
     those two versions when lookups for a flow it remembers may have
     changed.
+
+    The polled keys, those of per-flow rules (``match_src`` set) on edge
+    switches, are also kept in a list that ``install`` and ``delete``
+    maintain; :meth:`polled` puts it in sample order, (switch name, source
+    address, destination address), only when keys were added since.
     """
 
-    _index: dict[tuple[NodeId, str | None, str], list[RuleEntry]] = field(
+    _index: dict[tuple[NodeId, str | None, str], tuple[RuleEntry, ...]] = field(
         default_factory=dict
     )
     _next_seq: int = 0
     versions: Counter[tuple[str, str | None]] = field(default_factory=Counter, compare=False)
+    _polled: list[tuple[NodeId, str, str]] = field(default_factory=list, compare=False)
+    _polled_sorted: bool = field(default=True, compare=False)
 
     def install(self, rule: FlowRule) -> RuleEntry:
         if self.find(rule.switch, rule.match_src, rule.match_dst, rule.priority):
@@ -87,9 +101,12 @@ class RuleTable:
         entry = RuleEntry(rule, self._next_seq)
         self._next_seq += 1
         self.versions[rule.match_dst, rule.match_src] += 1
-        self._index.setdefault(
-            (rule.switch, rule.match_src, rule.match_dst), []
-        ).append(entry)
+        key = (rule.switch, rule.match_src, rule.match_dst)
+        bucket = self._index.get(key, ())
+        self._index[key] = bucket + (entry,)
+        if not bucket and _is_polled(rule.switch, rule.match_src):
+            self._polled.append(key)
+            self._polled_sorted = False
         return entry
 
     def delete(
@@ -100,7 +117,14 @@ class RuleTable:
             raise RoutingError(
                 f"no rule ({match_src}, {match_dst}, prio {priority}) on {switch}"
             )
-        self._index[(switch, match_src, match_dst)].remove(entry)
+        key = (switch, match_src, match_dst)
+        bucket = tuple(e for e in self._index[key] if e is not entry)
+        if bucket:
+            self._index[key] = bucket
+        else:
+            del self._index[key]
+            if _is_polled(switch, match_src):
+                self._polled.remove(key)
         self.versions[match_dst, match_src] += 1
         return entry
 
@@ -135,11 +159,20 @@ class RuleTable:
         return best
 
     def has_dst_rule(self, switch: NodeId, dst: str) -> bool:
-        return bool(self._index.get((switch, None, dst)))
+        return (switch, None, dst) in self._index
 
     def all_entries(self) -> list[RuleEntry]:
         """Every installed entry, in no promised order."""
         return [entry for bucket in self._index.values() for entry in bucket]
+
+    def polled(self) -> Iterator[tuple[tuple[NodeId, str, str], tuple[RuleEntry, ...]]]:
+        """Each polled key with its bucket, in sample order."""
+        if not self._polled_sorted:
+            self._polled.sort(key=lambda k: (k[0].name, ip_key(k[1]), ip_key(k[2])))
+            self._polled_sorted = True
+        index = self._index
+        for key in self._polled:
+            yield key, index[key]
 
 
 def walk_rules(
@@ -166,9 +199,10 @@ def shortest_path(topology: Topology, a: NodeId, b: NodeId) -> list[NodeId]:
     is the path a search that expands nodes in (distance, id) order and
     keeps each node's first predecessor would find.
 
-    When all of a's links go to one peer p (a host or a scrubber), a's
-    distances are p's plus one, so every host of an edge switch shares that
-    switch's memoised distance map.
+    When all of a's links go to one peer p (a host or a scrubber), a's path
+    is p's with a in front, so every host of an edge switch shares that
+    switch's memoised path to b (``Topology.path_memo``). Each call returns
+    a fresh list.
     """
     if a not in topology.nodes or b not in topology.nodes:
         raise RoutingError("path endpoints must exist in the topology")
@@ -177,19 +211,21 @@ def shortest_path(topology: Topology, a: NodeId, b: NodeId) -> list[NodeId]:
 
     peers = {peer for peer, _ in topology.neighbors(a)}
     root = peers.pop() if len(peers) == 1 else a
-    dist = topology.distances(root)
-    if b not in dist:
-        raise RoutingError(f"{b} unreachable from {a}")
-    path = [b]
-    node = b
-    while node != root:
-        closer = dist[node] - 1
-        node = min(peer for peer, _ in topology.neighbors(node) if dist[peer] == closer)
-        path.append(node)
-    if root != a:
-        path.append(a)
-    path.reverse()
-    return path
+    memo = topology.path_memo()
+    walked = memo.get((root, b))
+    if walked is None:
+        dist = topology.distances(root)
+        if b not in dist:
+            raise RoutingError(f"{b} unreachable from {a}")
+        path = [b]
+        node = b
+        while node != root:
+            closer = dist[node] - 1
+            node = min(peer for peer, _ in topology.neighbors(node) if dist[peer] == closer)
+            path.append(node)
+        path.reverse()
+        walked = memo[root, b] = tuple(path)
+    return list(walked) if root == a else [a, *walked]
 
 
 def _install_one_direction(

@@ -12,23 +12,13 @@ at a time.
 from __future__ import annotations
 
 import csv
-import functools
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
-from .topology import NodeKind
-
 
 class CounterRegressionError(RuntimeError):
     """A cumulative counter went backwards; cannot occur in a correct run."""
-
-
-@functools.cache
-def ip_key(addr: str) -> tuple[int, ...]:
-    """Numeric sort key for dotted-quad addresses, memoised: a run sorts
-    the same few thousand addresses at every poll."""
-    return tuple(int(part) for part in addr.split("."))
 
 
 class StatSample(NamedTuple):
@@ -51,23 +41,18 @@ class DeltaRecord(NamedTuple):
 def poll(state, t: float) -> list[StatSample]:
     """Sample every per-flow rule on every edge switch at time ``t``.
 
-    Counters from rules sharing a (switch, src, dst) key are summed, so a
-    flow yields exactly one sample per switch per poll. All samples of a
-    switch share its one name string.
+    Reads the rule table's polled keys, already in sample order, and sums
+    the counters of each key's bucket, so a flow yields exactly one sample
+    per switch per poll. All samples of a switch share its one name string.
     """
-    merged: dict[tuple[str, str, str], list[int]] = {}
-    for entry in state.rules.all_entries():
-        rule = entry.rule
-        if rule.match_src is None or rule.switch.kind is not NodeKind.EDGE:
-            continue
-        bucket = merged.setdefault((rule.switch.name, rule.match_src, rule.match_dst), [0, 0])
-        bucket[0] += entry.packets
-        bucket[1] += entry.bytes
-    ordered = sorted(merged, key=lambda k: (k[0], ip_key(k[1]), ip_key(k[2])))
-    return [
-        StatSample(t, sw, src, dst, merged[(sw, src, dst)][0], merged[(sw, src, dst)][1])
-        for (sw, src, dst) in ordered
-    ]
+    samples = []
+    for (switch, src, dst), bucket in state.rules.polled():
+        packets = bytes_ = 0
+        for entry in bucket:
+            packets += entry.packets
+            bytes_ += entry.bytes
+        samples.append(StatSample(t, switch.name, src, dst, packets, bytes_))
+    return samples
 
 
 def delta(

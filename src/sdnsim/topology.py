@@ -18,9 +18,9 @@ those two methods; anything else leaves the index and the count stale.
 
 Both methods bump :attr:`Topology.version`; they are the only mutators, and
 :func:`attach_switch` goes through them. Anything memoised from the graph is
-valid for one version: :meth:`Topology.distances` keeps one breadth-first
-distance map per root node for the current version, and the engine keeps its
-compiled forwarding paths the same way.
+valid for one version: :meth:`Topology.path_memo` holds the controller's
+shortest paths for the current version, and the engine keeps its compiled
+forwarding paths the same way.
 """
 
 from __future__ import annotations
@@ -49,6 +49,13 @@ HOST_FACING_BASE = 80      # edge port for host slot i is 80 + i
 SCRUBBER_OUT_PORT = 200    # edge port feeding the scrubber
 SCRUBBER_RETURN_PORT = 201 # edge port receiving scrubbed traffic back
 MAX_HOSTS_PER_EDGE = 100   # keeps host-facing ports clear of 200/201
+
+
+@functools.cache
+def ip_key(addr: str) -> tuple[int, ...]:
+    """Numeric sort key for dotted-quad addresses, memoised: a run orders
+    the same few thousand addresses again and again."""
+    return tuple(int(part) for part in addr.split("."))
 
 
 @functools.cache
@@ -159,8 +166,8 @@ class Topology:
     version: int = field(default=0, compare=False)
     # node -> {local port: (peer, peer port)}, one entry per link end.
     _ports: dict[NodeId, dict[int, tuple[NodeId, int]]] = field(default_factory=dict)
-    # (version, {root: {node: hop count from root}}).
-    _distances: tuple[int, dict[NodeId, dict[NodeId, int]]] = field(
+    # (version, {(root, destination): node path}), see path_memo.
+    _paths: tuple[int, dict[tuple[NodeId, NodeId], tuple[NodeId, ...]]] = field(
         default_factory=lambda: (0, {}), repr=False, compare=False
     )
 
@@ -215,28 +222,28 @@ class Topology:
         return [(ports[port][0], port) for port in sorted(ports)]
 
     def distances(self, root: NodeId) -> dict[NodeId, int]:
-        """Hop count from ``root`` to every node it reaches.
+        """Hop count from ``root`` to every node it reaches: one
+        breadth-first search."""
+        dist = {root: 0}
+        queue = deque([root])
+        while queue:
+            node = queue.popleft()
+            step = dist[node] + 1
+            for peer, _ in self._ports.get(node, {}).values():
+                if peer not in dist:
+                    dist[peer] = step
+                    queue.append(peer)
+        return dist
 
-        Memoised per root for the current version; callers must not
-        mutate the returned map.
-        """
-        version, memo = self._distances
+    def path_memo(self) -> dict[tuple[NodeId, NodeId], tuple[NodeId, ...]]:
+        """The memo of ``routing.shortest_path``, keyed by (root,
+        destination), for the current version: a version change empties
+        it."""
+        version, memo = self._paths
         if version != self.version:
             memo = {}
-            self._distances = (self.version, memo)
-        dist = memo.get(root)
-        if dist is None:
-            dist = {root: 0}
-            queue = deque([root])
-            while queue:
-                node = queue.popleft()
-                step = dist[node] + 1
-                for peer, _ in self._ports.get(node, {}).values():
-                    if peer not in dist:
-                        dist[peer] = step
-                        queue.append(peer)
-            memo[root] = dist
-        return dist
+            self._paths = (self.version, memo)
+        return memo
 
     def port_toward(self, node: NodeId, other: NodeId) -> int:
         """Lowest-numbered local port whose link reaches ``other``."""

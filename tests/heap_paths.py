@@ -1,7 +1,8 @@
 """The heap search, kept as the oracle for ``routing.shortest_path``.
 
-``sdnsim.routing`` walks back from the destination over a memoised
-breadth-first distance map. This module keeps the search it replaced:
+``sdnsim.routing`` walks back from the destination over the distances of
+one breadth-first search, and memoises the walked path per attachment
+switch and destination. This module keeps the search it replaced:
 nodes expand in (distance, id) order and each node keeps the first
 predecessor that reaches it, so ``shortest_path`` here must return the same
 path.

@@ -23,7 +23,7 @@ from sdnsim.analytics import (
     FeatureVector,
     GaussComponent,
 )
-from sdnsim.telemetry import ip_key
+from sdnsim.topology import ip_key
 
 KDE_BLOCK = 8192  # kernel matrix elements per block; no row sum depends on it
 

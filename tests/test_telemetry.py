@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sdnsim.routing import FlowKey, RuleTable, handle_packet_in
+from sdnsim.routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, handle_packet_in
 from sdnsim.simnet import SimConfig, run
 from sdnsim.telemetry import (
     CounterRegressionError,
@@ -13,6 +15,7 @@ from sdnsim.telemetry import (
 )
 from sdnsim.topology import NodeId, build_grid
 
+import scan_poll
 from conftest import SampleLog
 
 
@@ -54,6 +57,71 @@ def test_core_and_dst_only_rules_are_not_polled():
     state, _ = bidirectional_flow_state()
     for sample in poll(state, 5.0):
         assert sample.switch.startswith("e")
+
+
+# e10 sorts before e2 by name, and 10.0.10.0 after 10.0.2.0 by address.
+INDEX_SWITCHES = [NodeId.edge(2), NodeId.edge(10), NodeId.core(0, 0), NodeId.scrubber(0)]
+INDEX_ADDRS = ["10.0.2.0", "10.0.10.0", "10.0.2.1"]
+INDEX_PRIORITIES = [BASE_PRIORITY, 30001, 40003]
+
+index_ops = st.lists(st.one_of(
+    st.tuples(st.just("install"), st.sampled_from(INDEX_SWITCHES),
+              st.sampled_from([None] + INDEX_ADDRS), st.sampled_from(INDEX_ADDRS),
+              st.sampled_from(INDEX_PRIORITIES)),
+    st.tuples(st.just("delete"), st.integers(0, 63)),
+    st.tuples(st.just("redirect"), st.integers(0, 63), st.sampled_from(INDEX_PRIORITIES)),
+    st.tuples(st.just("count"), st.integers(0, 63), st.integers(1, 9)),
+), max_size=30)
+
+
+def apply_index_op(rules, op):
+    """One install, delete, mitigation redirect (delete, then install the
+    same key at another priority with the deleted rule's counters, as
+    ``mitigation.apply`` does) or counter bump on ``rules``."""
+    kind, *args = op
+    entries = sorted(rules.all_entries(), key=lambda e: e.seq)
+    if kind == "install":
+        switch, src, dst, priority = args
+        if rules.find(switch, src, dst, priority) is None:
+            rules.install(FlowRule(switch, src, dst, 1, priority))
+    elif not entries:
+        return
+    elif kind == "delete":
+        r = entries[args[0] % len(entries)].rule
+        rules.delete(r.switch, r.match_src, r.match_dst, r.priority)
+    elif kind == "redirect":
+        r = entries[args[0] % len(entries)].rule
+        if rules.find(r.switch, r.match_src, r.match_dst, args[1]) is None:
+            gone = rules.delete(r.switch, r.match_src, r.match_dst, r.priority)
+            entry = rules.install(FlowRule(r.switch, r.match_src, r.match_dst, 200, args[1]))
+            entry.packets, entry.bytes = gone.packets, gone.bytes
+    else:
+        entry = entries[args[0] % len(entries)]
+        entry.packets += args[1]
+        entry.bytes += 100 * args[1]
+
+
+@settings(max_examples=150, deadline=None)
+@example(ops=[("install", NodeId.edge(2), "10.0.2.0", "10.0.10.0", BASE_PRIORITY),
+              ("count", 0, 3), ("delete", 0),
+              ("install", NodeId.edge(2), "10.0.2.0", "10.0.10.0", BASE_PRIORITY)])
+@given(ops=index_ops)
+def test_indexed_poll_matches_the_whole_table_scan(ops):
+    state = FakeState(None, RuleTable())
+    for step, op in enumerate(ops):
+        apply_index_op(state.rules, op)
+        assert poll(state, float(step)) == scan_poll.poll(state, float(step))
+
+
+def test_a_key_deleted_to_empty_and_installed_again_is_polled_again():
+    state = FakeState(None, RuleTable())
+    edge, src, dst = NodeId.edge(2), "10.0.2.0", "10.0.10.0"
+    state.rules.install(FlowRule(edge, src, dst, 1, BASE_PRIORITY)).packets = 5
+    assert [s.packets_total for s in poll(state, 1.0)] == [5]
+    state.rules.delete(edge, src, dst, BASE_PRIORITY)
+    assert poll(state, 2.0) == []
+    state.rules.install(FlowRule(edge, src, dst, 1, BASE_PRIORITY)).packets = 2
+    assert poll(state, 3.0) == [StatSample(3.0, "e2", src, dst, 2, 0)]
 
 
 def run_simple_scenario(duration=20.0):
