@@ -49,7 +49,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import analytics, mitigation, simnet, telemetry, topology
-from .routing import FlowKey, FlowRule, RuleTable
+from .routing import FlowKey, FlowRule, RuleEntry, RuleTable
 from .simnet import SimConfig, SimulationError, legit_rate, tick_errors
 from .telemetry import CounterRegressionError
 from .topology import MAX_HOSTS_PER_EDGE, NodeId, TopologyError, build_grid, parse_host_name
@@ -413,7 +413,7 @@ def topology_row(topo: topology.Topology) -> dict:
     }
 
 
-def rule_row(rule: FlowRule) -> dict:
+def rule_row(rule: FlowRule | RuleEntry) -> dict:
     return {"switch": rule.switch.name, "match_src": rule.match_src,
             "match_dst": rule.match_dst, "in_port": rule.in_port,
             "out_port": rule.out_port, "priority": rule.priority}
@@ -426,10 +426,10 @@ def rule_rows(rules: RuleTable) -> Iterator[dict]:
     entries = rules.all_entries()
     # Three stable sorts, with no key tuple per entry.
     entries.sort(key=attrgetter("seq"))
-    entries.sort(key=attrgetter("rule.priority"), reverse=True)
-    entries.sort(key=attrgetter("rule.switch"))
+    entries.sort(key=attrgetter("priority"), reverse=True)
+    entries.sort(key=attrgetter("switch"))
     for e in entries:
-        yield dict(rule_row(e.rule), packets=e.packets, bytes=e.bytes)
+        yield dict(rule_row(e), packets=e.packets, bytes=e.bytes)
 
 
 def plan_row(plan: mitigation.MitigationPlan) -> dict:
@@ -482,7 +482,7 @@ def _counter_rows(rules: RuleTable) -> Iterator[tuple[str, list[int]]]:
     # Ordered by the string of the (switch, src, dst, priority) tuple, which
     # install keeps unique.
     def key(e):
-        return e.rule.switch.name, e.rule.match_src, e.rule.match_dst, e.rule.priority
+        return e.switch.name, e.match_src, e.match_dst, e.priority
 
     entries = rules.all_entries()
     entries.sort(key=lambda e: str(key(e)))

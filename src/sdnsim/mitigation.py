@@ -95,7 +95,8 @@ def plan_scrubber(
             raise MitigationError(
                 f"no rule for suspicious flow {src}->{target} on {edge}"
             )
-        edits.append(RuleEdit("delete", existing.rule))
+        edits.append(RuleEdit("delete", FlowRule(edge, src, target, existing.out_port,
+                                                 BASE_PRIORITY, existing.in_port)))
         edits.append(
             RuleEdit(
                 "add",

@@ -52,12 +52,31 @@ class FlowRule:
 
 @dataclass(slots=True)
 class RuleEntry:
-    """An installed rule plus its cumulative counters."""
+    """An installed rule: its match-action fields, its install order
+    ``seq`` and its cumulative counters, in one record.
 
-    rule: FlowRule
+    ``next`` links the next rule installed under the same (switch,
+    match_src, match_dst) key, so a key's rules form one chain in install
+    order. Iterating a rule walks the chain from it, and equality compares
+    the rest of the chain too.
+    """
+
+    switch: NodeId
+    match_src: str | None
+    match_dst: str
+    out_port: int
+    priority: int
+    in_port: int | None
     seq: int
     packets: int = 0
     bytes: int = 0
+    next: RuleEntry | None = None
+
+    def __iter__(self) -> Iterator[RuleEntry]:
+        entry: RuleEntry | None = self
+        while entry is not None:
+            yield entry
+            entry = entry.next
 
 
 def _is_polled(switch: NodeId, match_src: str | None) -> bool:
@@ -68,9 +87,9 @@ def _is_polled(switch: NodeId, match_src: str | None) -> bool:
 @dataclass
 class RuleTable:
     """The controller's entire state: one index of installed rules, keyed
-    by (switch, match_src, match_dst), each bucket a tuple in installation
-    order. A bucket is replaced whenever it changes, and a key whose last
-    rule is deleted leaves the index.
+    by (switch, match_src, match_dst). Each key maps to its oldest rule,
+    and the key's later rules follow through ``RuleEntry.next`` in
+    installation order. A key whose last rule is deleted leaves the index.
 
     Lookup picks the highest-priority matching rule, ties broken by
     installation order (older first). A lookup for ``src``/``dst`` reads
@@ -86,9 +105,7 @@ class RuleTable:
     address, destination address), only when keys were added since.
     """
 
-    _index: dict[tuple[NodeId, str | None, str], tuple[RuleEntry, ...]] = field(
-        default_factory=dict
-    )
+    _index: dict[tuple[NodeId, str | None, str], RuleEntry] = field(default_factory=dict)
     _next_seq: int = 0
     versions: Counter[tuple[str, str | None]] = field(default_factory=Counter, compare=False)
     _polled: list[tuple[NodeId, str, str]] = field(default_factory=list, compare=False)
@@ -98,33 +115,43 @@ class RuleTable:
         if self.find(rule.switch, rule.match_src, rule.match_dst, rule.priority):
             raise RoutingError(f"duplicate rule ({rule.match_src}, {rule.match_dst}, "
                                f"prio {rule.priority}) on {rule.switch}")
-        entry = RuleEntry(rule, self._next_seq)
+        entry = RuleEntry(rule.switch, rule.match_src, rule.match_dst, rule.out_port,
+                          rule.priority, rule.in_port, self._next_seq)
         self._next_seq += 1
         self.versions[rule.match_dst, rule.match_src] += 1
         key = (rule.switch, rule.match_src, rule.match_dst)
-        bucket = self._index.get(key, ())
-        self._index[key] = bucket + (entry,)
-        if not bucket and _is_polled(rule.switch, rule.match_src):
-            self._polled.append(key)
-            self._polled_sorted = False
+        head = self._index.get(key)
+        if head is None:
+            self._index[key] = entry
+            if _is_polled(rule.switch, rule.match_src):
+                self._polled.append(key)
+                self._polled_sorted = False
+        else:
+            *_, last = head
+            last.next = entry
         return entry
 
     def delete(
         self, switch: NodeId, match_src: str | None, match_dst: str, priority: int
     ) -> RuleEntry:
-        entry = self.find(switch, match_src, match_dst, priority)
+        key = (switch, match_src, match_dst)
+        before = None
+        entry = self._index.get(key)
+        while entry is not None and entry.priority != priority:
+            before, entry = entry, entry.next
         if entry is None:
             raise RoutingError(
                 f"no rule ({match_src}, {match_dst}, prio {priority}) on {switch}"
             )
-        key = (switch, match_src, match_dst)
-        bucket = tuple(e for e in self._index[key] if e is not entry)
-        if bucket:
-            self._index[key] = bucket
+        if before is not None:
+            before.next = entry.next
+        elif entry.next is not None:
+            self._index[key] = entry.next
         else:
             del self._index[key]
             if _is_polled(switch, match_src):
                 self._polled.remove(key)
+        entry.next = None
         self.versions[match_dst, match_src] += 1
         return entry
 
@@ -132,7 +159,7 @@ class RuleTable:
         self, switch: NodeId, match_src: str | None, match_dst: str, priority: int
     ) -> RuleEntry | None:
         for entry in self._index.get((switch, match_src, match_dst), ()):
-            if entry.rule.priority == priority:
+            if entry.priority == priority:
                 return entry
         return None
 
@@ -141,19 +168,18 @@ class RuleTable:
     ) -> RuleEntry | None:
         """Highest-priority matching entry, or None."""
         best: RuleEntry | None = None
-        for bucket in (
+        for chain in (
             self._index.get((switch, src, dst), ()),
             self._index.get((switch, None, dst), ()),
         ):
-            for entry in bucket:
-                # The bucket key fixed switch, src and dst; in_port is left.
-                rule_in = entry.rule.in_port
-                if rule_in is not None and rule_in != in_port:
+            for entry in chain:
+                # The chain's key fixed switch, src and dst; in_port is left.
+                if entry.in_port is not None and entry.in_port != in_port:
                     continue
                 if (
                     best is None
-                    or entry.rule.priority > best.rule.priority
-                    or (entry.rule.priority == best.rule.priority and entry.seq < best.seq)
+                    or entry.priority > best.priority
+                    or (entry.priority == best.priority and entry.seq < best.seq)
                 ):
                     best = entry
         return best
@@ -162,11 +188,13 @@ class RuleTable:
         return (switch, None, dst) in self._index
 
     def all_entries(self) -> list[RuleEntry]:
-        """Every installed entry, in no promised order."""
-        return [entry for bucket in self._index.values() for entry in bucket]
+        """Every installed entry: each key's rules in install order, the
+        keys in no promised order."""
+        return [entry for chain in self._index.values() for entry in chain]
 
-    def polled(self) -> Iterator[tuple[tuple[NodeId, str, str], tuple[RuleEntry, ...]]]:
-        """Each polled key with its bucket, in sample order."""
+    def polled(self) -> Iterator[tuple[tuple[NodeId, str, str], RuleEntry]]:
+        """Each polled key with its oldest rule, the head of its chain, in
+        sample order."""
         if not self._polled_sorted:
             self._polled.sort(key=lambda k: (k[0].name, ip_key(k[1]), ip_key(k[2])))
             self._polled_sorted = True
@@ -187,7 +215,7 @@ def walk_rules(
         entry = rules.lookup(node, key.src, key.dst, in_port)
         if entry is None:
             return
-        node, in_port = topology.peer(node, entry.rule.out_port)
+        node, in_port = topology.peer(node, entry.out_port)
         yield entry, node, in_port
 
 

@@ -47,12 +47,13 @@ emits. Per-tick cost therefore scales with flows x hops, not with packets.
 Runs follow compiled paths. The walk of a flow from a switch port,
 :func:`~sdnsim.routing.walk_rules`, is compiled once into the rule entries it
 matches and its end: a host to deliver to, a miss, or a
-throttled link with the port where packets resume beyond it. Every run that
-enters there replays it: it grows the entries' counters and settles the end,
-and what a throttled link passes goes on along the compiled path from the
-far side. A compiled path, keyed by (source, destination, switch,
-in_port), reads only the rules toward its destination that match its source
-or any source, so it is valid for one pair of
+throttled link with the port where packets resume beyond it. Each entry is
+the installed rule's one record, holding its out port and its counters.
+Every run that enters there replays it: it grows the entries' counters and
+settles the end, and what a throttled link passes goes on along the
+compiled path from the far side. A compiled path, keyed by (source,
+destination, switch, in_port), reads only the rules toward its destination
+that match its source or any source, so it is valid for one pair of
 ``RuleTable.versions[destination, None]`` and
 ``RuleTable.versions[destination, source]`` (an install or delete of a
 dst-only rule toward the destination changes the first, one of a rule
@@ -354,7 +355,7 @@ def _compile(state: SimState, key: FlowKey, node: NodeId, in_port: int) -> Path:
     limit = state.topology.hop_limit
     for entry, node, in_port in walk_rules(state.topology, state.rules, key, node, in_port):
         entries.append(entry)
-        ls = state._constrained.get(entry.rule.switch, {}).get(entry.rule.out_port)
+        ls = state._constrained.get(entry.switch, {}).get(entry.out_port)
         if ls is not None:
             return Path(tuple(entries), ls, node, in_port)
         if len(entries) > limit:

@@ -42,13 +42,14 @@ def poll(state, t: float) -> list[StatSample]:
     """Sample every per-flow rule on every edge switch at time ``t``.
 
     Reads the rule table's polled keys, already in sample order, and sums
-    the counters of each key's bucket, so a flow yields exactly one sample
-    per switch per poll. All samples of a switch share its one name string.
+    the counters along each key's chain of rules, so a flow yields exactly
+    one sample per switch per poll. All samples of a switch share its one
+    name string.
     """
     samples = []
-    for (switch, src, dst), bucket in state.rules.polled():
+    for (switch, src, dst), chain in state.rules.polled():
         packets = bytes_ = 0
-        for entry in bucket:
+        for entry in chain:
             packets += entry.packets
             bytes_ += entry.bytes
         samples.append(StatSample(t, switch.name, src, dst, packets, bytes_))

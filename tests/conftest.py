@@ -45,13 +45,13 @@ def destination_tree_ok(topology, rules, dst_ip):
     for core in topology.core_switches():
         dst_rules = [
             e for e in rules.all_entries()
-            if e.rule.switch == core
-            and e.rule.match_src is None and e.rule.match_dst == dst_ip
+            if e.switch == core
+            and e.match_src is None and e.match_dst == dst_ip
         ]
         if len(dst_rules) > 1:
             return False
         if dst_rules:
-            peer, _ = topology.peer(core, dst_rules[0].rule.out_port)
+            peer, _ = topology.peer(core, dst_rules[0].out_port)
             next_hop[core] = peer
     for start in next_hop:
         seen = {start}

@@ -62,7 +62,7 @@ def _walk(state, throttled, key, tally, size, node, in_port):
             return
         entry.packets += 1
         entry.bytes += size
-        out_port = entry.rule.out_port
+        out_port = entry.out_port
         peer, peer_in = state.topology.peer(node, out_port)
         ls = throttled.get(node, {}).get(out_port)
         if ls is not None:

@@ -25,7 +25,7 @@ def trace_path(topology, rules, key):
     node, in_port = topology.peer(src_host, HOST_PORT)
     path = [src_host]
     for entry, node, _ in walk_rules(topology, rules, key, node, in_port):
-        path.append(entry.rule.switch)
+        path.append(entry.switch)
         if len(path) - 1 > topology.hop_limit:
             walk = " -> ".join(hop.name for hop in path)
             raise MitigationError(f"forwarding loop for {key.src}->{key.dst}: {walk}")

@@ -14,10 +14,9 @@ from sdnsim.topology import NodeKind, ip_key
 def poll(state, t):
     merged = {}
     for entry in state.rules.all_entries():
-        rule = entry.rule
-        if rule.match_src is None or rule.switch.kind is not NodeKind.EDGE:
+        if entry.match_src is None or entry.switch.kind is not NodeKind.EDGE:
             continue
-        bucket = merged.setdefault((rule.switch.name, rule.match_src, rule.match_dst), [0, 0])
+        bucket = merged.setdefault((entry.switch.name, entry.match_src, entry.match_dst), [0, 0])
         bucket[0] += entry.packets
         bucket[1] += entry.bytes
     ordered = sorted(merged, key=lambda k: (k[0], ip_key(k[1]), ip_key(k[2])))

@@ -6,7 +6,7 @@ import tracemalloc
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdnsim.routing import (
@@ -14,6 +14,7 @@ from sdnsim.routing import (
     FlowKey,
     FlowRule,
     RoutingError,
+    RuleEntry,
     RuleTable,
     handle_packet_in,
     shortest_path,
@@ -22,6 +23,7 @@ from sdnsim.telemetry import poll
 from sdnsim.topology import Link, NodeId, NodeKind, attach_switch, build_grid
 
 import heap_paths
+import scan_poll
 from conftest import bfs_distances, destination_tree_ok
 from test_topology import _scrubber_links
 
@@ -188,10 +190,10 @@ def test_core_rules_match_destination_only(grid):
     key = flow(grid, NodeId.host(0, 0), NodeId.host(5, 1))
     handle_packet_in(rules, grid, key)
     for entry in rules.all_entries():
-        if entry.rule.switch.kind is NodeKind.CORE:
-            assert entry.rule.match_src is None
+        if entry.switch.kind is NodeKind.CORE:
+            assert entry.match_src is None
         else:
-            assert entry.rule.match_src is not None
+            assert entry.match_src is not None
 
 
 def test_shared_core_suffix_adds_no_duplicate_dst_rules(grid):
@@ -203,8 +205,8 @@ def test_shared_core_suffix_adds_no_duplicate_dst_rules(grid):
     for core in grid.core_switches():
         dst_rules = [
             e for e in rules.all_entries()
-            if e.rule.switch == core
-            and e.rule.match_src is None and e.rule.match_dst == server_ip
+            if e.switch == core
+            and e.match_src is None and e.match_dst == server_ip
         ]
         assert len(dst_rules) <= 1
 
@@ -234,7 +236,7 @@ def test_installed_flows_walk_at_bfs_distance(grid):
         while node.is_switch:
             entry = rules.lookup(node, key.src, key.dst, in_port)
             assert entry is not None
-            node, in_port = grid.peer(node, entry.rule.out_port)
+            node, in_port = grid.peer(node, entry.out_port)
             hops += 1
         assert node == dst
         return hops
@@ -292,7 +294,7 @@ def test_forward_single_dst_rule(grid):
     rules = RuleTable()
     rule = FlowRule(NodeId.edge(0), None, "10.0.1.0", 1, BASE_PRIORITY)
     rules.install(rule)
-    assert rules.lookup(NodeId.edge(0), "10.0.0.0", "10.0.1.0").rule.out_port == 1
+    assert rules.lookup(NodeId.edge(0), "10.0.0.0", "10.0.1.0").out_port == 1
 
 
 def test_higher_priority_wins(grid):
@@ -300,7 +302,7 @@ def test_higher_priority_wins(grid):
     edge = NodeId.edge(0)
     rules.install(FlowRule(edge, "10.0.0.0", "10.0.1.0", 1, 20001))
     rules.install(FlowRule(edge, "10.0.0.0", "10.0.1.0", 200, 30001))
-    assert rules.lookup(edge, "10.0.0.0", "10.0.1.0").rule.out_port == 200
+    assert rules.lookup(edge, "10.0.0.0", "10.0.1.0").out_port == 200
 
 
 def test_priority_tie_older_rule_wins(grid):
@@ -308,14 +310,14 @@ def test_priority_tie_older_rule_wins(grid):
     edge = NodeId.edge(0)
     rules.install(FlowRule(edge, None, "10.0.1.0", 3, BASE_PRIORITY))
     rules.install(FlowRule(edge, "10.0.0.0", "10.0.1.0", 7, BASE_PRIORITY))
-    assert rules.lookup(edge, "10.0.0.0", "10.0.1.0").rule.out_port == 3
+    assert rules.lookup(edge, "10.0.0.0", "10.0.1.0").out_port == 3
 
 
 def test_in_port_qualified_rule_only_matches_that_port(grid):
     rules = RuleTable()
     edge = NodeId.edge(0)
     rules.install(FlowRule(edge, None, "10.0.1.0", 80, 40003, in_port=201))
-    assert rules.lookup(edge, "10.0.0.0", "10.0.1.0", in_port=201).rule.out_port == 80
+    assert rules.lookup(edge, "10.0.0.0", "10.0.1.0", in_port=201).out_port == 80
     assert rules.lookup(edge, "10.0.0.0", "10.0.1.0", in_port=1) is None
     assert rules.lookup(edge, "10.0.0.0", "10.0.1.0") is None
 
@@ -323,6 +325,7 @@ def test_in_port_qualified_rule_only_matches_that_port(grid):
 ORACLE_SWITCHES = [NodeId.edge(0), NodeId.edge(1), NodeId.scrubber(0)]
 ORACLE_ADDRS = ["10.0.0.0", "10.0.0.1", "10.0.1.0"]
 ORACLE_PORTS = [None, 1, 201]
+ORACLE_PRIORITIES = [BASE_PRIORITY, 30001, 40003]
 
 oracle_rules = st.builds(
     FlowRule,
@@ -330,7 +333,7 @@ oracle_rules = st.builds(
     match_src=st.sampled_from([None] + ORACLE_ADDRS),
     match_dst=st.sampled_from(ORACLE_ADDRS),
     out_port=st.integers(1, 4),
-    priority=st.sampled_from([BASE_PRIORITY, 30001, 40003]),
+    priority=st.sampled_from(ORACLE_PRIORITIES),
     in_port=st.sampled_from(ORACLE_PORTS),
 )
 
@@ -340,15 +343,75 @@ def brute_force_lookup(entries, switch, src, dst, in_port):
     matches only that port."""
     hits = [
         e for e in entries
-        if e.rule.switch == switch
-        and e.rule.match_dst == dst
-        and e.rule.match_src in (None, src)
-        and e.rule.in_port in (None, in_port)
+        if e.switch == switch
+        and e.match_dst == dst
+        and e.match_src in (None, src)
+        and e.in_port in (None, in_port)
     ]
-    return min(hits, key=lambda e: (-e.rule.priority, e.seq), default=None)
+    return min(hits, key=lambda e: (-e.priority, e.seq), default=None)
+
+
+def six_fields(rule):
+    return (rule.switch, rule.match_src, rule.match_dst, rule.out_port, rule.priority,
+            rule.in_port)
+
+
+def check_chains(rules, installed):
+    """``rules`` against the rules ``installed``, oldest first: ``find``,
+    ``lookup``, ``all_entries`` (each key's rules in install order), the
+    poll, and equality down every chain."""
+    entries = rules.all_entries()
+    assert [six_fields(e) for e in sorted(entries, key=lambda e: e.seq)] == [
+        six_fields(r) for r in installed]
+    later = []  # entries behind the oldest rule of their key
+    last_seq = {}
+    for i, e in enumerate(entries):
+        key = (e.switch, e.match_src, e.match_dst)
+        assert e.seq > last_seq.get(key, -1)
+        if key in last_seq:
+            later.append(i)
+        last_seq[key] = e.seq
+    for switch, src, dst, priority in itertools.product(
+        ORACLE_SWITCHES, [None] + ORACLE_ADDRS, ORACLE_ADDRS, ORACLE_PRIORITIES
+    ):
+        slot = (switch, src, dst, priority)
+        expected = [e for e in entries if (e.switch, e.match_src, e.match_dst, e.priority) == slot]
+        assert rules.find(*slot) is (expected[0] if expected else None)
+    for switch, src, dst, in_port in itertools.product(
+        ORACLE_SWITCHES, ORACLE_ADDRS, ORACLE_ADDRS, ORACLE_PORTS
+    ):
+        assert rules.lookup(switch, src, dst, in_port) is brute_force_lookup(
+            entries, switch, src, dst, in_port
+        )
+    state = SimpleNamespace(rules=rules)
+    assert poll(state, 1.0) == scan_poll.poll(state, 1.0)
+
+    copied = copy.deepcopy(rules)
+    assert copied == rules
+    copied_entries = copied.all_entries()
+    for i in later:
+        copied_entries[i].packets += 1
+        assert copied != rules
+        copied_entries[i].packets -= 1
+    assert copied == rules
+
+
+# One key holding three rules of different priorities, then a dst-only rule
+# toward the same destination that its lookups also read.
+CHAIN = [FlowRule(NodeId.edge(0), "10.0.0.0", "10.0.1.0", 1, BASE_PRIORITY),
+         FlowRule(NodeId.edge(0), "10.0.0.0", "10.0.1.0", 2, 40003),
+         FlowRule(NodeId.edge(0), "10.0.0.0", "10.0.1.0", 3, 30001, in_port=201)]
+DST_ONLY = FlowRule(NodeId.edge(0), None, "10.0.1.0", 4, 30001)
+A, B, C = CHAIN
 
 
 @settings(max_examples=100, deadline=None)
+@example(ops=[A, B, C,
+              0,           # the oldest goes: B, C
+              A, 1,        # then the middle: B, A
+              C, 2,        # then the newest: B, A
+              0, 0, A])    # the key empties and is installed again
+@example(ops=[DST_ONLY, A, B, C, 1, A, 2, C, 3, 1, 1, A])
 @given(ops=st.lists(
     st.one_of(oracle_rules, st.integers(0, 63)),  # install a rule / delete one
     max_size=20,
@@ -364,20 +427,14 @@ def test_lookup_matches_a_brute_force_scan(ops):
                 with pytest.raises(RoutingError):
                     rules.install(op)
                 continue
-            rules.install(op)
+            entry = rules.install(op)
+            entry.packets, entry.bytes = entry.seq + 1, 100 * entry.seq + 7
             installed.append(op)
         elif installed:
             gone = installed.pop(op % len(installed))
-            rules.delete(gone.switch, gone.match_src, gone.match_dst, gone.priority)
-
-        entries = rules.all_entries()
-        assert [e.rule for e in sorted(entries, key=lambda e: e.seq)] == installed
-        for switch, src, dst, in_port in itertools.product(
-            ORACLE_SWITCHES, ORACLE_ADDRS, ORACLE_ADDRS, ORACLE_PORTS
-        ):
-            assert rules.lookup(switch, src, dst, in_port) is brute_force_lookup(
-                entries, switch, src, dst, in_port
-            )
+            entry = rules.delete(gone.switch, gone.match_src, gone.match_dst, gone.priority)
+            assert six_fields(entry) == six_fields(gone)
+        check_chains(rules, installed)
 
 
 def test_duplicate_rule_install_rejected(grid):
@@ -391,18 +448,19 @@ def test_duplicate_rule_install_rejected(grid):
 
 
 def test_rule_records_keep_no_instance_dict():
-    # A run's state is mostly its rule table: `fabric` holds 1 610 of each.
+    # A run's state is mostly its rule table: `fabric` holds 1 610 records.
     entry = RuleTable().install(FlowRule(NodeId.edge(0), None, "10.0.1.0", 1, BASE_PRIORITY))
-    for record in (entry, entry.rule):
-        assert not hasattr(record, "__dict__")
+    assert type(entry) is RuleEntry
+    assert not hasattr(entry, "__dict__")
 
 
 def test_rule_table_and_path_memo_hold_little_per_installed_rule():
     # fabric's packet-ins: every host of a 6x6 grid with 8 hosts per edge
     # toward one server, then a poll. Traced bytes still held, per rule,
     # by the table, its polled index and the topology's path memo (1 610
-    # rules): 363 B with tuple buckets and a memo of paths, 477 B with a
-    # memo of distance maps instead, 513 B with list buckets as well.
+    # rules): 283 B with one record per rule chained by key, 363 B with a
+    # rule, its entry and a tuple bucket each, 477 B with a memo of distance
+    # maps instead of paths, 513 B with list buckets as well.
     def install_all(topo):
         rules = RuleTable()
         server = NodeId.host(0, 0)
@@ -425,4 +483,4 @@ def test_rule_table_and_path_memo_hold_little_per_installed_rule():
         tracemalloc.stop()
     installed = len(rules.all_entries())
     assert installed == 1610
-    assert held / installed < 420
+    assert held / installed < 310

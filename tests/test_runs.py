@@ -136,11 +136,11 @@ def edit_rules(rng, topo, rules):
     comes from the run itself."""
     ips = sorted(topo.host_of_ip)
     for _ in range(rng.randint(1, 3)):
-        entries = sorted(rules.all_entries(), key=lambda e: (e.rule.switch, -e.rule.priority, e.seq))
+        entries = sorted(rules.all_entries(), key=lambda e: (e.switch, -e.priority, e.seq))
         op = rng.choice(["install", "install", "delete", "delete", "shortcut", "attach"])
         if op in ("install", "delete", "attach") and not entries:
             continue
-        near = rng.choice(entries).rule if entries else None
+        near = rng.choice(entries) if entries else None
         if op == "install":
             switch = near.switch if rng.random() < 0.7 else rng.choice(
                 sorted(n for n in topo.nodes if n.is_switch))
@@ -160,9 +160,9 @@ def edit_rules(rng, topo, rules):
                 topo.add_link(Link(a, max(topo.used_ports(a)) + 1,
                                    b, max(topo.used_ports(b)) + 1, **throttle(rng)))
             server_ip = topo.ip_of[topo.server]
-            firsts = [e.rule for e in entries
-                      if e.rule.match_dst == server_ip and e.rule.match_src is not None
-                      and e.rule.switch == topo.edge_of_host(topo.host_of_ip[e.rule.match_src])]
+            firsts = [e for e in entries
+                      if e.match_dst == server_ip and e.match_src is not None
+                      and e.switch == topo.edge_of_host(topo.host_of_ip[e.match_src])]
             if firsts:
                 r = rng.choice(firsts)
                 rules.delete(r.switch, r.match_src, r.match_dst, r.priority)
@@ -236,7 +236,7 @@ def detour_scenario(capacity, queue_cap, responses, feed_capacity):
     rules.install(FlowRule(edge, None, s_ip, topo.port_toward(edge, server), 40003, in_port=201))
     rules.install(FlowRule(scrub, a_ip, s_ip, 201, 30002))
 
-    toward_attacker = rules.find(edge, s_ip, a_ip, BASE_PRIORITY).rule.out_port
+    toward_attacker = rules.find(edge, s_ip, a_ip, BASE_PRIORITY).out_port
     if responses == "same":
         rules.install(FlowRule(edge, s_ip, a_ip, 200, 30001))
         rules.install(FlowRule(scrub, s_ip, a_ip, 201, 30002))
@@ -394,7 +394,7 @@ def test_random_grids_keep_one_tree_per_destination_and_legit_paths(doc):
                     assert trace_path(topo, rules, key) == path
 
     simnet.run(topo, rules, rates, sim_cfg, on_poll=on_poll)
-    for dst in {e.rule.match_dst for e in rules.all_entries()}:
+    for dst in {e.match_dst for e in rules.all_entries()}:
         assert destination_tree_ok(topo, rules, dst)
 
 

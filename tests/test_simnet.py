@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdnsim import simnet
 from sdnsim.cli import run_section, write_json
 from sdnsim.routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, handle_packet_in
 from sdnsim.mitigation import MitigationError
@@ -104,6 +105,33 @@ def test_first_emission_raises_exactly_one_packet_in():
     packet_ins = [e for e in record.events if e["event"] == "packet_in"]
     assert len(packet_ins) == 1
     assert packet_ins[0]["t"] == 0.0
+
+
+def test_packet_ins_return_exactly_the_installed_rules(monkeypatch):
+    # A fabric-shaped run with no mitigation: every other host of the grid
+    # sends to one server. The rules each packet-in returns (what a traced
+    # run counts as routing.rules_installed) are the table's rules, field
+    # for field.
+    topo = build_grid(4, 4, 3)
+    topo.server = NodeId.host(0, 0)
+    rates = {h: 0.5 for h in topo.hosts() if h != topo.server}
+    returned = []
+
+    def counting(rules, topology, key):
+        written = handle_packet_in(rules, topology, key)
+        returned.extend(written)
+        return written
+
+    monkeypatch.setattr(simnet, "handle_packet_in", counting)
+    rules = RuleTable()
+    record = run(topo, rules, rates, SimConfig(duration=4.0, poll_interval=1.0))
+    assert len([e for e in record.events if e["event"] == "packet_in"]) == len(rates)
+    assert len(returned) == len(rules.all_entries()) > 2 * len(rates)
+    for rule in returned:
+        entry = rules.find(rule.switch, rule.match_src, rule.match_dst, rule.priority)
+        assert (entry.switch, entry.match_src, entry.match_dst, entry.out_port,
+                entry.priority, entry.in_port) == (rule.switch, rule.match_src, rule.match_dst,
+                                                   rule.out_port, rule.priority, rule.in_port)
 
 
 def test_run_polls_every_five_seconds():

@@ -87,10 +87,10 @@ def apply_index_op(rules, op):
     elif not entries:
         return
     elif kind == "delete":
-        r = entries[args[0] % len(entries)].rule
+        r = entries[args[0] % len(entries)]
         rules.delete(r.switch, r.match_src, r.match_dst, r.priority)
     elif kind == "redirect":
-        r = entries[args[0] % len(entries)].rule
+        r = entries[args[0] % len(entries)]
         if rules.find(r.switch, r.match_src, r.match_dst, args[1]) is None:
             gone = rules.delete(r.switch, r.match_src, r.match_dst, r.priority)
             entry = rules.install(FlowRule(r.switch, r.match_src, r.match_dst, 200, args[1]))
