@@ -387,9 +387,6 @@ def decompose_gaussian_1d(values, bandwidth: float | None = None) -> list[GaussC
 
 @dataclass
 class DetectionReport:
-    target: str
-    aggregate_byte_rate: float
-    threshold: float
     attack: bool
     suspicious_clusters: list[int] = field(default_factory=list)
     suspicious_sources: list[str] = field(default_factory=list)
@@ -417,14 +414,13 @@ def detect(
     aggregate_byte_rate: float,
     threshold: float,
     clustering: Clustering,
-    target: str = "",
 ) -> DetectionReport:
     """Build the verdict for one poll interval.
 
     The volume check is strict: a rate exactly at the threshold is normal.
     """
     attack = aggregate_byte_rate > threshold
-    report = DetectionReport(target, aggregate_byte_rate, threshold, attack)
+    report = DetectionReport(attack)
 
     intensities = [c[2] for c in clustering.centroids]
     sharpness = [

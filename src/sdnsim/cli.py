@@ -305,7 +305,7 @@ class ScenarioPipeline:
         clustering = report = None
         if vectors:
             clustering = analytics.kmeans(vectors, min(self.cfg.k_clusters, len(vectors)))
-            report = analytics.detect(byte_rate, self.cfg.threshold, clustering, self.server_ip)
+            report = analytics.detect(byte_rate, self.cfg.threshold, clustering)
         up_rates = [v.byte_rate_up for v in vectors]
         self.polls.append({
             "t": t,
@@ -336,7 +336,7 @@ class ScenarioPipeline:
         if not report.suspicious_sources:
             return
         self.plan = mitigation.plan_scrubber(
-            report.target, report.suspicious_sources, state.topology, state.rules)
+            self.server_ip, report.suspicious_sources, state.topology, state.rules)
         mitigation.apply(self.plan, state.topology, state.rules)
         self.mitigation_time = t
         state.record.events.append(

@@ -207,14 +207,13 @@ def detect(
     aggregate_byte_rate: float,
     threshold: float,
     clustering: Clustering,
-    target: str = "",
 ) -> DetectionReport:
     """Build the verdict for one poll interval.
 
     The volume check is strict: a rate exactly at the threshold is normal.
     """
     attack = aggregate_byte_rate > threshold
-    report = DetectionReport(target, aggregate_byte_rate, threshold, attack)
+    report = DetectionReport(attack)
 
     intensities = [c[2] for c in clustering.centroids]
     sharpness = [

@@ -189,7 +189,7 @@ def test_csv_replay_rebuilds_report_aggregates_and_analytics(tmp_path):
             continue
         clustering = kmeans(vectors, min(cfg.k_clusters, len(vectors)))
         assert poll["clustering"] == as_json(clustering_row(clustering))
-        verdict = analytics.detect(byte_rate, cfg.threshold, clustering, server_ip)
+        verdict = analytics.detect(byte_rate, cfg.threshold, clustering)
         assert poll["detection"] == as_json(vars(verdict))
         up_rates = [v.byte_rate_up for v in vectors]
         assert poll["gaussian"] == (
@@ -833,7 +833,7 @@ def test_request_rate_does_not_drive_run_time(tmp_path):
 # sha256 of stats.csv + report.json (report's output_dir echo normalized)
 # for small_raw(), and of `sdnsim init-config --template reference`. Any
 # change to these artifacts must update the constants and say why.
-SMALL_RAW_DIGEST = "2e1f2e7eea5abbf0f90331b21d2a70bf1a1f21c92a70e7ea6e2d23a2d5241c5e"
+SMALL_RAW_DIGEST = "e4889580fb709b4ea9a9c0a5ce308e2475ed233c3625f89bf923a6111c6f2a43"
 REFERENCE_TEMPLATE_DIGEST = "6fabaca1e4c5a2b8f59b8bdcc651f5da1a87a121a6c70476358c0d1939b8bb1f"
 
 

@@ -35,7 +35,7 @@ ATTACK = (
 
 
 def test_below_threshold_is_not_an_attack():
-    report = detect(1e4, 1e6, make_clustering([LEGIT, ATTACK]), target="10.0.0.0")
+    report = detect(1e4, 1e6, make_clustering([LEGIT, ATTACK]))
     assert report.attack is False
     assert report.suspicious_clusters == []
     assert report.suspicious_sources == []
@@ -48,7 +48,7 @@ def test_rate_exactly_at_threshold_is_not_an_attack():
 
 def test_intense_sharp_cluster_is_flagged_and_dispersed_one_is_not():
     clustering = make_clustering([LEGIT, ATTACK])
-    report = detect(300_000.0, 50_000.0, clustering, target="10.0.0.0")
+    report = detect(300_000.0, 50_000.0, clustering)
     assert report.attack is True
     assert report.suspicious_clusters == [1]
     assert report.suspicious_sources == sorted(ATTACK[2])

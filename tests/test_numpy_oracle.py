@@ -78,8 +78,7 @@ def test_kmeans_matches_numpy_in_every_field(features, k):
 def test_detect_and_compare_match_numpy(prev, cur, k, rate, threshold, radius):
     prev_c = analytics.kmeans(prev, min(k, len(prev)))
     cur_c = analytics.kmeans(cur, min(k, len(cur)))
-    assert same(analytics.detect(rate, threshold, cur_c, "10.0.0.0"),
-                oracle.detect(rate, threshold, cur_c, "10.0.0.0"))
+    assert same(analytics.detect(rate, threshold, cur_c), oracle.detect(rate, threshold, cur_c))
     assert (analytics.compare_clusterings(prev_c, cur_c, radius)
             == oracle.compare_clusterings(prev_c, cur_c, radius))
 
