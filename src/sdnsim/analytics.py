@@ -388,9 +388,9 @@ def decompose_gaussian_1d(values, bandwidth: float | None = None) -> list[GaussC
 @dataclass
 class DetectionReport:
     attack: bool
-    suspicious_clusters: list[int] = field(default_factory=list)
-    suspicious_sources: list[str] = field(default_factory=list)
-    rationale: dict = field(default_factory=dict)
+    suspicious_clusters: list[int]
+    suspicious_sources: list[str]
+    sharpness: list[float]  # per cluster, whether or not the gate opened
 
 
 def cluster_sharpness(centroid, std) -> float:
@@ -420,33 +420,16 @@ def detect(
     The volume check is strict: a rate exactly at the threshold is normal.
     """
     attack = aggregate_byte_rate > threshold
-    report = DetectionReport(attack)
-
     intensities = [c[2] for c in clustering.centroids]
     sharpness = [
         cluster_sharpness(clustering.centroids[i], clustering.stds[i])
         for i in range(clustering.k)
     ]
-    report.rationale = {
-        "clusters": [
-            {
-                "index": i,
-                "size": len(clustering.members[i]),
-                "intensity": intensities[i],
-                "sharpness": sharpness[i],
-                "flagged": False,
-            }
-            for i in range(clustering.k)
-        ],
-        "low_confidence": False,
-    }
     if not attack:
-        return report
-
-    if clustering.k == 1:
+        flagged = []
+    elif clustering.k == 1:
         # No comparison set: the lone cluster is suspicious by default.
         flagged = [0]
-        report.rationale["low_confidence"] = True
     else:
         mean_intensity = mean(intensities)
         median_sharpness = median(sharpness)
@@ -455,12 +438,5 @@ def detect(
             for i in range(clustering.k)
             if intensities[i] >= mean_intensity and sharpness[i] <= median_sharpness
         ]
-
-    for i in flagged:
-        report.rationale["clusters"][i]["flagged"] = True
-    report.suspicious_clusters = flagged
-    sources: set[str] = set()
-    for i in flagged:
-        sources.update(clustering.members[i])
-    report.suspicious_sources = sorted(sources, key=ip_key)
-    return report
+    sources = {m for i in flagged for m in clustering.members[i]}
+    return DetectionReport(attack, flagged, sorted(sources, key=ip_key), sharpness)

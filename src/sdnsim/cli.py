@@ -448,7 +448,6 @@ def clustering_row(clustering: analytics.Clustering) -> dict:
         "k": clustering.k,
         "centroids": [list(c) for c in clustering.centroids],
         "stds": [list(s) for s in clustering.stds],
-        "sizes": [len(m) for m in clustering.members],
         "members": clustering.members,
     }
 

@@ -833,7 +833,7 @@ def test_request_rate_does_not_drive_run_time(tmp_path):
 # sha256 of stats.csv + report.json (report's output_dir echo normalized)
 # for small_raw(), and of `sdnsim init-config --template reference`. Any
 # change to these artifacts must update the constants and say why.
-SMALL_RAW_DIGEST = "e4889580fb709b4ea9a9c0a5ce308e2475ed233c3625f89bf923a6111c6f2a43"
+SMALL_RAW_DIGEST = "24d399db111d116b3f5b8dfc44de4ebd9d3c5049d958b4881d9362bfb584b6ed"
 REFERENCE_TEMPLATE_DIGEST = "6fabaca1e4c5a2b8f59b8bdcc651f5da1a87a121a6c70476358c0d1939b8bb1f"
 
 

@@ -39,6 +39,8 @@ def test_below_threshold_is_not_an_attack():
     assert report.attack is False
     assert report.suspicious_clusters == []
     assert report.suspicious_sources == []
+    # Sharpness is computed with the gate shut too.
+    assert report.sharpness == [cluster_sharpness(*LEGIT[:2]), cluster_sharpness(*ATTACK[:2])]
 
 
 def test_rate_exactly_at_threshold_is_not_an_attack():
@@ -52,9 +54,8 @@ def test_intense_sharp_cluster_is_flagged_and_dispersed_one_is_not():
     assert report.attack is True
     assert report.suspicious_clusters == [1]
     assert report.suspicious_sources == sorted(ATTACK[2])
-    flags = [c["flagged"] for c in report.rationale["clusters"]]
-    assert flags == [False, True]
-    assert report.rationale["low_confidence"] is False
+    assert report.sharpness == [cluster_sharpness(*LEGIT[:2]), cluster_sharpness(*ATTACK[:2])]
+    assert clustering.k > 1  # flagged against the others, not by default
 
 
 def test_sharpness_is_mean_cv_with_zero_dimensions_skipped():
@@ -82,10 +83,11 @@ def test_identical_clusters_all_flagged_deterministically():
 
 
 def test_single_cluster_flagged_with_low_confidence():
-    report = detect(1e6, 1e3, make_clustering([ATTACK]))
+    clustering = make_clustering([ATTACK])
+    report = detect(1e6, 1e3, clustering)
     assert report.attack is True
-    assert report.suspicious_clusters == [0]
-    assert report.rationale["low_confidence"] is True
+    # Low confidence: the lone cluster is flagged with nothing to compare it to.
+    assert clustering.k == 1 and report.suspicious_clusters == [0]
 
 
 def test_suspicious_sources_union_over_flagged_clusters():
