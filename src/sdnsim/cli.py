@@ -322,26 +322,17 @@ class ScenarioPipeline:
         if clustering is not None:
             self.prev_clustering = clustering
 
-        if report is None or not report.attack:
+        # A verdict after mitigation is in its poll's detection alone.
+        if report is None or not report.attack or self.plan is not None:
             return
-        if self.plan is not None:
-            state.record.events.append(
-                {"t": t, "event": "attack_verdict_repeated", "target": self.server_ip}
-            )
-            return
-        state.record.events.append(
-            {"t": t, "event": "attack_detected", "target": self.server_ip,
-             "suspicious": report.suspicious_sources}
-        )
+        state.record.events.append({"t": t, "event": "attack_detected"})
         if not report.suspicious_sources:
             return
         self.plan = mitigation.plan_scrubber(
             self.server_ip, report.suspicious_sources, state.topology, state.rules)
         mitigation.apply(self.plan, state.topology, state.rules)
         self.mitigation_time = t
-        state.record.events.append(
-            {"t": t, "event": "mitigation_applied", "scrubber": self.plan.scrubber.name}
-        )
+        state.record.events.append({"t": t, "event": "mitigation_applied"})
 
 
 # Rows per encode call of a Table: memory holds one chunk's rows and text at
