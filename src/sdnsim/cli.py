@@ -101,6 +101,8 @@ DEFAULTS = {
     for f in fields(ScenarioConfig)
     if f.init
 }
+# The engine's values, which the config holds under the same names.
+SIM_FIELDS = [f.name for f in fields(SimConfig)]
 
 
 def matrix_rates(n_clients: int, k_matrix: int, base: float) -> list[float]:
@@ -260,14 +262,7 @@ def build_scenario(cfg: ScenarioConfig):
     legit = [h for h in topo.hosts() if h != server and h not in topo.attackers]
     rates = dict(zip(legit, matrix_rates(len(legit), cfg.client_matrix, cfg.base_rate)))
     rates.update(dict.fromkeys(topo.attackers, cfg.attacker_rate))
-    sim_cfg = SimConfig(
-        tick=cfg.tick,
-        duration=cfg.duration,
-        attack_start=cfg.attack_start,
-        poll_interval=cfg.poll_interval,
-        request_size=cfg.request_bytes,
-        response_size=cfg.response_bytes,
-    )
+    sim_cfg = SimConfig(**{name: getattr(cfg, name) for name in SIM_FIELDS})
     return topo, RuleTable(), rates, sim_cfg
 
 

@@ -111,11 +111,11 @@ class SimConfig:
     duration: float = 60.0
     attack_start: float = 20.0
     poll_interval: float = 5.0
-    request_size: int = 200
-    response_size: int = 1000
+    request_bytes: int = 200
+    response_bytes: int = 1000
 
     def __post_init__(self) -> None:
-        if self.request_size <= 0 or self.response_size <= 0:
+        if self.request_bytes <= 0 or self.response_bytes <= 0:
             raise ValueError("packet sizes must be positive")
         if self.tick <= 0:
             raise ValueError("tick must be positive")
@@ -332,7 +332,7 @@ def _deliver(
     tally.delivered_packets += count
     tally.delivered_bytes += count * size
     if host == state.topology.server:
-        _emit(state, host, key.src, state.cfg.response_size, count)
+        _emit(state, host, key.src, state.cfg.response_bytes, count)
 
 
 class Path(NamedTuple):
@@ -485,7 +485,7 @@ def step(state: SimState) -> None:
         count = math.floor(acc + 1e-9)
         state.residues[host] = acc - count
         for run in _runs(state, count):
-            _emit(state, host, server_ip, cfg.request_size, run)
+            _emit(state, host, server_ip, cfg.request_bytes, run)
 
     # Exact conservation, checked every tick from an empty start: every
     # packet that entered has passed, been dropped, or is still queued.

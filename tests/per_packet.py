@@ -45,7 +45,7 @@ def _deliver(state, throttled, key, tally, size, host):
     tally.delivered_packets += 1
     tally.delivered_bytes += size
     if host == state.topology.server:
-        _emit(state, throttled, host, key.src, state.cfg.response_size)
+        _emit(state, throttled, host, key.src, state.cfg.response_bytes)
 
 
 def _walk(state, throttled, key, tally, size, node, in_port):
@@ -128,7 +128,7 @@ def step(state):
         count = math.floor(acc + 1e-9)
         state.residues[host] = acc - count
         for _ in range(count):
-            _emit(state, throttled, host, server_ip, cfg.request_size)
+            _emit(state, throttled, host, server_ip, cfg.request_bytes)
 
     for ls in state.link_states.values():
         if ls.entered_packets != ls.passed_packets + ls.dropped_packets + len(ls.queue):

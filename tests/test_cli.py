@@ -129,7 +129,7 @@ def test_build_scenario_assigns_roles():
     assert len(topo.attackers) == 2 and topo.attackers <= rates.keys()
     # 2*(2*2+2*3-4) hosts = 12; minus server and 2 attackers
     assert len(rates) - len(topo.attackers) == 9
-    assert (sim_cfg.request_size, sim_cfg.response_size) == (200, 1000)
+    assert (sim_cfg.request_bytes, sim_cfg.response_bytes) == (200, 1000)
 
 
 # -- run_scenario ----------------------------------------------------------
@@ -682,8 +682,8 @@ VALUE_ERRORS = {
     "negative legit rate": (lambda: run_one_client(-1.0), {"base_rate": -1.0}),
     "negative attacker rate": (lambda: run_one_client(-1.0, attacker=True),
                                {"attackers": ["h1s1"], "attacker_rate": -1.0}),
-    "empty request": (lambda: SimConfig(request_size=0), {"request_bytes": 0}),
-    "empty response": (lambda: SimConfig(response_size=0), {"response_bytes": 0}),
+    "empty request": (lambda: SimConfig(request_bytes=0), {"request_bytes": 0}),
+    "empty response": (lambda: SimConfig(response_bytes=0), {"response_bytes": 0}),
     "zero tick": (lambda: SimConfig(tick=0.0), {"tick": 0.0}),
     "negative duration": (lambda: SimConfig(duration=-1.0), {"duration": -1.0}),
     "zero poll interval": (lambda: SimConfig(poll_interval=0.0), {"poll_interval": 0.0}),

@@ -169,7 +169,7 @@ def test_mitigated_attacker_is_throttled_while_legit_flows_match_control():
         topo.attackers = {attacker}
         rates = {attacker: 100.0, legit: 5.0}
         cfg = SimConfig(duration=10.0, poll_interval=5.0, attack_start=0.0,
-                        request_size=1000, response_size=1000)
+                        request_bytes=1000, response_bytes=1000)
         rules = RuleTable()
         server_ip = topo.ip_of[server]
         a_ip, l_ip = topo.ip_of[attacker], topo.ip_of[legit]

@@ -268,7 +268,7 @@ def test_runs_match_the_per_packet_engine_on_throttled_links(
             capacity, queue_cap, responses, feed_capacity
         )
         cfg = SimConfig(tick=tick, duration=10.0, poll_interval=5.0, attack_start=0.0,
-                        request_size=request, response_size=response)
+                        request_bytes=request, response_bytes=response)
         records.append(outcome(engine_run, topo, rules, {attacker: rate}, cfg))
     assert records[0] == records[1]
 
@@ -282,7 +282,7 @@ def test_two_way_link_sends_packets_one_at_a_time():
     for engine_run in (simnet.run, per_packet.run):
         topo, rules, server, attacker = detour_scenario(12_500.0, 1000, "same", None)
         cfg = SimConfig(duration=10.0, poll_interval=5.0, attack_start=0.0,
-                        request_size=1000, response_size=1000)
+                        request_bytes=1000, response_bytes=1000)
         log = SampleLog()
         records.append(run_json(engine_run(topo, rules, {attacker: 1000.0}, cfg, on_poll=log),
                                 rules, log.samples))

@@ -58,7 +58,7 @@ def simple_scenario(rate=2.0, duration=10.0, request=200, response=1000):
     topo.server = server
     rates = {client: rate}
     cfg = SimConfig(duration=duration, poll_interval=5.0, attack_start=0.0,
-                    request_size=request, response_size=response)
+                    request_bytes=request, response_bytes=response)
     return topo, RuleTable(), rates, cfg, server, client
 
 
@@ -231,7 +231,7 @@ def throttled_scenario(capacity=12_500.0, queue_cap=1000):
 
     rates = {attacker: 1000.0}
     cfg = SimConfig(duration=10.0, poll_interval=5.0, attack_start=0.0,
-                    request_size=1000, response_size=1000)
+                    request_bytes=1000, response_bytes=1000)
     return topo, rules, rates, cfg, (a_ip, s_ip)
 
 
@@ -325,7 +325,7 @@ def test_link_gate_catches_a_packet_lost_from_the_queue():
 def test_throttled_link_conserves_every_tick(capacity, queue_cap, rate, size):
     topo, rules, rates, cfg, key = throttled_scenario(capacity, queue_cap)
     rates[topo.host_of_ip[key[0]]] = rate
-    state = SimState(topo, rules, rates, replace(cfg, request_size=size))
+    state = SimState(topo, rules, rates, replace(cfg, request_bytes=size))
     before = (0, 0, 0, 0)
     for ticks in range(1, cfg.steps + 1):
         step(state)
@@ -353,9 +353,9 @@ def test_rate_and_size_validation():
     with pytest.raises(ValueError, match="request rate"):
         run(topo, rules, rates, cfg)
     with pytest.raises(ValueError, match="packet sizes"):
-        SimConfig(request_size=0)
+        SimConfig(request_bytes=0)
     with pytest.raises(ValueError, match="packet sizes"):
-        SimConfig(response_size=0)
+        SimConfig(response_bytes=0)
 
 
 def test_config_validation():
