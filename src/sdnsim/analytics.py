@@ -26,9 +26,13 @@ target strictly exceeds the configured limit. Under attack, clusters that
 are both intense (centroid upstream byte rate at or above the
 across-cluster mean) and sharp (mean per-dimension coefficient of variation
 at or below the across-cluster median) are flagged; their members become
-the suspicious sources. Homogeneous senders produce near-zero coefficients
+the suspicious sources. A lone cluster has nothing to be compared with and
+is flagged by default. Homogeneous senders produce near-zero coefficients
 of variation, which is what separates a botnet's cluster from dispersed
-legitimate users.
+legitimate users. The report holds what detection decides: the verdict,
+the flagged clusters, their members and each cluster's sharpness, computed
+whether or not the limit is crossed. A cluster's size and intensity are the
+clustering's (``len(members[i])``, ``centroids[i][2]``).
 
 Arithmetic. The module needs the standard library alone, and every float it
 returns equals what the numpy formulation it replaced returns (kept in
