@@ -186,7 +186,6 @@ def build_features(
 class Clustering:
     k: int
     centroids: list[tuple[float, float, float, float]]
-    assignment: dict[str, int]
     members: list[list[str]]
     stds: list[tuple[float, float, float, float]]
     wcss_history: list[float] = field(default_factory=list)
@@ -246,8 +245,7 @@ def kmeans(features: list[FeatureVector], k: int) -> Clustering:
     for client, c in zip(clients, labels):
         members[c].append(client)
     members = [sorted(m, key=ip_key) for m in members]
-    return Clustering(len(centroids), centroids, dict(zip(clients, labels)), members, stds,
-                      history)
+    return Clustering(len(centroids), centroids, members, stds, history)
 
 
 def compare_clusterings(

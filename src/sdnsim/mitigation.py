@@ -71,9 +71,6 @@ def plan_scrubber(
     if server_host is None:
         raise MitigationError(f"unknown target {target}")
     edge = topology.edge_of_host(server_host)
-    used = topology.used_ports(edge)
-    if SCRUBBER_OUT_PORT in used or SCRUBBER_RETURN_PORT in used:
-        raise MitigationError(f"{edge} already has a scrubber attached")
 
     links = [
         Link(edge, SCRUBBER_OUT_PORT, scrubber, 1),

@@ -67,8 +67,10 @@ first switch matches no rule raises a packet-in.
 A packet that crosses more than ``Topology.hop_limit`` switches, counted
 across throttled links, is a forwarding loop and raises
 :class:`SimulationError`; the bound is read from the topology, where it costs
-O(1). Mitigation changes the topology only between ticks, so the index of
-constrained links is refreshed once per tick rather than per packet.
+O(1). Mitigation changes the topology only between ticks, so what the engine
+derives from it (the link states in link order, the index of throttled
+links, the compiled paths) is rebuilt at the start of a tick, and only when
+``Topology.version`` has moved since the last rebuild.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ import math
 from array import array
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import telemetry
@@ -182,10 +184,10 @@ class RunQueue:
         self._runs.append(run)
         self._packets += run.count
 
-    def popleft(self, count: int = 1) -> QueuedRun:
-        """Remove ``count`` packets (at most the head run's) from the head
-        and return them as a run. The head run's ``count`` keeps what is
-        left of it, 0 once it has left the queue."""
+    def popleft(self, count: int = 1) -> None:
+        """Remove ``count`` packets (at most the head run's) from the head.
+        The head run's ``count`` keeps what is left of it, 0 once it has
+        left the queue; read the head before popping to see what left."""
         head = self._runs[0]
         if not 0 < count <= head.count:
             raise ValueError(f"cannot pop {count} of a run of {head.count}")
@@ -193,7 +195,6 @@ class RunQueue:
         if not head.count:
             self._runs.popleft()
         self._packets -= count
-        return replace(head, count=count)
 
 
 @dataclass
@@ -285,6 +286,10 @@ class RunRecord:
 
 @dataclass
 class SimState:
+    """One run's engine state. ``link_states`` (in link order: first
+    endpoint, then port), ``_ends`` and ``_paths`` are derived from the
+    topology by :func:`_rebuild`, for its version ``_topology_version``."""
+
     topology: Topology
     rules: RuleTable
     rates: dict[NodeId, float]
@@ -296,13 +301,12 @@ class SimState:
     attack_logged: bool = False
     # Emitting order: every host with a rate, sorted once per run.
     hosts: list[NodeId] = field(init=False, repr=False)
-    # node -> {local port: state of the constrained link on that port}
-    _constrained: dict[NodeId, dict[int, LinkState]] = field(default_factory=dict)
-    # (topology version, {(src, dst, node, in_port): (rule-table versions
-    #  of (dst, None) and (dst, src), compiled path from that node and port)})
-    _paths: tuple[int, dict[tuple, tuple[tuple[int, int], Path]]] = field(
-        default_factory=lambda: (-1, {}), repr=False
-    )
+    _topology_version: int = field(default=-1, repr=False)
+    # (node, local port) -> state of the throttled link on that port
+    _ends: dict[tuple[NodeId, int], LinkState] = field(default_factory=dict)
+    # {(src, dst, node, in_port): (rule-table versions of (dst, None) and
+    #  (dst, src), compiled path from that node and port)}
+    _paths: dict[tuple, tuple[tuple[int, int], Path]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.hosts = sorted(self.rates)
@@ -311,17 +315,19 @@ class SimState:
     def time(self) -> float:
         return self.step_index * self.cfg.tick
 
-    def refresh_links(self) -> None:
-        """Re-index constrained links; mitigation may change the topology
-        between ticks."""
-        self._constrained = {}
-        for link in self.topology.links:
-            if link.constrained:
-                ls = self.link_states.get(link)
-                if ls is None:
-                    ls = self.link_states[link] = LinkState(link)
-                self._constrained.setdefault(link.a, {})[link.a_port] = ls
-                self._constrained.setdefault(link.b, {})[link.b_port] = ls
+
+def _rebuild(state: SimState) -> None:
+    """Derive the link states, the throttled-link index and an empty path
+    memo from the topology, if its version moved since the last rebuild.
+    A link keeps its ``LinkState``, counters and queue included."""
+    if state._topology_version == state.topology.version:
+        return
+    state._topology_version = state.topology.version
+    links = sorted((link for link in state.topology.links if link.constrained),
+                   key=lambda link: (link.a, link.a_port))
+    state.link_states = {link: state.link_states.get(link) or LinkState(link) for link in links}
+    state._ends = {end: ls for link, ls in state.link_states.items() for end in link.endpoints()}
+    state._paths = {}
 
 
 def _deliver(
@@ -355,7 +361,7 @@ def _compile(state: SimState, key: FlowKey, node: NodeId, in_port: int) -> Path:
     limit = state.topology.hop_limit
     for entry, node, in_port in walk_rules(state.topology, state.rules, key, node, in_port):
         entries.append(entry)
-        ls = state._constrained.get(entry.switch, {}).get(entry.out_port)
+        ls = state._ends.get((entry.switch, entry.out_port))
         if ls is not None:
             return Path(tuple(entries), ls, node, in_port)
         if len(entries) > limit:
@@ -366,18 +372,14 @@ def _compile(state: SimState, key: FlowKey, node: NodeId, in_port: int) -> Path:
 
 def _path(state: SimState, key: FlowKey, node: NodeId, in_port: int) -> Path:
     """The compiled path of ``key`` from ``node``/``in_port``, compiled at
-    most once per topology version and pair of versions of the rules that
-    its lookups read."""
-    topology_version, paths = state._paths
-    if topology_version != state.topology.version:
-        paths = {}
-        state._paths = (state.topology.version, paths)
+    most once per pair of versions of the rules that its lookups read (and
+    per topology version, as :func:`_rebuild` empties the memo)."""
     ident = (key.src, key.dst, node, in_port)
     versions = state.rules.versions
     version = (versions[key.dst, None], versions[key.dst, key.src])
-    compiled = paths.get(ident)
+    compiled = state._paths.get(ident)
     if compiled is None or compiled[0] != version:
-        compiled = paths[ident] = (version, _compile(state, key, node, in_port))
+        compiled = state._paths[ident] = (version, _compile(state, key, node, in_port))
     return compiled[1]
 
 
@@ -451,16 +453,14 @@ def step(state: SimState) -> None:
     """Advance the simulation by one tick."""
     t = state.time
     cfg = state.cfg
-    state.refresh_links()
+    _rebuild(state)
 
     # Queued traffic goes first; it competes for this tick's budget with
     # anything newly forwarded onto the link. All budgets are refreshed
     # before any drain, since a drained packet may cross another link.
-    ordered_links = sorted(state.link_states, key=lambda l: (l.a, l.a_port))
-    for link in ordered_links:
-        state.link_states[link].budget = link.capacity * cfg.tick
-    for link in ordered_links:
-        ls = state.link_states[link]
+    for ls in state.link_states.values():
+        ls.budget = ls.link.capacity * cfg.tick
+    for ls in state.link_states.values():
         queue = ls.queue
         while queue and queue.head().size <= ls.budget:
             head = queue.head()
@@ -468,9 +468,9 @@ def step(state: SimState) -> None:
                 passed = ls.spend(head.size, count)
                 if not passed:
                     break
-                run = queue.popleft(passed)
-                path = _path(state, run.key, run.node, run.in_port)
-                _walk(state, run.key, run.tally, run.size, passed, path)
+                queue.popleft(passed)
+                path = _path(state, head.key, head.node, head.in_port)
+                _walk(state, head.key, head.tally, head.size, passed, path)
 
     server = state.topology.server
     server_ip = state.topology.ip_of.get(server) if server else None
@@ -544,6 +544,5 @@ def run(
             if on_poll is not None:
                 on_poll(state, t, samples)
 
-    state.record.link_states = sorted(
-        state.link_states.values(), key=lambda ls: (ls.link.a, ls.link.a_port))
+    state.record.link_states = list(state.link_states.values())
     return state.record

@@ -26,6 +26,7 @@ forwarding paths the same way.
 from __future__ import annotations
 
 import functools
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -109,15 +110,17 @@ class NodeId(NamedTuple):
         return self.name
 
 
+_HOST_NAME = re.compile(r"h(0|[1-9][0-9]*)s(0|[1-9][0-9]*)")
+
+
 def parse_host_name(name: str) -> NodeId:
-    """Parse a host name of the form ``h<slot>s<edge>``."""
-    if not name.startswith("h") or "s" not in name[1:]:
+    """Parse a host name ``h<slot>s<edge>``, both numbers in ASCII digits
+    with no sign and no leading zero: exactly the names that ``NodeId.name``
+    gives, so each host has one name."""
+    match = _HOST_NAME.fullmatch(name)
+    if match is None:
         raise TopologyError(f"not a host name: {name!r}")
-    slot_text, _, edge_text = name[1:].partition("s")
-    try:
-        return NodeId.host(int(edge_text), int(slot_text))
-    except ValueError as exc:
-        raise TopologyError(f"not a host name: {name!r}") from exc
+    return NodeId.host(int(match[2]), int(match[1]))
 
 
 @dataclass(frozen=True)

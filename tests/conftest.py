@@ -64,6 +64,11 @@ def destination_tree_ok(topology, rules, dst_ip):
     return True
 
 
+def assignment(clustering):
+    """client -> index of its cluster, from ``clustering.members``."""
+    return {client: i for i, members in enumerate(clustering.members) for client in members}
+
+
 class SampleLog:
     """An ``on_poll`` that keeps every poll's samples, in poll order, then
     calls ``then`` if given: a run keeps no samples of its own."""

@@ -88,8 +88,7 @@ def kmeans(features: list[FeatureVector], k: int) -> Clustering:
         mask = labels == c
         stds.append(tuple(float(v) for v in points[mask].std(axis=0)))
         members.append(sorted((clients[i] for i in np.flatnonzero(mask)), key=ip_key))
-    assignment = {clients[i]: int(labels[i]) for i in range(len(clients))}
-    return Clustering(len(centroids), means, assignment, members, stds, history)
+    return Clustering(len(centroids), means, members, stds, history)
 
 
 def compare_clusterings(

@@ -26,16 +26,17 @@ def _pass(ls, size):
 
 def _throttled(state):
     """node -> {local port: LinkState} over the throttled links in
-    ``topology.links``; a link seen for the first time gets a fresh
-    ``LinkState`` in ``state.link_states``."""
+    ``topology.links``. ``state.link_states`` is rebuilt in the engine's
+    link order, by first endpoint and port; a link seen for the first time
+    gets a fresh ``LinkState``."""
+    links = sorted((link for link in state.topology.links if link.constrained),
+                   key=lambda link: (link.a, link.a_port))
+    state.link_states = {link: state.link_states.get(link) or LinkState(link)
+                         for link in links}
     index = {}
-    for link in state.topology.links:
-        if link.constrained:
-            ls = state.link_states.get(link)
-            if ls is None:
-                ls = state.link_states[link] = LinkState(link)
-            index.setdefault(link.a, {})[link.a_port] = ls
-            index.setdefault(link.b, {})[link.b_port] = ls
+    for link, ls in state.link_states.items():
+        index.setdefault(link.a, {})[link.a_port] = ls
+        index.setdefault(link.b, {})[link.b_port] = ls
     return index
 
 
@@ -105,13 +106,12 @@ def step(state):
     # Mitigation may add a throttled link between ticks.
     throttled = _throttled(state)
 
-    ordered_links = sorted(state.link_states, key=lambda l: (l.a, l.a_port))
-    for link in ordered_links:
-        state.link_states[link].budget = link.capacity * cfg.tick
-    for link in ordered_links:
-        ls = state.link_states[link]
+    for ls in state.link_states.values():
+        ls.budget = ls.link.capacity * cfg.tick
+    for ls in state.link_states.values():
         while ls.queue and ls.queue.head().size <= ls.budget:
-            pkt = ls.queue.popleft()
+            pkt = ls.queue.head()
+            ls.queue.popleft()
             _pass(ls, pkt.size)
             _walk(state, throttled, pkt.key, pkt.tally, pkt.size, pkt.node, pkt.in_port)
 

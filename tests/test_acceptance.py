@@ -20,7 +20,7 @@ from sdnsim.simnet import run as run_sim
 from sdnsim.telemetry import delta, read_stats_csv
 from sdnsim.topology import build_grid
 
-from conftest import SESSION_START, SampleLog, bfs_distances, destination_tree_ok
+from conftest import SESSION_START, SampleLog, assignment, bfs_distances, destination_tree_ok
 from rule_paths import trace_path
 
 
@@ -164,12 +164,13 @@ def test_criterion_4_clustering_recovery():
         ]
         clustering = kmeans(features, 2)
         assert clustering.k == 2
-        big_label = clustering.assignment["10.0.0.0"]
-        small_label = clustering.assignment["10.0.1.0"]
+        labels = assignment(clustering)
+        big_label = labels["10.0.0.0"]
+        small_label = labels["10.0.1.0"]
         assert big_label != small_label
         for f in features:
             expected = big_label if f.client.startswith("10.0.0.") else small_label
-            assert clustering.assignment[f.client] == expected
+            assert labels[f.client] == expected
         history = clustering.wcss_history
         assert all(a >= b - 1e-9 for a, b in zip(history, history[1:]))
 

@@ -109,6 +109,17 @@ def test_duplicate_attackers_rejected():
     assert any("duplicate" in e for e in errors)
 
 
+@pytest.mark.parametrize("attackers", [
+    ["h-1s2"], ["h1s-2"], ["h1s2", "h01s2"], ["h+1s2"], ["h 1s2"], ["h0_1s2"],
+    ["h1s2\n"], ["h\uff11s2"],
+])
+def test_attacker_names_that_are_not_canonical_exit_2(tmp_path, attackers):
+    # Each name reads as a host to int(); only NodeId.name's own form is one.
+    code, err = run_document(small_raw(attackers=attackers), tmp_path / "out")
+    assert code == EXIT_CONFIG
+    assert f"bad attacker host name: {attackers[-1]}" in err
+
+
 def test_duration_must_align_with_tick():
     cfg, errors = validate_config({"duration": 7.5, "tick": 2.0, "poll_interval": 2.0})
     assert cfg is None
@@ -867,6 +878,29 @@ def test_artifacts_match_pinned_digests(tmp_path, capsys):
     assert main(["init-config", "--template", "reference"]) == EXIT_OK
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == REFERENCE_TEMPLATE_DIGEST
+
+
+PYENV_VERSIONS = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
+
+
+@pytest.mark.parametrize("minor", [10, 11, 12, 13])
+def test_artifacts_match_the_pinned_digest_under_each_interpreter(tmp_path, minor):
+    # Every installed CPython 3.<minor> runs small_raw() from this tree. Its
+    # binaries are called directly: a `python3.12`-style shim fails without
+    # a pyenv selection.
+    pythons = sorted(PYENV_VERSIONS.glob(f"3.{minor}.*/bin/python3"))
+    if not pythons:
+        pytest.skip(f"no CPython 3.{minor} under {PYENV_VERSIONS}")
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(small_raw()))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for python in pythons:
+        out = tmp_path / python.parts[-3] / "out"
+        proc = subprocess.run(
+            [str(python), "-m", "sdnsim.cli", "run", "--config", str(config), "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert artifact_digest(out) == SMALL_RAW_DIGEST, python
 
 
 # -- report writer ----------------------------------------------------------

@@ -18,8 +18,7 @@ def make_clustering(clusters):
     centroids = [c[0] for c in clusters]
     stds = [c[1] for c in clusters]
     members = [list(c[2]) for c in clusters]
-    assignment = {m: i for i, ms in enumerate(members) for m in ms}
-    return Clustering(len(clusters), centroids, assignment, members, stds)
+    return Clustering(len(clusters), centroids, members, stds)
 
 
 LEGIT = (

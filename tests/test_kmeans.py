@@ -3,6 +3,8 @@ import pytest
 
 from sdnsim.analytics import FeatureVector, compare_clusterings, kmeans
 
+from conftest import assignment
+
 
 def vec(i, values):
     return FeatureVector(f"10.0.{i // 250}.{i % 250}", *values)
@@ -28,14 +30,15 @@ def test_two_well_separated_blobs_recovered_exactly():
     high = blob_features(rng, (100, 100, 20_000, 100_000), 10, 1.0, 100)
     clustering = kmeans(low + high, 2)
     assert clustering.k == 2
+    labels = assignment(clustering)
     low_clients = {f.client for f in low}
-    got_low = {c for c, idx in clustering.assignment.items() if idx == clustering.assignment[low[0].client]}
+    got_low = {c for c, idx in labels.items() if idx == labels[low[0].client]}
     assert got_low == low_clients
     # brute-force nearest-centroid oracle agrees with the assignment
     centroids = np.array(clustering.centroids)
     for f in low + high:
         dists = ((np.array(f.as_tuple()) - centroids) ** 2).sum(axis=1)
-        assert int(dists.argmin()) == clustering.assignment[f.client]
+        assert int(dists.argmin()) == labels[f.client]
 
 
 def test_wcss_never_increases():
@@ -52,7 +55,7 @@ def test_identical_input_identical_output():
     features = blob_features(rng, (20, 20, 800, 4000), 25, 6.0, 0)
     a = kmeans(features, 4)
     b = kmeans(features, 4)
-    assert a.assignment == b.assignment
+    assert assignment(a) == assignment(b)
     assert a.centroids == b.centroids
 
 
@@ -62,7 +65,7 @@ def test_uniform_scaling_keeps_the_assignment():
     scaled = [
         FeatureVector(f.client, *(2.0 * x for x in f.as_tuple())) for f in features
     ]
-    assert kmeans(features, 3).assignment == kmeans(scaled, 3).assignment
+    assert assignment(kmeans(features, 3)) == assignment(kmeans(scaled, 3))
 
 
 def test_no_empty_clusters_in_result():
@@ -100,7 +103,7 @@ def test_far_new_cluster_is_reported():
     cur = kmeans(old + new_blob, 2)
     fresh = compare_clusterings(prev, cur, match_radius=500.0)
     assert len(fresh) == 1
-    attacker_cluster = cur.assignment[new_blob[0].client]
+    attacker_cluster = assignment(cur)[new_blob[0].client]
     assert fresh == [attacker_cluster]
 
 

@@ -141,11 +141,21 @@ def test_apply_is_atomic_on_bad_plan():
 
 
 def test_apply_rejects_double_scrubber():
-    topo, rules, server_ip, suspicious_ips, _ = attack_state(["h1s3"])
-    plan = plan_scrubber(server_ip, suspicious_ips, topo, rules)
-    apply(plan, topo, rules)
-    with pytest.raises(MitigationError):
-        plan_scrubber(server_ip, suspicious_ips, topo, rules)
+    # A second plan on the server's edge switch, for a source that still has
+    # its base rule there, is made; applying it fails and changes nothing,
+    # whether its shared return rule clashes or only its scrubber ports do.
+    topo, rules, server_ip, (attacker_ip,), (legit_ip,) = attack_state(["h1s3"])
+    apply(plan_scrubber(server_ip, [attacker_ip], topo, rules), topo, rules)
+    second = plan_scrubber(server_ip, [legit_ip], topo, rules)
+    assert second.attach_to == topo.edge_of_host(topo.server)
+    topo_before, rules_before = copy.deepcopy(topo), copy.deepcopy(rules)
+    with pytest.raises(MitigationError, match="duplicate rule"):
+        apply(second, topo, rules)
+    second.rule_edits = [e for e in second.rule_edits if e.rule.priority != RETURN_PRIORITY]
+    with pytest.raises(MitigationError, match=f"port 200 already in use on {second.attach_to}$"):
+        apply(second, topo, rules)
+    assert (topo, topo.version) == (topo_before, topo_before.version)
+    assert rules == rules_before
 
 
 def test_redirect_inherits_deleted_rule_counters():

@@ -150,9 +150,19 @@ def test_link_constraint_fields_must_pair():
         Link(NodeId.edge(0), 200, NodeId.scrubber(0), 1, capacity=100.0)
 
 
+@pytest.mark.parametrize("name", [
+    "h-1s2", "h1s-2", "h01s2", "h1s02", "h+1s2", "h 1s2", "h1s2 ", "h0_1s2", "h\uff11s2",
+    "hs2", "h1s", "h1s2s3", "H1s2",
+])
+def test_parse_host_name_takes_only_canonical_names(name):
+    with pytest.raises(TopologyError):
+        parse_host_name(name)
+
+
 def test_parse_host_name_roundtrip():
     assert parse_host_name("h2s7") == NodeId.host(7, 2)
-    assert parse_host_name(NodeId.host(3, 1).name) == NodeId.host(3, 1)
+    for node in (NodeId.host(3, 1), NodeId.host(0, 0), NodeId.host(10, 0), NodeId.host(0, 10)):
+        assert parse_host_name(node.name) == node
     with pytest.raises(TopologyError):
         parse_host_name("c0_0")
 
