@@ -1,7 +1,7 @@
 """Deterministic SDN simulator with volumetric-attack detection and mitigation."""
 
 from .routing import FlowKey, FlowRule, RuleTable, handle_packet_in, shortest_path
-from .simnet import RunRecord, SimConfig, SimState, legit_rate, run, step
+from .simnet import SimConfig, SimState, legit_rate, run, step
 from .topology import Link, NodeId, NodeKind, Topology, attach_switch, build_grid
 
 __version__ = "0.1.0"
@@ -13,7 +13,6 @@ __all__ = [
     "NodeId",
     "NodeKind",
     "RuleTable",
-    "RunRecord",
     "SimConfig",
     "SimState",
     "Topology",

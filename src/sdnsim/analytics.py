@@ -54,6 +54,9 @@ summation order, written out:
 
 The builtin ``sum()`` is never used on floats: since Python 3.12 it
 compensates its rounding, so its result would depend on the Python version.
+``cli`` adds the client rates of the designed aggregate (and so of the
+default threshold) with ``functools.reduce(operator.add, rates, 0)``: what
+``sum()`` did before 3.12, down to the int 0 when there is no client.
 Two results may still differ from numpy's in the last ulp. ``math.exp`` and
 numpy's ``exp`` do (numpy picks a SIMD ``exp`` on AVX-512 hosts), so the
 density is within a few ulp of numpy's; it only places the minima, where an

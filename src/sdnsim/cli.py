@@ -45,7 +45,8 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import MISSING, dataclass, field, fields
-from operator import attrgetter
+from functools import reduce
+from operator import add, attrgetter
 from pathlib import Path
 
 from . import analytics, mitigation, simnet, telemetry, topology
@@ -215,7 +216,8 @@ def validate_config(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
 
     n_legit = k * edge_count - 1 - len(attackers)
     rates = matrix_rates(n_legit, values["client_matrix"], values["base_rate"])
-    designed = sum(rates) * values["request_bytes"]
+    # Added in order, as sum() did before Python 3.12 (see analytics).
+    designed = reduce(add, rates, 0) * values["request_bytes"]
     if values["attacker_rate"] is None:
         # Default: 10x the triangular profile's top rate.
         top = _as_float(2 * values["client_matrix"] - 1)
@@ -320,14 +322,14 @@ class ScenarioPipeline:
         # A verdict after mitigation is in its poll's detection alone.
         if report is None or not report.attack or self.plan is not None:
             return
-        state.record.events.append({"t": t, "event": "attack_detected"})
+        state.events.append({"t": t, "event": "attack_detected"})
         if not report.suspicious_sources:
             return
         self.plan = mitigation.plan_scrubber(
             self.server_ip, report.suspicious_sources, state.topology, state.rules)
         mitigation.apply(self.plan, state.topology, state.rules)
         self.mitigation_time = t
-        state.record.events.append({"t": t, "event": "mitigation_applied"})
+        state.events.append({"t": t, "event": "mitigation_applied"})
 
 
 # Rows per encode call of a Table: memory holds one chunk's rows and text at
@@ -475,32 +477,31 @@ def _counter_rows(rules: RuleTable) -> Iterator[tuple[str, list[int]]]:
         yield "|".join(map(str, key(e))), [e.packets, e.bytes]
 
 
-def _snapshot_rows(record: simnet.RunRecord) -> Iterator[dict[str, list[int]]]:
+def _snapshot_rows(state: simnet.SimState) -> Iterator[dict[str, list[int]]]:
     # Each snapshot as {"src->dst": [packets, bytes]} in (src, dst) order,
-    # over the first len/2 flows of record.flows, whose counts it holds.
-    pairs = list(record.flows)
+    # over the first len/2 flows of state.flows, whose counts it holds.
+    pairs = list(state.flows)
     order = sorted(range(len(pairs)), key=pairs.__getitem__)
-    for counts in record.flow_snapshots:
+    for counts in state.flow_snapshots:
         known = len(counts) // 2
         yield {"%s->%s" % pairs[i]: [counts[2 * i], counts[2 * i + 1]]
                for i in order if i < known}
 
 
-def run_section(record: simnet.RunRecord, rules: RuleTable,
-                samples: Iterable[telemetry.StatSample]) -> dict:
-    """report.json's ``run`` section, with the run's ``samples`` in poll
-    order. Each list that grows with the run's length is a ``Table``, and so
-    are the flow tallies and the rule table's final counters; the rows of
-    samples, flow snapshots (one per encode call), flows and counters are
-    built as they are written."""
+def run_section(state: simnet.SimState, samples: Iterable[telemetry.StatSample]) -> dict:
+    """report.json's ``run`` section of a finished run, with the run's
+    ``samples`` in poll order. Each list that grows with the run's length is
+    a ``Table``, and so are the flow tallies and the rule table's final
+    counters; the rows of samples, flow snapshots (one per encode call),
+    flows and counters are built as they are written."""
     return {
-        "poll_times": Table(record.poll_times),
+        "poll_times": Table(state.poll_times),
         "samples": Table(sample_rows(samples)),
-        "flow_snapshots": Table(_snapshot_rows(record), chunk=1),
-        "events": Table(record.events),
-        "flows": Table(_flow_rows(record.flows), keyed=True),
-        "counters": Table(_counter_rows(rules), keyed=True),
-        "links": [link_state_row(ls) for ls in record.link_states],
+        "flow_snapshots": Table(_snapshot_rows(state), chunk=1),
+        "events": Table(state.events),
+        "flows": Table(_flow_rows(state.flows), keyed=True),
+        "counters": Table(_counter_rows(state.rules), keyed=True),
+        "links": [link_state_row(ls) for ls in state.link_states.values()],
     }
 
 
@@ -555,7 +556,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
                     telemetry.write_stats_csv(samples, stats)
                     pipeline.on_poll(state, t, samples)
 
-                record = simnet.run(topo, rules, rates, sim_cfg, on_poll=on_poll)
+                state = simnet.run(topo, rules, rates, sim_cfg, on_poll=on_poll)
         except (SimulationError, CounterRegressionError, ValueError,
                 mitigation.MitigationError) as exc:
             print(f"invariant violation: {exc}", file=sys.stderr)
@@ -572,7 +573,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
             "mitigation": plan_row(pipeline.plan) if pipeline.plan else None,
             "mitigation_time": pipeline.mitigation_time,
             "rules_final": Table(rule_rows(rules)),
-            "run": run_section(record, rules, telemetry.read_stats_csv(temporaries[0])),
+            "run": run_section(state, telemetry.read_stats_csv(temporaries[0])),
         }
         with open(temporaries[1], "w") as fh:
             write_json(fh, report)

@@ -71,6 +71,9 @@ O(1). Mitigation changes the topology only between ticks, so what the engine
 derives from it (the link states in link order, the index of throttled
 links, the compiled paths) is rebuilt at the start of a tick, and only when
 ``Topology.version`` has moved since the last rebuild.
+
+A run is one object: ``run`` returns the :class:`SimState` it ran, its
+live state and all it recorded.
 """
 
 from __future__ import annotations
@@ -259,42 +262,28 @@ class FlowTally:
 
 
 @dataclass
-class RunRecord:
-    """What a run produced besides the rule table and the samples: poll
-    times, flow snapshots, events, flow tallies and the engine's own
-    ``LinkState`` of each throttled link, ordered by its first endpoint and
-    port. The samples go to ``on_poll`` and are not kept. Nothing here is a
-    copy made for the report: ``cli.run_section`` formats it as it writes.
-
-    ``flow_snapshots`` holds one ``array('q')`` per poll (a list if a count
-    outgrows 64 bits): the delivered packets and bytes of each flow then
-    known, two values per flow, in the insertion order of ``flows`` (flows
-    are only ever added).
-    """
-
-    poll_times: list[float] = field(default_factory=list)
-    flow_snapshots: list[array | list[int]] = field(default_factory=list)
-    events: list[dict] = field(default_factory=list)
-    flows: dict[FlowKey, FlowTally] = field(default_factory=dict)
-    link_states: list[LinkState] = field(default_factory=list)
-
-    def tally(self, key: FlowKey) -> FlowTally:
-        if key not in self.flows:
-            self.flows[key] = FlowTally()
-        return self.flows[key]
-
-
-@dataclass
 class SimState:
-    """One run's engine state. ``link_states`` (in link order: first
-    endpoint, then port), ``_ends`` and ``_paths`` are derived from the
-    topology by :func:`_rebuild`, for its version ``_topology_version``."""
+    """One run: the engine's state and everything the run produced besides
+    the rule table and the samples, which go to ``on_poll`` and are not
+    kept. ``run`` returns it, and ``cli.run_section`` formats it as it
+    writes; nothing here is a copy made for the report.
+
+    ``link_states`` (in link order: first endpoint, then port), ``_ends``
+    and ``_paths`` are derived from the topology by :func:`_rebuild`, for
+    its version ``_topology_version``. ``flow_snapshots`` holds one
+    ``array('q')`` per poll (a list if a count outgrows 64 bits): the
+    delivered packets and bytes of each flow then known, two values per
+    flow, in the insertion order of ``flows`` (flows are only ever added).
+    """
 
     topology: Topology
     rules: RuleTable
     rates: dict[NodeId, float]
     cfg: SimConfig
-    record: RunRecord = field(default_factory=RunRecord)
+    poll_times: list[float] = field(default_factory=list)
+    flow_snapshots: list[array | list[int]] = field(default_factory=list)
+    events: list[dict] = field(default_factory=list)
+    flows: dict[FlowKey, FlowTally] = field(default_factory=dict)
     step_index: int = 0
     residues: dict[NodeId, float] = field(default_factory=dict)
     link_states: dict[Link, LinkState] = field(default_factory=dict)
@@ -314,6 +303,11 @@ class SimState:
     @property
     def time(self) -> float:
         return self.step_index * self.cfg.tick
+
+    def tally(self, key: FlowKey) -> FlowTally:
+        if key not in self.flows:
+            self.flows[key] = FlowTally()
+        return self.flows[key]
 
 
 def _rebuild(state: SimState) -> None:
@@ -419,14 +413,14 @@ def _walk(
 
 def _emit(state: SimState, src_host: NodeId, dst_ip: str, size: int, count: int) -> None:
     key = FlowKey(state.topology.ip_of[src_host], dst_ip)
-    tally = state.record.tally(key)
+    tally = state.tally(key)
     tally.emitted_packets += count
     tally.emitted_bytes += count * size
     edge, edge_in = state.topology.peer(src_host, HOST_PORT)
     path = _path(state, key, edge, edge_in)
     if not path.entries:  # no rule for the flow at its first switch
         handle_packet_in(state.rules, state.topology, key)
-        state.record.events.append(
+        state.events.append(
             {"t": state.time, "event": "packet_in", "src": key.src, "dst": key.dst}
         )
         path = _path(state, key, edge, edge_in)
@@ -438,11 +432,11 @@ def _runs(state: SimState, count: int) -> Iterator[int]:
     split rule of the module docstring. The caller sends each run before
     asking for the next, which depends on what that send did."""
     while count:
-        events = len(state.record.events)
+        events = len(state.events)
         entered = [(ls, ls.entered_packets) for ls in state.link_states.values()]
         yield 1
         count -= 1
-        if count and len(state.record.events) == events and all(
+        if count and len(state.events) == events and all(
             ls.entered_packets - before <= 1 for ls, before in entered
         ):
             yield count
@@ -479,7 +473,7 @@ def step(state: SimState) -> None:
             if t < cfg.attack_start - 1e-9:
                 continue
             if not state.attack_logged:
-                state.record.events.append({"t": t, "event": "attack_active"})
+                state.events.append({"t": t, "event": "attack_active"})
                 state.attack_logged = True
         acc = state.residues.get(host, 0.0) + state.rates[host] * cfg.tick
         count = math.floor(acc + 1e-9)
@@ -504,7 +498,7 @@ def run(
     rates: dict[NodeId, float],
     cfg: SimConfig,
     on_poll=None,
-) -> RunRecord:
+) -> SimState:
     """Run the full scenario; polls fire every poll_interval ticks.
 
     ``rates`` holds the request rate of each sending host, in requests per
@@ -515,7 +509,7 @@ def run(
     ``on_poll(state, t, samples)`` runs synchronously at each poll boundary,
     with the samples taken there, after the poll time and flow snapshot were
     recorded; mitigation applied there takes effect from the next tick. The
-    record keeps no samples: ``on_poll`` is their only reader.
+    state keeps no samples: ``on_poll`` is their only reader.
     """
     server = topology.server
     if server is None or server not in topology.nodes:
@@ -534,15 +528,14 @@ def run(
         if (i + 1) % cfg.poll_every == 0:
             t = (i + 1) * cfg.tick
             samples = telemetry.poll(state, t)
-            state.record.poll_times.append(t)
-            counts = [n for tally in state.record.flows.values()
+            state.poll_times.append(t)
+            counts = [n for tally in state.flows.values()
                       for n in (tally.delivered_packets, tally.delivered_bytes)]
             try:
-                state.record.flow_snapshots.append(array("q", counts))
+                state.flow_snapshots.append(array("q", counts))
             except OverflowError:  # a byte count beyond 64 bits
-                state.record.flow_snapshots.append(counts)
+                state.flow_snapshots.append(counts)
             if on_poll is not None:
                 on_poll(state, t, samples)
 
-    state.record.link_states = list(state.link_states.values())
-    return state.record
+    return state

@@ -4,12 +4,15 @@ scenarios.
 
     python tests/ladder.py OLD_SRC NEW_SRC [SCENARIO ...]
 
-For each scenario (all of them unless some are named), runs ``python -m
-sdnsim.cli run`` from each ``src`` tree in turn with the same ``--out``
-directory, and compares the exit codes and the sha256 of ``stats.csv`` and
-``report.json``. Prints one line per scenario, with each tree's peak RSS
-and wall time, and exits 1 if any of them differs or fails. The scenario
-configs come from ``perfbench/workloads.py``.
+Each ``src`` tree is copied into a temporary directory and byte-compiled
+there with ``compileall``, so a run's peak RSS and wall time hold no
+compilation and nothing is written into the given trees. For each scenario
+(all of them unless some are named), runs ``python -m sdnsim.cli run`` from
+each copy in turn with the same ``--out`` directory, and compares the exit
+codes and the sha256 of ``stats.csv`` and ``report.json``. Prints one line
+per scenario, with each tree's peak RSS and wall time, and exits 1 if any
+of them differs or fails. The scenario configs come from
+``perfbench/workloads.py``.
 """
 
 from __future__ import annotations
@@ -52,6 +55,13 @@ SCENARIOS = {
 }
 
 
+def compiled_copy(src: Path, dest: Path) -> Path:
+    """``dest``, made a byte-compiled copy of the ``src`` tree."""
+    shutil.copytree(src, dest, ignore=shutil.ignore_patterns("__pycache__"))
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(dest)], check=True)
+    return dest
+
+
 def run_tree(src: Path, config: Path, out: Path) -> tuple[tuple, float, float]:
     """The exit code and the artifacts' digests of one run from ``src``,
     with the run's peak RSS in MB and its wall time in seconds."""
@@ -85,6 +95,7 @@ def main(argv: list[str]) -> int:
     differ = 0
     with tempfile.TemporaryDirectory(prefix="sdnsim-ladder-") as work:
         work = Path(work)
+        trees = [compiled_copy(tree, work / f"src{i}") for i, tree in enumerate(trees)]
         for name in names:
             config = work / f"{name}.json"
             config.write_text(json.dumps(SCENARIOS[name]))

@@ -4,7 +4,7 @@
 keeps the engine as it was before runs: every packet walks alone, hop by
 hop, and a throttled link queues, passes or drops it on its own. It works on
 the same ``SimState`` and ``LinkState``, using the queue only packet by
-packet, so ``run`` here must give the same ``RunRecord`` as ``simnet.run``.
+packet, so ``run`` here must end in the same ``SimState`` as ``simnet.run``.
 It finds the throttled links on its own, from ``topology.links``, rather
 than through the engine's index.
 """
@@ -87,13 +87,13 @@ def _walk(state, throttled, key, tally, size, node, in_port):
 
 def _emit(state, throttled, src_host, dst_ip, size):
     key = FlowKey(state.topology.ip_of[src_host], dst_ip)
-    tally = state.record.tally(key)
+    tally = state.tally(key)
     tally.emitted_packets += 1
     tally.emitted_bytes += size
     edge, edge_in = state.topology.peer(src_host, HOST_PORT)
     if state.rules.lookup(edge, key.src, key.dst, edge_in) is None:
         handle_packet_in(state.rules, state.topology, key)
-        state.record.events.append(
+        state.events.append(
             {"t": state.time, "event": "packet_in", "src": key.src, "dst": key.dst}
         )
     _walk(state, throttled, key, tally, size, edge, edge_in)
@@ -122,7 +122,7 @@ def step(state):
             if t < cfg.attack_start - 1e-9:
                 continue
             if not state.attack_logged:
-                state.record.events.append({"t": t, "event": "attack_active"})
+                state.events.append({"t": t, "event": "attack_active"})
                 state.attack_logged = True
         acc = state.residues.get(host, 0.0) + state.rates[host] * cfg.tick
         count = math.floor(acc + 1e-9)

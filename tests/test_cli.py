@@ -885,22 +885,31 @@ PYENV_VERSIONS = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / 
 
 @pytest.mark.parametrize("minor", [10, 11, 12, 13])
 def test_artifacts_match_the_pinned_digest_under_each_interpreter(tmp_path, minor):
-    # Every installed CPython 3.<minor> runs small_raw() from this tree. Its
+    # Every installed CPython 3.<minor> runs each scenario from this tree and
+    # writes the in-process run's artifacts (small_raw()'s are pinned above).
+    # At base_rate 0.3 the client rates added in order give a designed
+    # aggregate of 1620.0000000000002, where sum() gives 1620.0 from 3.12 on. Its
     # binaries are called directly: a `python3.12`-style shim fails without
     # a pyenv selection.
     pythons = sorted(PYENV_VERSIONS.glob(f"3.{minor}.*/bin/python3"))
     if not pythons:
         pytest.skip(f"no CPython 3.{minor} under {PYENV_VERSIONS}")
-    config = tmp_path / "scenario.json"
-    config.write_text(json.dumps(small_raw()))
     src = str(Path(cli.__file__).resolve().parents[1])
-    for python in pythons:
-        out = tmp_path / python.parts[-3] / "out"
-        proc = subprocess.run(
-            [str(python), "-m", "sdnsim.cli", "run", "--config", str(config), "--out", str(out)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == EXIT_OK, proc.stderr
-        assert artifact_digest(out) == SMALL_RAW_DIGEST, python
+    for name, raw in (("small", small_raw()), ("base-0.3", small_raw(base_rate=0.3))):
+        out = tmp_path / name / "in-process"
+        cfg, _ = validate_config(dict(raw, output_dir=str(out)))
+        assert run_scenario(cfg) == EXIT_OK
+        expected = artifact_digest(out)
+        config = tmp_path / name / "scenario.json"
+        config.write_text(json.dumps(raw))
+        for python in pythons:
+            out = tmp_path / name / python.parts[-3] / "out"
+            proc = subprocess.run(
+                [str(python), "-m", "sdnsim.cli", "run", "--config", str(config),
+                 "--out", str(out)],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+            assert proc.returncode == EXIT_OK, proc.stderr
+            assert artifact_digest(out) == expected, (name, python)
 
 
 # -- report writer ----------------------------------------------------------

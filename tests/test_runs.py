@@ -11,7 +11,9 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from sdnsim import routing, simnet
-from sdnsim.cli import EXIT_OK, ScenarioPipeline, build_scenario, run_scenario, validate_config
+from sdnsim.cli import (
+    EXIT_OK, ScenarioPipeline, _snapshot_rows, build_scenario, run_scenario, validate_config,
+)
 from sdnsim.mitigation import SCRUBBER_CAPACITY_BPS, MitigationError
 from sdnsim.routing import (
     BASE_PRIORITY, FlowKey, FlowRule, RoutingError, RuleTable, handle_packet_in,
@@ -66,16 +68,6 @@ def cli_scenarios(draw):
     }
 
 
-def snapshots(record):
-    """Each poll's flow snapshot as {"src->dst": (packets, bytes)}. A
-    snapshot holds two counts for each of the first flows of
-    ``record.flows``, in their insertion order."""
-    pairs = list(record.flows)
-    return [{f"{src}->{dst}": (counts[2 * i], counts[2 * i + 1])
-             for i, (src, dst) in enumerate(pairs[:len(counts) // 2])}
-            for counts in record.flow_snapshots]
-
-
 def build(doc):
     cfg, errors = validate_config(doc)
     assert errors == []
@@ -96,7 +88,7 @@ def outcome(engine_run, topo, rules, *args, on_poll=None, **kwargs):
         record = engine_run(topo, rules, *args, on_poll=log, **kwargs)
     except ENGINE_ERRORS as exc:
         return type(exc).__name__, str(exc)
-    return run_json(record, rules, log.samples)
+    return run_json(record, log.samples)
 
 
 @settings(max_examples=40, deadline=None, phases=FAIL_FAST)
@@ -285,7 +277,7 @@ def test_two_way_link_sends_packets_one_at_a_time():
                         request_bytes=1000, response_bytes=1000)
         log = SampleLog()
         records.append(run_json(engine_run(topo, rules, {attacker: 1000.0}, cfg, on_poll=log),
-                                rules, log.samples))
+                                log.samples))
     assert records[0] == records[1]
     a_ip, s_ip = topo.ip_of[attacker], topo.ip_of[server]
     flows = json.loads(records[0])["flows"]
@@ -457,7 +449,7 @@ def test_random_grids_cap_scrubbed_flows_after_mitigation(doc):
     # {"src->dst": bytes}; the scrubbed requests all share the throttled link.
     t0 = pipeline.mitigation_time
     delivered = {t: {flow: n for flow, (_, n) in snapshot.items()}
-                 for t, snapshot in zip(record.poll_times, snapshots(record))}
+                 for t, snapshot in zip(record.poll_times, _snapshot_rows(record))}
     delivered[sim_cfg.duration] = {f"{src}->{dst}": tally.delivered_bytes
                                    for (src, dst), tally in record.flows.items()}
     scrubbed = [f"{src}->{pipeline.plan.target}" for src in pipeline.plan.suspicious_sources]

@@ -93,7 +93,7 @@ def test_zero_rate_client_creates_nothing():
     # Every poll still records a snapshot, of no flow.
     assert len(record.poll_times) == 2
     assert [list(snapshot) for snapshot in record.flow_snapshots] == [[], []]
-    assert run_json(record, rules, log.samples).startswith(
+    assert run_json(record, log.samples).startswith(
         '{"poll_times": [5.0, 10.0], "samples": [], "flow_snapshots": [{}, {}], ')
     assert rules.all_entries() == []
     assert not [e for e in record.events if e["event"] == "packet_in"]
@@ -150,11 +150,11 @@ def test_zero_duration_produces_empty_record():
     assert record.events == []
 
 
-def run_json(record, rules, samples) -> str:
+def run_json(state, samples) -> str:
     """The report's ``run`` section for a run and the samples its polls
     took, as report.json holds it."""
     fh = io.StringIO()
-    write_json(fh, run_section(record, rules, samples))
+    write_json(fh, run_section(state, samples))
     return fh.getvalue()
 
 
@@ -163,7 +163,7 @@ def test_identical_runs_serialize_identically():
     for _ in range(2):
         topo, rules, rates, cfg, _, _ = simple_scenario(duration=20.0)
         log = SampleLog()
-        records.append(run_json(run(topo, rules, rates, cfg, on_poll=log), rules, log.samples))
+        records.append(run_json(run(topo, rules, rates, cfg, on_poll=log), log.samples))
     assert records[0] == records[1]
 
 
@@ -243,7 +243,7 @@ def test_throttled_link_caps_delivery_and_conserves_packets():
     # never faster than the link: 12.5 kB/s over 10 s
     assert tally.delivered_bytes <= 12_500 * 10
     assert tally.delivered_packets == 120  # 12 x 1000 B per tick fit the budget
-    (ls,) = record.link_states
+    (ls,) = record.link_states.values()
     assert len(ls.queue) <= 1000
     # emitted = delivered + dropped + still queued, exactly
     assert tally.emitted_packets == (
@@ -257,7 +257,7 @@ def test_throttled_run_is_deterministic():
     for _ in range(2):
         topo, rules, rates, cfg, _ = throttled_scenario()
         log = SampleLog()
-        outputs.append(run_json(run(topo, rules, rates, cfg, on_poll=log), rules, log.samples))
+        outputs.append(run_json(run(topo, rules, rates, cfg, on_poll=log), log.samples))
     assert outputs[0] == outputs[1]
 
 
@@ -299,7 +299,7 @@ def test_queued_packets_deliver_on_later_ticks():
     assert tally.emitted_packets == 12
     # tick 0 passes 1 fresh packet, each later tick drains 1 from the queue
     assert tally.delivered_packets == 4
-    (ls,) = record.link_states
+    (ls,) = record.link_states.values()
     assert len(ls.queue) == 8
 
 
@@ -338,12 +338,12 @@ def test_throttled_link_conserves_every_tick(capacity, queue_cap, rate, size):
         queued_by_flow = Counter()
         for run in ls.queue._runs:
             queued_by_flow[run.key.src, run.key.dst] += run.count
-        for pair, tally in state.record.flows.items():
+        for pair, tally in state.flows.items():
             assert tally.emitted_packets == (
                 tally.delivered_packets + tally.dropped_packets
                 + tally.missed_packets + queued_by_flow[pair]
             )
-        scrubbed = state.record.flows.get(key)
+        scrubbed = state.flows.get(key)
         if scrubbed is not None:
             assert scrubbed.delivered_bytes <= capacity * cfg.tick * ticks
 
