@@ -7,8 +7,9 @@ bytes/s, queue of 1000 packets). Per suspicious flow, the edge switch's
 per-flow rule toward the server is deleted and replaced by a redirect to
 port 200 at priority 30001; the scrubber loops the flow back at 30002; a
 shared ingress-qualified rule (in from port 201, priority 40003) hands the
-returning traffic to the server's port. The replacing redirect inherits the
-deleted rule's counters, so polled totals never step backwards.
+returning traffic to the server's port. A match holds one rule, so the
+redirect takes the deleted rule's match and inherits its counters, and
+polled totals never step backwards.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ class MitigationPlan:
 def plan_scrubber(
     target: str, suspicious_sources: list[str], topology: Topology, rules: RuleTable
 ) -> MitigationPlan:
-    """Plan the detour toward ``target`` for every suspicious source's flow."""
+    """Plan the detour toward ``target`` for every suspicious source's flow,
+    whose match on the server's edge must hold its base rule."""
     if not suspicious_sources:
         raise MitigationError("no suspicious sources to mitigate")
 
@@ -87,10 +89,10 @@ def plan_scrubber(
     server_port = topology.port_toward(edge, server_host)
     edits: list[RuleEdit] = []
     for src in sorted(suspicious_sources, key=ip_key):
-        existing = rules.find(edge, src, target, BASE_PRIORITY)
-        if existing is None:
+        existing = rules.find(edge, src, target)
+        if existing is None or existing.priority != BASE_PRIORITY:
             raise MitigationError(
-                f"no rule for suspicious flow {src}->{target} on {edge}"
+                f"no base rule for suspicious flow {src}->{target} on {edge}"
             )
         edits.append(RuleEdit("delete", FlowRule(edge, src, target, existing.out_port,
                                                  BASE_PRIORITY, existing.in_port)))
@@ -138,19 +140,29 @@ def plan_scrubber(
 def apply(plan: MitigationPlan, topology: Topology, rules: RuleTable) -> None:
     """Apply a plan atomically: everything is validated before any mutation.
 
-    The rule edits are dry-run first; :func:`attach_switch` then validates
-    the scrubber and its links before it changes the topology.
+    The rule edits are dry-run first, by match: a delete must name the
+    priority its match holds, and an add needs a free match.
+    :func:`attach_switch` then validates the scrubber and its links before
+    it changes the topology.
     """
-    pending: dict[tuple, bool] = {}
+    # The priority of the rule each edited match holds once the edits so
+    # far are made, or None for a free match.
+    held: dict[tuple[NodeId, str | None, str], int | None] = {}
     for edit in plan.rule_edits:
         r = edit.rule
-        ident = (r.switch, r.match_src, r.match_dst, r.priority)
-        exists = pending.get(ident, rules.find(*ident) is not None)
-        if exists == (edit.op == "add"):
-            problem = "duplicate" if exists else "missing"
-            raise MitigationError(f"cannot {edit.op} {problem} rule ({r.match_src}, "
-                                  f"{r.match_dst}, prio {r.priority}) on {r.switch}")
-        pending[ident] = edit.op == "add"
+        match = (r.switch, r.match_src, r.match_dst)
+        if match not in held:
+            entry = rules.find(*match)
+            held[match] = None if entry is None else entry.priority
+        if edit.op == "add" and held[match] is not None:
+            problem = "duplicate"
+        elif edit.op == "delete" and held[match] != r.priority:
+            problem = "missing"
+        else:
+            held[match] = r.priority if edit.op == "add" else None
+            continue
+        raise MitigationError(f"cannot {edit.op} {problem} rule ({r.match_src}, "
+                              f"{r.match_dst}, prio {r.priority}) on {r.switch}")
 
     try:
         attach_switch(topology, plan.scrubber, plan.links)

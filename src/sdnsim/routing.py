@@ -53,13 +53,8 @@ class FlowRule:
 @dataclass(slots=True)
 class RuleEntry:
     """An installed rule: its match-action fields, its install order
-    ``seq`` and its cumulative counters, in one record.
-
-    ``next`` links the next rule installed under the same (switch,
-    match_src, match_dst) key, so a key's rules form one chain in install
-    order. Iterating a rule walks the chain from it, and equality compares
-    the rest of the chain too.
-    """
+    ``seq`` and its cumulative counters, in one record. A match (switch,
+    match_src, match_dst) holds at most one rule."""
 
     switch: NodeId
     match_src: str | None
@@ -70,13 +65,6 @@ class RuleEntry:
     seq: int
     packets: int = 0
     bytes: int = 0
-    next: RuleEntry | None = None
-
-    def __iter__(self) -> Iterator[RuleEntry]:
-        entry: RuleEntry | None = self
-        while entry is not None:
-            yield entry
-            entry = entry.next
 
 
 def _is_polled(switch: NodeId, match_src: str | None) -> bool:
@@ -86,23 +74,22 @@ def _is_polled(switch: NodeId, match_src: str | None) -> bool:
 
 @dataclass
 class RuleTable:
-    """The controller's entire state: one index of installed rules, keyed
-    by (switch, match_src, match_dst). Each key maps to its oldest rule,
-    and the key's later rules follow through ``RuleEntry.next`` in
-    installation order. A key whose last rule is deleted leaves the index.
+    """The controller's entire state: one index of installed rules that
+    maps each match (switch, match_src, match_dst) to its one rule. An
+    install onto a taken match, at any priority, is rejected; a rule must
+    be deleted before another takes its match.
 
     Lookup picks the highest-priority matching rule, ties broken by
     installation order (older first). A lookup for ``src``/``dst`` reads
-    only the rules whose ``(match_dst, match_src)`` is ``(dst, src)`` or
-    ``(dst, None)``, and ``versions[match_dst, match_src]`` changes with
-    every install and delete of such a rule, so a caller can tell from
-    those two versions when lookups for a flow it remembers may have
-    changed.
+    only the rules of matches ``(dst, src)`` and ``(dst, None)``, and
+    ``versions[match_dst, match_src]`` changes with every install and
+    delete of such a rule, so a caller can tell from those two versions
+    when lookups for a flow it remembers may have changed.
 
-    The polled keys, those of per-flow rules (``match_src`` set) on edge
+    The polled matches, those of per-flow rules (``match_src`` set) on edge
     switches, are also kept in a list that ``install`` and ``delete``
     maintain; :meth:`polled` puts it in sample order, (switch name, source
-    address, destination address), only when keys were added since.
+    address, destination address), only when matches were added since.
     """
 
     _index: dict[tuple[NodeId, str | None, str], RuleEntry] = field(default_factory=dict)
@@ -112,95 +99,68 @@ class RuleTable:
     _polled_sorted: bool = field(default=True, compare=False)
 
     def install(self, rule: FlowRule) -> RuleEntry:
-        if self.find(rule.switch, rule.match_src, rule.match_dst, rule.priority):
+        key = (rule.switch, rule.match_src, rule.match_dst)
+        if key in self._index:
             raise RoutingError(f"duplicate rule ({rule.match_src}, {rule.match_dst}, "
                                f"prio {rule.priority}) on {rule.switch}")
-        entry = RuleEntry(rule.switch, rule.match_src, rule.match_dst, rule.out_port,
-                          rule.priority, rule.in_port, self._next_seq)
+        entry = self._index[key] = RuleEntry(
+            rule.switch, rule.match_src, rule.match_dst, rule.out_port, rule.priority,
+            rule.in_port, self._next_seq)
         self._next_seq += 1
         self.versions[rule.match_dst, rule.match_src] += 1
-        key = (rule.switch, rule.match_src, rule.match_dst)
-        head = self._index.get(key)
-        if head is None:
-            self._index[key] = entry
-            if _is_polled(rule.switch, rule.match_src):
-                self._polled.append(key)
-                self._polled_sorted = False
-        else:
-            *_, last = head
-            last.next = entry
+        if _is_polled(rule.switch, rule.match_src):
+            self._polled.append(key)
+            self._polled_sorted = False
         return entry
 
     def delete(
         self, switch: NodeId, match_src: str | None, match_dst: str, priority: int
     ) -> RuleEntry:
+        """Remove and return the match's rule, which must have ``priority``."""
         key = (switch, match_src, match_dst)
-        before = None
         entry = self._index.get(key)
-        while entry is not None and entry.priority != priority:
-            before, entry = entry, entry.next
-        if entry is None:
+        if entry is None or entry.priority != priority:
             raise RoutingError(
                 f"no rule ({match_src}, {match_dst}, prio {priority}) on {switch}"
             )
-        if before is not None:
-            before.next = entry.next
-        elif entry.next is not None:
-            self._index[key] = entry.next
-        else:
-            del self._index[key]
-            if _is_polled(switch, match_src):
-                self._polled.remove(key)
-        entry.next = None
+        del self._index[key]
+        if _is_polled(switch, match_src):
+            self._polled.remove(key)
         self.versions[match_dst, match_src] += 1
         return entry
 
-    def find(
-        self, switch: NodeId, match_src: str | None, match_dst: str, priority: int
-    ) -> RuleEntry | None:
-        for entry in self._index.get((switch, match_src, match_dst), ()):
-            if entry.priority == priority:
-                return entry
-        return None
+    def find(self, switch: NodeId, match_src: str | None, match_dst: str) -> RuleEntry | None:
+        """The match's rule, or None."""
+        return self._index.get((switch, match_src, match_dst))
 
     def lookup(
         self, switch: NodeId, src: str, dst: str, in_port: int | None = None
     ) -> RuleEntry | None:
         """Highest-priority matching entry, or None."""
         best: RuleEntry | None = None
-        for chain in (
-            self._index.get((switch, src, dst), ()),
-            self._index.get((switch, None, dst), ()),
-        ):
-            for entry in chain:
-                # The chain's key fixed switch, src and dst; in_port is left.
-                if entry.in_port is not None and entry.in_port != in_port:
-                    continue
-                if (
-                    best is None
-                    or entry.priority > best.priority
-                    or (entry.priority == best.priority and entry.seq < best.seq)
-                ):
-                    best = entry
+        for entry in (self._index.get((switch, src, dst)), self._index.get((switch, None, dst))):
+            # The match fixed switch, src and dst; in_port is left.
+            if entry is None or entry.in_port not in (None, in_port):
+                continue
+            if (
+                best is None
+                or entry.priority > best.priority
+                or (entry.priority == best.priority and entry.seq < best.seq)
+            ):
+                best = entry
         return best
 
-    def has_dst_rule(self, switch: NodeId, dst: str) -> bool:
-        return (switch, None, dst) in self._index
-
     def all_entries(self) -> list[RuleEntry]:
-        """Every installed entry: each key's rules in install order, the
-        keys in no promised order."""
-        return [entry for chain in self._index.values() for entry in chain]
+        """Every installed entry, in no promised order."""
+        return list(self._index.values())
 
-    def polled(self) -> Iterator[tuple[tuple[NodeId, str, str], RuleEntry]]:
-        """Each polled key with its oldest rule, the head of its chain, in
-        sample order."""
+    def polled(self) -> list[RuleEntry]:
+        """The rules of the polled matches, in sample order."""
         if not self._polled_sorted:
             self._polled.sort(key=lambda k: (k[0].name, ip_key(k[1]), ip_key(k[2])))
             self._polled_sorted = True
         index = self._index
-        for key in self._polled:
-            yield key, index[key]
+        return [index[key] for key in self._polled]
 
 
 def walk_rules(
@@ -263,19 +223,14 @@ def _install_one_direction(
     written: list[FlowRule] = []
     switches = path[1:-1]
     for pos, switch in enumerate(switches):
-        next_node = path[pos + 2]
-        out_port = topology.port_toward(switch, next_node)
-        if switch.kind is NodeKind.EDGE:
-            rule = FlowRule(switch, key.src, key.dst, out_port, BASE_PRIORITY)
-            # Source and destination edge coincide for same-edge flows.
-            if rules.find(switch, key.src, key.dst, BASE_PRIORITY):
-                continue
-        else:
-            # Core switches route on destination only; an existing rule for
-            # this destination is part of its tree and must not be doubled.
-            if rules.has_dst_rule(switch, key.dst):
-                continue
-            rule = FlowRule(switch, None, key.dst, out_port, BASE_PRIORITY)
+        # Core switches route on destination only: an existing rule for
+        # this destination is part of its tree and must not be doubled.
+        # Source and destination edge coincide for same-edge flows.
+        match_src = key.src if switch.kind is NodeKind.EDGE else None
+        if rules.find(switch, match_src, key.dst):
+            continue
+        out_port = topology.port_toward(switch, path[pos + 2])
+        rule = FlowRule(switch, match_src, key.dst, out_port, BASE_PRIORITY)
         rules.install(rule)
         written.append(rule)
     return written
@@ -297,7 +252,7 @@ def handle_packet_in(
         raise RoutingError(f"unknown address in flow {key.src} -> {key.dst}")
 
     src_edge = topology.edge_of_host(src_host)
-    if rules.find(src_edge, key.src, key.dst, BASE_PRIORITY):
+    if rules.find(src_edge, key.src, key.dst):
         return []
 
     path = shortest_path(topology, src_host, dst_host)

@@ -41,19 +41,12 @@ class DeltaRecord(NamedTuple):
 def poll(state, t: float) -> list[StatSample]:
     """Sample every per-flow rule on every edge switch at time ``t``.
 
-    Reads the rule table's polled keys, already in sample order, and sums
-    the counters along each key's chain of rules, so a flow yields exactly
-    one sample per switch per poll. All samples of a switch share its one
-    name string.
+    Reads the counters of the rule table's polled rules, already in sample
+    order; a match holds one rule, so a flow yields exactly one sample per
+    switch per poll. All samples of a switch share its one name string.
     """
-    samples = []
-    for (switch, src, dst), chain in state.rules.polled():
-        packets = bytes_ = 0
-        for entry in chain:
-            packets += entry.packets
-            bytes_ += entry.bytes
-        samples.append(StatSample(t, switch.name, src, dst, packets, bytes_))
-    return samples
+    return [StatSample(t, e.switch.name, e.match_src, e.match_dst, e.packets, e.bytes)
+            for e in state.rules.polled()]
 
 
 def delta(

@@ -161,12 +161,43 @@ def test_apply_rejects_double_scrubber():
 def test_redirect_inherits_deleted_rule_counters():
     topo, rules, server_ip, (attacker_ip,), _ = attack_state(["h1s3"])
     edge = topo.edge_of_host(topo.server)
-    entry = rules.find(edge, attacker_ip, server_ip, BASE_PRIORITY)
+    entry = rules.find(edge, attacker_ip, server_ip)
     entry.packets, entry.bytes = 123, 45_600
     plan = plan_scrubber(server_ip, [attacker_ip], topo, rules)
     apply(plan, topo, rules)
-    redirect = rules.find(edge, attacker_ip, server_ip, REDIRECT_PRIORITY)
+    redirect = rules.find(edge, attacker_ip, server_ip)
+    assert redirect.priority == REDIRECT_PRIORITY
     assert (redirect.packets, redirect.bytes) == (123, 45_600)
+
+
+def test_apply_rejects_an_add_onto_a_match_taken_at_another_priority():
+    # A dst-only rule toward the server on its edge takes the match of the
+    # plan's shared return rule, at another priority: a match holds one rule,
+    # so the dry run fails before the topology or any rule changes.
+    topo, rules, server_ip, suspicious_ips, _ = attack_state(["h1s3"])
+    plan = plan_scrubber(server_ip, suspicious_ips, topo, rules)
+    edge = plan.attach_to
+    rules.install(FlowRule(edge, None, server_ip, topo.port_toward(edge, topo.server),
+                           BASE_PRIORITY))
+    topo_before, rules_before = copy.deepcopy(topo), copy.deepcopy(rules)
+    with pytest.raises(MitigationError, match=(
+            rf"^cannot add duplicate rule \(None, {server_ip}, prio {RETURN_PRIORITY}\) "
+            rf"on {edge}$")):
+        apply(plan, topo, rules)
+    assert (topo, topo.version) == (topo_before, topo_before.version)
+    assert rules == rules_before
+
+
+def test_plan_refuses_a_flow_whose_match_holds_a_redirect():
+    # After one detour the attacker's match on the server's edge holds the
+    # redirect, not the base rule, so a second plan for it is refused.
+    topo, rules, server_ip, (attacker_ip,), _ = attack_state(["h1s3"])
+    apply(plan_scrubber(server_ip, [attacker_ip], topo, rules), topo, rules)
+    edge = topo.edge_of_host(topo.server)
+    assert rules.find(edge, attacker_ip, server_ip).priority == REDIRECT_PRIORITY
+    with pytest.raises(MitigationError, match=(
+            rf"^no base rule for suspicious flow {attacker_ip}->{server_ip} on {edge}$")):
+        plan_scrubber(server_ip, [attacker_ip], topo, rules)
 
 
 def test_mitigated_attacker_is_throttled_while_legit_flows_match_control():

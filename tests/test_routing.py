@@ -172,7 +172,7 @@ def test_first_flow_installs_both_directions(grid):
         (path[1], key.reversed()),
         (path[-2], key.reversed()),
     ):
-        assert rules.find(edge, fkey.src, fkey.dst, BASE_PRIORITY) is not None
+        assert rules.find(edge, fkey.src, fkey.dst) is not None
 
 
 def test_flow_to_itself_is_rejected(grid):
@@ -298,11 +298,16 @@ def test_forward_single_dst_rule(grid):
 
 
 def test_higher_priority_wins(grid):
+    # A per-flow rule against the dst-only rule toward the same destination,
+    # whichever of the two is older.
     rules = RuleTable()
     edge = NodeId.edge(0)
     rules.install(FlowRule(edge, "10.0.0.0", "10.0.1.0", 1, 20001))
-    rules.install(FlowRule(edge, "10.0.0.0", "10.0.1.0", 200, 30001))
+    rules.install(FlowRule(edge, None, "10.0.1.0", 200, 30001))
     assert rules.lookup(edge, "10.0.0.0", "10.0.1.0").out_port == 200
+    rules.install(FlowRule(edge, None, "10.0.2.0", 3, 20001))
+    rules.install(FlowRule(edge, "10.0.0.0", "10.0.2.0", 7, 30001))
+    assert rules.lookup(edge, "10.0.0.0", "10.0.2.0").out_port == 7
 
 
 def test_priority_tie_older_rule_wins(grid):
@@ -356,27 +361,17 @@ def six_fields(rule):
             rule.in_port)
 
 
-def check_chains(rules, installed):
-    """``rules`` against the rules ``installed``, oldest first: ``find``,
-    ``lookup``, ``all_entries`` (each key's rules in install order), the
-    poll, and equality down every chain."""
+def check_table(rules, installed):
+    """``rules`` against the rules ``installed``, oldest first: ``find`` on
+    every match, ``lookup``, ``all_entries``, the poll, and equality down to
+    each entry's counters."""
     entries = rules.all_entries()
     assert [six_fields(e) for e in sorted(entries, key=lambda e: e.seq)] == [
         six_fields(r) for r in installed]
-    later = []  # entries behind the oldest rule of their key
-    last_seq = {}
-    for i, e in enumerate(entries):
-        key = (e.switch, e.match_src, e.match_dst)
-        assert e.seq > last_seq.get(key, -1)
-        if key in last_seq:
-            later.append(i)
-        last_seq[key] = e.seq
-    for switch, src, dst, priority in itertools.product(
-        ORACLE_SWITCHES, [None] + ORACLE_ADDRS, ORACLE_ADDRS, ORACLE_PRIORITIES
-    ):
-        slot = (switch, src, dst, priority)
-        expected = [e for e in entries if (e.switch, e.match_src, e.match_dst, e.priority) == slot]
-        assert rules.find(*slot) is (expected[0] if expected else None)
+    for match in itertools.product(ORACLE_SWITCHES, [None] + ORACLE_ADDRS, ORACLE_ADDRS):
+        expected = [e for e in entries if (e.switch, e.match_src, e.match_dst) == match]
+        assert len(expected) <= 1
+        assert rules.find(*match) is (expected[0] if expected else None)
     for switch, src, dst, in_port in itertools.product(
         ORACLE_SWITCHES, ORACLE_ADDRS, ORACLE_ADDRS, ORACLE_PORTS
     ):
@@ -388,30 +383,29 @@ def check_chains(rules, installed):
 
     copied = copy.deepcopy(rules)
     assert copied == rules
-    copied_entries = copied.all_entries()
-    for i in later:
-        copied_entries[i].packets += 1
+    for entry in copied.all_entries():
+        entry.packets += 1
         assert copied != rules
-        copied_entries[i].packets -= 1
+        entry.packets -= 1
     assert copied == rules
 
 
-# One key holding three rules of different priorities, then a dst-only rule
-# toward the same destination that its lookups also read.
-CHAIN = [FlowRule(NodeId.edge(0), "10.0.0.0", "10.0.1.0", 1, BASE_PRIORITY),
-         FlowRule(NodeId.edge(0), "10.0.0.0", "10.0.1.0", 2, 40003),
-         FlowRule(NodeId.edge(0), "10.0.0.0", "10.0.1.0", 3, 30001, in_port=201)]
+# Three rules on one match at different priorities: while one of them holds
+# the match the others are refused. Then a dst-only rule toward the same
+# destination, which the match's lookups also read.
+TAKEN = [FlowRule(NodeId.edge(0), "10.0.0.0", "10.0.1.0", 1, BASE_PRIORITY),
+          FlowRule(NodeId.edge(0), "10.0.0.0", "10.0.1.0", 2, 40003),
+          FlowRule(NodeId.edge(0), "10.0.0.0", "10.0.1.0", 3, 30001, in_port=201)]
 DST_ONLY = FlowRule(NodeId.edge(0), None, "10.0.1.0", 4, 30001)
-A, B, C = CHAIN
+A, B, C = TAKEN
 
 
 @settings(max_examples=100, deadline=None)
-@example(ops=[A, B, C,
-              0,           # the oldest goes: B, C
-              A, 1,        # then the middle: B, A
-              C, 2,        # then the newest: B, A
-              0, 0, A])    # the key empties and is installed again
-@example(ops=[DST_ONLY, A, B, C, 1, A, 2, C, 3, 1, 1, A])
+@example(ops=[A, B, C,     # A holds the match: B and C are refused
+              0,           # A goes and frees the match
+              B, C, A, 0,  # B holds it, the others are refused; B goes
+              C, A, 0, A])  # C, then A again once C is gone
+@example(ops=[DST_ONLY, A, B, 1, B, C, 0, 0, A])
 @given(ops=st.lists(
     st.one_of(oracle_rules, st.integers(0, 63)),  # install a rule / delete one
     max_size=20,
@@ -421,11 +415,14 @@ def test_lookup_matches_a_brute_force_scan(ops):
     installed: list[FlowRule] = []  # in installation order
     for op in ops:
         if isinstance(op, FlowRule):
-            slot = (op.switch, op.match_src, op.match_dst, op.priority)
-            if any((r.switch, r.match_src, r.match_dst, r.priority) == slot
-                   for r in installed):
-                with pytest.raises(RoutingError):
+            match = (op.switch, op.match_src, op.match_dst)
+            if any((r.switch, r.match_src, r.match_dst) == match for r in installed):
+                # A taken match refuses a rule at any priority, and the
+                # refused install changes nothing.
+                before = copy.deepcopy(rules)
+                with pytest.raises(RoutingError, match="^duplicate rule"):
                     rules.install(op)
+                assert rules == before and rules.versions == before.versions
                 continue
             entry = rules.install(op)
             entry.packets, entry.bytes = entry.seq + 1, 100 * entry.seq + 7
@@ -434,7 +431,7 @@ def test_lookup_matches_a_brute_force_scan(ops):
             gone = installed.pop(op % len(installed))
             entry = rules.delete(gone.switch, gone.match_src, gone.match_dst, gone.priority)
             assert six_fields(entry) == six_fields(gone)
-        check_chains(rules, installed)
+        check_table(rules, installed)
 
 
 def test_duplicate_rule_install_rejected(grid):
@@ -445,6 +442,21 @@ def test_duplicate_rule_install_rejected(grid):
     with pytest.raises(RoutingError, match=(
             r"^duplicate rule \(10\.0\.0\.0, 10\.0\.1\.0, prio 20001\) on e0$")):
         rules.install(FlowRule(NodeId.edge(0), "10.0.0.0", "10.0.1.0", 2, BASE_PRIORITY))
+
+
+def test_delete_names_the_rule_its_match_holds():
+    # A delete names its rule's priority, as a mitigation plan does; a
+    # match that holds the rule at another priority keeps it.
+    rules = RuleTable()
+    edge = NodeId.edge(0)
+    rules.install(FlowRule(edge, "10.0.0.0", "10.0.1.0", 1, BASE_PRIORITY))
+    before = copy.deepcopy(rules)
+    with pytest.raises(RoutingError, match=(
+            r"^no rule \(10\.0\.0\.0, 10\.0\.1\.0, prio 30001\) on e0$")):
+        rules.delete(edge, "10.0.0.0", "10.0.1.0", 30001)
+    assert rules == before and rules.versions == before.versions
+    assert rules.delete(edge, "10.0.0.0", "10.0.1.0", BASE_PRIORITY).out_port == 1
+    assert rules.find(edge, "10.0.0.0", "10.0.1.0") is None
 
 
 def test_rule_records_keep_no_instance_dict():
@@ -458,9 +470,10 @@ def test_rule_table_and_path_memo_hold_little_per_installed_rule():
     # fabric's packet-ins: every host of a 6x6 grid with 8 hosts per edge
     # toward one server, then a poll. Traced bytes still held, per rule,
     # by the table, its polled index and the topology's path memo (1 610
-    # rules): 283 B with one record per rule chained by key, 363 B with a
-    # rule, its entry and a tuple bucket each, 477 B with a memo of distance
-    # maps instead of paths, 513 B with list buckets as well.
+    # rules): 275 B with one record per match, 283 B with one record per
+    # rule chained by key, 363 B with a rule, its entry and a tuple bucket
+    # each, 477 B with a memo of distance maps instead of paths, 513 B with
+    # list buckets as well.
     def install_all(topo):
         rules = RuleTable()
         server = NodeId.host(0, 0)
@@ -483,4 +496,4 @@ def test_rule_table_and_path_memo_hold_little_per_installed_rule():
         tracemalloc.stop()
     installed = len(rules.all_entries())
     assert installed == 1610
-    assert held / installed < 310
+    assert held / installed < 300

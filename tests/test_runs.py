@@ -114,7 +114,8 @@ def edit_rules(rng, topo, rules):
 
     - install a rule that is src-qualified or dst-only, maybe
       in_port-qualified, at a priority that may tie with installed rules,
-      mostly on a switch and destination that already carry a rule;
+      mostly on a switch and destination that already carry a rule, if its
+      match holds no rule yet;
     - delete an installed rule (an edge switch's per-flow rule raises a new
       packet-in);
     - ``add_link`` a shortcut from the server's core switch to a core
@@ -122,7 +123,9 @@ def edit_rules(rng, topo, rules):
       rule toward the server at the client's edge switch, so that its next
       packet-in may route over the shortcut;
     - ``attach_switch`` a new switch to any switch, and loop one of that
-      switch's rules through it and back.
+      switch's per-flow rules through it and back: the rule is replaced by
+      a redirect on its match, as ``mitigation.apply`` does, and the loop's
+      other rules go where their match is free.
 
     New links are throttled at random. Every edit is valid, so any error
     comes from the run itself."""
@@ -141,7 +144,7 @@ def edit_rules(rng, topo, rules):
             src = rng.choice([None, near.match_src, rng.choice(ips)])
             in_port = rng.choice([None, None, rng.choice(ports)])
             priority = rng.choice([BASE_PRIORITY, BASE_PRIORITY + 1, near.priority])
-            if rules.find(switch, src, dst, priority) is None:
+            if rules.find(switch, src, dst) is None:
                 rules.install(FlowRule(switch, src, dst, rng.choice(ports), priority, in_port))
         elif op == "delete":
             rules.delete(near.switch, near.match_src, near.match_dst, near.priority)
@@ -159,6 +162,11 @@ def edit_rules(rng, topo, rules):
                 r = rng.choice(firsts)
                 rules.delete(r.switch, r.match_src, r.match_dst, r.priority)
         else:
+            # A dst-only rule's match is the return rule's.
+            per_flow = [e for e in entries if e.match_src is not None]
+            if not per_flow:
+                continue
+            near = rng.choice(per_flow)
             switch, new = near.switch, NodeId.scrubber(len(topo.scrubbers()))
             out = max(topo.used_ports(switch)) + 1
             attach_switch(topo, new, [Link(switch, out, new, 1),
@@ -166,8 +174,9 @@ def edit_rules(rng, topo, rules):
             loop = [FlowRule(switch, near.match_src, near.match_dst, out, near.priority + 1),
                     FlowRule(new, near.match_src, near.match_dst, 2, near.priority),
                     FlowRule(switch, None, near.match_dst, near.out_port, 40003, in_port=out + 1)]
+            rules.delete(near.switch, near.match_src, near.match_dst, near.priority)
             for rule in loop:
-                if rules.find(rule.switch, rule.match_src, rule.match_dst, rule.priority) is None:
+                if rules.find(rule.switch, rule.match_src, rule.match_dst) is None:
                     rules.install(rule)
 
 
@@ -228,7 +237,10 @@ def detour_scenario(capacity, queue_cap, responses, feed_capacity):
     rules.install(FlowRule(edge, None, s_ip, topo.port_toward(edge, server), 40003, in_port=201))
     rules.install(FlowRule(scrub, a_ip, s_ip, 201, 30002))
 
-    toward_attacker = rules.find(edge, s_ip, a_ip, BASE_PRIORITY).out_port
+    if responses != "direct":
+        # As mitigation.apply does, the response rule goes before a redirect
+        # takes its match.
+        toward_attacker = rules.delete(edge, s_ip, a_ip, BASE_PRIORITY).out_port
     if responses == "same":
         rules.install(FlowRule(edge, s_ip, a_ip, 200, 30001))
         rules.install(FlowRule(scrub, s_ip, a_ip, 201, 30002))

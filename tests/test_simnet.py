@@ -66,8 +66,8 @@ def test_lossless_counters_for_steady_client():
     topo, rules, rates, cfg, server, client = simple_scenario()
     record = run(topo, rules, rates, cfg)
     c_ip, s_ip = topo.ip_of[client], topo.ip_of[server]
-    source_rule = rules.find(topo.edge_of_host(client), c_ip, s_ip, BASE_PRIORITY)
-    server_rule = rules.find(topo.edge_of_host(server), s_ip, c_ip, BASE_PRIORITY)
+    source_rule = rules.find(topo.edge_of_host(client), c_ip, s_ip)
+    server_rule = rules.find(topo.edge_of_host(server), s_ip, c_ip)
     # 2 req/s * 10 s = 20 requests of 200 B; 20 responses of 1000 B
     assert (source_rule.packets, source_rule.bytes) == (20, 20 * 200)
     assert (server_rule.packets, server_rule.bytes) == (20, 20 * 1000)
@@ -128,7 +128,7 @@ def test_packet_ins_return_exactly_the_installed_rules(monkeypatch):
     assert len([e for e in record.events if e["event"] == "packet_in"]) == len(rates)
     assert len(returned) == len(rules.all_entries()) > 2 * len(rates)
     for rule in returned:
-        entry = rules.find(rule.switch, rule.match_src, rule.match_dst, rule.priority)
+        entry = rules.find(rule.switch, rule.match_src, rule.match_dst)
         assert (entry.switch, entry.match_src, entry.match_dst, entry.out_port,
                 entry.priority, entry.in_port) == (rule.switch, rule.match_src, rule.match_dst,
                                                    rule.out_port, rule.priority, rule.in_port)
@@ -397,14 +397,18 @@ def test_engine_and_trace_path_share_the_loop_bound():
     loop = "e2 c1_1 c1_0 e3 c1_0 c0_0 c0_1 c1_1 c0_1 c0_0 e0".split()
 
     def install(key, names):
-        # One src-qualified rule per visit, each at its own priority, and
-        # in_port-qualified on a switch the walk visits twice.
+        # One rule per visit, each at a higher priority than the last, and
+        # in_port-qualified on a switch the walk visits twice. A match holds
+        # one rule, so a switch's first visit takes the src-qualified match
+        # and its second the dst-only one.
         walk = [topo.host_of_ip[key.src], *(by_name[n] for n in names), topo.host_of_ip[key.dst]]
         for i in range(1, len(walk) - 1):
             switch = walk[i]
             in_port = topo.port_toward(switch, walk[i - 1]) if names.count(switch.name) > 1 else None
             out_port = topo.port_toward(switch, walk[i + 1])
-            rules.install(FlowRule(switch, key.src, key.dst, out_port, BASE_PRIORITY + i, in_port))
+            match_src = None if switch in walk[1:i] else key.src
+            rules.install(
+                FlowRule(switch, match_src, key.dst, out_port, BASE_PRIORITY + i, in_port))
 
     install(key, loop)
     install(key.reversed(), ["e0", "c0_0", "c0_1", "c1_1", "e2"])

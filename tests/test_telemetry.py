@@ -75,14 +75,15 @@ index_ops = st.lists(st.one_of(
 
 
 def apply_index_op(rules, op):
-    """One install, delete, mitigation redirect (delete, then install the
-    same key at another priority with the deleted rule's counters, as
-    ``mitigation.apply`` does) or counter bump on ``rules``."""
+    """One install (skipped on a taken match), delete, mitigation redirect
+    (delete, then install the same match at another priority with the
+    deleted rule's counters, as ``mitigation.apply`` does) or counter bump
+    on ``rules``."""
     kind, *args = op
     entries = sorted(rules.all_entries(), key=lambda e: e.seq)
     if kind == "install":
         switch, src, dst, priority = args
-        if rules.find(switch, src, dst, priority) is None:
+        if rules.find(switch, src, dst) is None:
             rules.install(FlowRule(switch, src, dst, 1, priority))
     elif not entries:
         return
@@ -91,7 +92,7 @@ def apply_index_op(rules, op):
         rules.delete(r.switch, r.match_src, r.match_dst, r.priority)
     elif kind == "redirect":
         r = entries[args[0] % len(entries)]
-        if rules.find(r.switch, r.match_src, r.match_dst, args[1]) is None:
+        if r.priority != args[1]:
             gone = rules.delete(r.switch, r.match_src, r.match_dst, r.priority)
             entry = rules.install(FlowRule(r.switch, r.match_src, r.match_dst, 200, args[1]))
             entry.packets, entry.bytes = gone.packets, gone.bytes
