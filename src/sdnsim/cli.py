@@ -7,10 +7,11 @@ poll by poll as the run goes) and ``report.json`` (rule dumps, per-poll
 analytics, mitigation plan, final tallies). Both are byte-stable for a
 fixed config; its ``seed`` is recorded metadata, since the simulation draws
 no random numbers. The per-poll, per-flow deltas and the feature vectors
-built from them are not stored: ``telemetry.read_stats_csv`` followed by
-``telemetry.delta``, poll by poll, rebuilds the deltas from ``stats.csv``,
-and ``analytics.build_features`` on the server edge's deltas rebuilds the
-features.
+built from them are not stored. A poll entry is a function of the poll's
+samples and the polls before it: ``ScenarioPipeline.analyse`` builds it in
+the run, and the same method on a fresh pipeline, fed the samples of
+``telemetry.read_stats_csv`` poll by poll, rebuilds each entry from
+``stats.csv``.
 
 This module alone knows the report's format. Config, Gaussian components,
 verdicts and flow tallies are written as ``vars(record)`` and events as
@@ -269,7 +270,14 @@ def build_scenario(cfg: ScenarioConfig):
 
 
 class ScenarioPipeline:
-    """Per-poll analytics, detection and one-shot mitigation."""
+    """Per-poll analysis, detection and one-shot mitigation.
+
+    ``analyse`` builds a poll's ``report.json`` entry from that poll's
+    samples alone, given the analysis of the polls before it, which it keeps
+    in ``last_seen`` and ``prev_clustering``. It reads no run state, so it
+    is the one way to build a poll entry, in a run and in a replay of
+    ``stats.csv``. ``on_poll`` analyses each poll, then acts on the verdict.
+    """
 
     def __init__(self, cfg: ScenarioConfig, topo):
         self.cfg = cfg
@@ -281,16 +289,9 @@ class ScenarioPipeline:
         self.plan: mitigation.MitigationPlan | None = None
         self.mitigation_time: float | None = None
 
-    def match_radius(self) -> float:
-        # Cluster-history matching: a tenth of the largest known centroid
-        # magnitude, floored at 1 to survive all-idle polls.
-        radius = 1.0
-        if self.prev_clustering is not None:
-            for centroid in self.prev_clustering.centroids:
-                radius = max(radius, 0.1 * math.hypot(*centroid))
-        return radius
-
-    def on_poll(self, state, t: float, samples) -> None:
+    def analyse(self, t: float, samples) -> dict:
+        """The poll entry of the samples taken at ``t``; its ``detection``
+        is the verdict."""
         # Detection looks at the target's own edge switch so the two polled
         # edges of a flow are not double-counted.
         local = [d for d in telemetry.delta(self.last_seen, samples)
@@ -304,29 +305,36 @@ class ScenarioPipeline:
             clustering = analytics.kmeans(vectors, min(self.cfg.k_clusters, len(vectors)))
             report = analytics.detect(byte_rate, self.cfg.threshold, clustering)
         up_rates = [v.byte_rate_up for v in vectors]
-        self.polls.append({
+        entry = {
             "t": t,
             "aggregate": {"packets": packets, "bytes": size, "byte_rate": byte_rate},
             "gaussian": [
                 vars(c) for c in analytics.decompose_gaussian_1d(up_rates, self.cfg.bandwidth)
             ] if len(up_rates) >= 2 else None,
+            # Cluster-history matching within a tenth of the largest known
+            # centroid magnitude, floored at 1 to survive all-idle polls.
             "new_clusters": analytics.compare_clusterings(
-                self.prev_clustering, clustering, self.match_radius()
+                self.prev_clustering, clustering,
+                max([1.0] + [0.1 * math.hypot(*c) for c in self.prev_clustering.centroids]),
             ) if clustering is not None and self.prev_clustering is not None else None,
             "clustering": clustering_row(clustering) if clustering is not None else None,
             "detection": vars(report) if report is not None else None,
-        })
+        }
         if clustering is not None:
             self.prev_clustering = clustering
+        return entry
 
+    def on_poll(self, state, t: float, samples) -> None:
+        self.polls.append(self.analyse(t, samples))
+        verdict = self.polls[-1]["detection"]
         # A verdict after mitigation is in its poll's detection alone.
-        if report is None or not report.attack or self.plan is not None:
+        if verdict is None or not verdict["attack"] or self.plan is not None:
             return
         state.events.append({"t": t, "event": "attack_detected"})
-        if not report.suspicious_sources:
+        if not verdict["suspicious_sources"]:
             return
         self.plan = mitigation.plan_scrubber(
-            self.server_ip, report.suspicious_sources, state.topology, state.rules)
+            self.server_ip, verdict["suspicious_sources"], state.topology, state.rules)
         mitigation.apply(self.plan, state.topology, state.rules)
         self.mitigation_time = t
         state.events.append({"t": t, "event": "mitigation_applied"})

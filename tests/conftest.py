@@ -40,7 +40,8 @@ def is_connected(topology):
 
 
 def destination_tree_ok(topology, rules, dst_ip):
-    """Oracle: dst-only core rules for dst_ip are acyclic with out-degree <= 1."""
+    """Oracle: dst-only core rules for dst_ip are acyclic. The rule table
+    holds one rule per match, so each core switch has at most one."""
     next_hop = {}
     for core in topology.core_switches():
         dst_rules = [
@@ -48,8 +49,6 @@ def destination_tree_ok(topology, rules, dst_ip):
             if e.switch == core
             and e.match_src is None and e.match_dst == dst_ip
         ]
-        if len(dst_rules) > 1:
-            return False
         if dst_rules:
             peer, _ = topology.peer(core, dst_rules[0].out_port)
             next_hop[core] = peer
@@ -70,15 +69,18 @@ def assignment(clustering):
 
 
 class SampleLog:
-    """An ``on_poll`` that keeps every poll's samples, in poll order, then
-    calls ``then`` if given: a run keeps no samples of its own."""
+    """An ``on_poll`` that keeps every poll's samples, in poll order, both
+    as one list and as ``(t, samples)`` per poll, then calls ``then`` if
+    given: a run keeps no samples of its own."""
 
     def __init__(self, then=None):
         self.samples = []
+        self.polls = []
         self.then = then
 
     def __call__(self, state, t, samples):
         self.samples.extend(samples)
+        self.polls.append((t, samples))
         if self.then is not None:
             self.then(state, t, samples)
 

@@ -127,15 +127,14 @@ def test_criterion_3_counter_conservation():
     # telescoping: summed deltas equal the final cumulative totals, exactly
     last_seen = {}
     sums = {}
-    for t in record.poll_times:
-        for d in delta(last_seen, [s for s in log.samples if s.timestamp == t]):
+    for _, batch in log.polls:
+        for d in delta(last_seen, batch):
             bucket = sums.setdefault((d.switch, d.src, d.dst), [0, 0])
             bucket[0] += d.d_packets
             bucket[1] += d.d_bytes
     finals = {
         (s.switch, s.src, s.dst): (s.packets_total, s.bytes_total)
-        for s in log.samples
-        if s.timestamp == record.poll_times[-1]
+        for s in log.polls[-1][1]
     }
     assert {k: tuple(v) for k, v in sums.items()} == finals
 

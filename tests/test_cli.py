@@ -11,6 +11,8 @@ import tempfile
 import tracemalloc
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -25,9 +27,9 @@ from sdnsim.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
     TABLE_CHUNK,
+    ScenarioPipeline,
     Table,
     build_scenario,
-    clustering_row,
     main,
     matrix_rates,
     reference_template,
@@ -39,7 +41,7 @@ from sdnsim.cli import (
 )
 from sdnsim.routing import BASE_PRIORITY, FlowRule, RuleTable
 from sdnsim.simnet import SimConfig, SimulationError
-from sdnsim.telemetry import StatSample, delta, read_stats_csv
+from sdnsim.telemetry import StatSample, read_stats_csv
 from sdnsim.topology import MAX_HOSTS_PER_EDGE, NodeId, build_grid
 
 from test_simnet import simple_scenario
@@ -143,6 +145,81 @@ def test_build_scenario_assigns_roles():
     assert (sim_cfg.request_bytes, sim_cfg.response_bytes) == (200, 1000)
 
 
+# -- ScenarioPipeline ------------------------------------------------------
+
+def test_analyse_builds_each_poll_entry_from_its_samples_alone():
+    cfg, _ = validate_config({"grid_n": 2, "grid_m": 2, "hosts_per_edge": 1,
+                              "threshold": 1000.0, "k_clusters": 2})
+    topo = build_scenario(cfg)[0]
+    server, a, b, c = (topo.ip_of[NodeId.host(u, 0)] for u in range(4))
+    edge, a_edge = (topo.edge_of_host(NodeId.host(u, 0)).name for u in (0, 1))
+
+    def totals(t, n):
+        # Each poll, A sends 10 packets of 200 B, B 10 of 250 B and, from
+        # the second poll, C 100 of 1000 B; the server answers each packet
+        # with 1000 B. The server's edge sees every flow both ways, and A's
+        # edge sees A's.
+        sent = {a: (10 * n, 2_000 * n), b: (10 * n, 2_500 * n)}
+        if n > 1:
+            sent[c] = (100 * (n - 1), 100_000 * (n - 1))
+        return [sample
+                for client, (packets, size) in sent.items()
+                for switch in ([edge, a_edge] if client == a else [edge])
+                for sample in (StatSample(t, switch, client, server, packets, size),
+                               StatSample(t, switch, server, client, packets, 1_000 * packets))]
+
+    pipeline = ScenarioPipeline(cfg, topo)
+    entries = [pipeline.analyse(5.0 * n, totals(5.0 * n, n)) for n in (1, 2, 3)]
+    assert [e["t"] for e in entries] == [5.0, 10.0, 15.0]
+    # Requests into the server's edge only.
+    assert [e["aggregate"] for e in entries] == [
+        {"packets": 20, "bytes": 4_500, "byte_rate": 900.0},
+        {"packets": 120, "bytes": 104_500, "byte_rate": 20_900.0},
+        {"packets": 120, "bytes": 104_500, "byte_rate": 20_900.0},
+    ]
+    assert [e["clustering"]["members"] for e in entries] == [
+        [[a], [b]], [[a, b], [c]], [[a, b], [c]]]
+    # C's cluster is new against the poll before it, and only there.
+    assert [e["new_clusters"] for e in entries] == [None, [1], []]
+    assert [(e["detection"]["attack"], e["detection"]["suspicious_sources"])
+            for e in entries] == [(False, []), (True, [c]), (True, [c])]
+    # Analysis acts on nothing.
+    assert pipeline.polls == [] and pipeline.plan is None
+
+
+def test_an_attack_verdict_that_flags_no_cluster_mitigates_nothing():
+    # The cluster at least as intense as the mean is sharper than the
+    # median, so detect flags no cluster.
+    clustering = analytics.Clustering(
+        2, [(1.0, 1.0, 100.0, 100.0), (10.0, 10.0, 1e4, 1e4)],
+        [["10.0.1.0"], ["10.0.2.0", "10.0.3.0"]],
+        [(0.0, 0.0, 0.0, 0.0), (5.0, 5.0, 5e3, 5e3)])
+    verdict = analytics.detect(2e4, 1e3, clustering)
+    assert (verdict.attack, verdict.suspicious_sources) == (True, [])
+
+    # Such a verdict is logged and plans nothing; a later one that names
+    # sources mitigates, once.
+    cfg, _ = validate_config(small_raw(duration=15.0, attack_start=0.0))
+    topo, rules, rates, sim_cfg = build_scenario(cfg)
+    pipeline = ScenarioPipeline(cfg, topo)
+    attacker = topo.ip_of[min(topo.attackers)]
+    named = iter([[], [attacker], [attacker]])
+    plans = []
+
+    def analyse(t, samples):
+        plans.append(pipeline.plan)
+        return {"t": t, "detection": {"attack": True, "suspicious_sources": next(named)}}
+
+    pipeline.analyse = analyse
+    state = simnet.run(topo, rules, rates, sim_cfg, on_poll=pipeline.on_poll)
+    assert [(e["t"], e["event"]) for e in state.events
+            if e["event"] in ("attack_detected", "mitigation_applied")] == [
+        (5.0, "attack_detected"), (10.0, "attack_detected"), (10.0, "mitigation_applied")]
+    assert plans[:2] == [None, None] and plans[2] is pipeline.plan
+    assert pipeline.plan.suspicious_sources == [attacker]
+    assert pipeline.mitigation_time == 10.0
+
+
 # -- run_scenario ----------------------------------------------------------
 
 def test_small_scenario_artifacts(tmp_path):
@@ -172,45 +249,26 @@ def as_json(value):
     return json.loads(json.dumps(value))
 
 
+def replayed_polls(cfg, stats_path, poll_times):
+    """The poll entries that a fresh pipeline's ``analyse`` rebuilds from a
+    run's stats file, as report.json holds them. A poll with no rows there
+    took no samples."""
+    pipeline = ScenarioPipeline(cfg, build_scenario(cfg)[0])
+    batches = {t: list(rows)
+               for t, rows in groupby(read_stats_csv(stats_path), attrgetter("timestamp"))}
+    assert set(batches) <= set(poll_times)
+    return as_json([pipeline.analyse(t, batches.get(t, [])) for t in poll_times])
+
+
 def test_csv_replay_rebuilds_report_aggregates_and_analytics(tmp_path):
     # The report keeps neither per-flow deltas nor feature vectors: stats.csv
-    # is their one record, and the analytics' outputs follow from it.
+    # is their one record, and each poll entry follows from it.
     cfg, _ = validate_config(small_raw(output_dir=str(tmp_path / "out")))
     assert run_scenario(cfg) == EXIT_OK
-    samples = list(read_stats_csv(tmp_path / "out" / "stats.csv"))
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    topo = build_scenario(cfg)[0]
-    server_ip = topo.ip_of[topo.server]
-    server_edge = topo.edge_of_host(topo.server).name
-
-    last_seen = {}
-    previous = None
-    assert sorted({s.timestamp for s in samples}) == [p["t"] for p in report["polls"]]
-    for poll in report["polls"]:
-        assert list(poll) == POLL_KEYS
-        batch = [s for s in samples if s.timestamp == poll["t"]]
-        local = [d for d in delta(last_seen, batch) if d.switch == server_edge]
-        packets = sum(d.d_packets for d in local if d.dst == server_ip)
-        size = sum(d.d_bytes for d in local if d.dst == server_ip)
-        byte_rate = size / cfg.poll_interval
-        assert poll["aggregate"] == {"packets": packets, "bytes": size, "byte_rate": byte_rate}
-        vectors = build_features(local, server_ip, cfg.poll_interval)
-        if not vectors:
-            assert (poll["clustering"], poll["detection"], poll["gaussian"]) == (None,) * 3
-            continue
-        clustering = kmeans(vectors, min(cfg.k_clusters, len(vectors)))
-        assert poll["clustering"] == as_json(clustering_row(clustering))
-        verdict = analytics.detect(byte_rate, cfg.threshold, clustering)
-        assert poll["detection"] == as_json(vars(verdict))
-        up_rates = [v.byte_rate_up for v in vectors]
-        assert poll["gaussian"] == (
-            as_json([vars(c) for c in decompose_gaussian_1d(up_rates, cfg.bandwidth)])
-            if len(up_rates) >= 2 else None)
-        if previous is not None:
-            radius = max([1.0] + [0.1 * math.hypot(*c) for c in previous.centroids])
-            assert poll["new_clusters"] == analytics.compare_clusterings(
-                previous, clustering, radius)
-        previous = clustering
+    assert report["polls"] == replayed_polls(
+        cfg, tmp_path / "out" / "stats.csv", report["run"]["poll_times"])
+    assert all(list(poll) == POLL_KEYS for poll in report["polls"])
     assert any(p["aggregate"]["packets"] for p in report["polls"])
     assert any(p["detection"] and p["detection"]["attack"] for p in report["polls"])
 

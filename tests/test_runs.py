@@ -26,7 +26,7 @@ import heap_paths
 import per_packet
 from rule_paths import trace_path
 from conftest import SampleLog, destination_tree_ok
-from test_cli import POLL_KEYS, small_raw
+from test_cli import POLL_KEYS, replayed_polls, small_raw
 from test_simnet import run_json
 
 # The per-packet differential tests report a failing example without
@@ -419,10 +419,11 @@ def test_random_grids_poll_monotone_counters_whose_deltas_telescope(doc):
 
     # The deltas replayed from the samples, poll by poll, sum for each flow
     # to its last polled totals.
+    assert [t for t, _ in log.polls] == record.poll_times
     last_seen = {}
     summed = {}
-    for t in record.poll_times:
-        for d in delta(last_seen, [s for s in log.samples if s.timestamp == t]):
+    for _, batch in log.polls:
+        for d in delta(last_seen, batch):
             packets, size = summed.get((d.switch, d.src, d.dst), (0, 0))
             summed[(d.switch, d.src, d.dst)] = (packets + d.d_packets, size + d.d_bytes)
     assert summed == totals
@@ -440,6 +441,10 @@ def test_random_grids_repeat_byte_identical_artifacts(doc):
             assert run_scenario(cfg) == EXIT_OK
             artifacts.append([(Path(tmp) / name).read_bytes()
                               for name in ("stats.csv", "report.json")])
+        # Each poll entry, of mitigating runs too, follows from stats.csv.
+        report = json.loads(artifacts[0][1])
+        assert report["polls"] == replayed_polls(
+            cfg, Path(tmp) / "stats.csv", report["run"]["poll_times"])
     assert artifacts[0] == artifacts[1]
 
 

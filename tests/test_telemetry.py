@@ -131,14 +131,13 @@ def run_simple_scenario(duration=20.0):
     topo.server = server
     cfg = SimConfig(duration=duration, poll_interval=5.0, attack_start=0.0)
     log = SampleLog()
-    record = run(topo, RuleTable(), {client: 3.0}, cfg, on_poll=log)
-    return record, log.samples
+    run(topo, RuleTable(), {client: 3.0}, cfg, on_poll=log)
+    return log
 
 
 def test_totals_are_monotone_across_polls():
-    _, samples = run_simple_scenario()
     seen: dict[tuple, tuple] = {}
-    for sample in samples:
+    for sample in run_simple_scenario().samples:
         key = (sample.switch, sample.src, sample.dst)
         last = seen.get(key, (0, 0))
         assert (sample.packets_total, sample.bytes_total) >= last
@@ -169,47 +168,45 @@ def test_counter_regression_is_a_hard_error():
 
 
 def test_deltas_telescope_to_final_totals():
-    record, samples = run_simple_scenario()
+    log = run_simple_scenario()
     last_seen = {}
     sums: dict[tuple, list[int]] = {}
-    for t in record.poll_times:
-        batch = [s for s in samples if s.timestamp == t]
+    for _, batch in log.polls:
         for d in delta(last_seen, batch):
             bucket = sums.setdefault((d.switch, d.src, d.dst), [0, 0])
             bucket[0] += d.d_packets
             bucket[1] += d.d_bytes
     finals = {
         (s.switch, s.src, s.dst): (s.packets_total, s.bytes_total)
-        for s in samples
-        if s.timestamp == record.poll_times[-1]
+        for s in log.polls[-1][1]
     }
     assert {k: tuple(v) for k, v in sums.items()} == finals
 
 
 def test_replaying_the_sample_log_reproduces_deltas():
-    record, samples = run_simple_scenario()
+    log = run_simple_scenario()
 
     def replay():
         last_seen = {}
         out = []
-        for t in record.poll_times:
-            out.extend(delta(last_seen, [s for s in samples if s.timestamp == t]))
+        for _, batch in log.polls:
+            out.extend(delta(last_seen, batch))
         return out
 
     assert replay() == replay()
 
 
 def test_csv_round_trip(tmp_path):
-    record, samples = run_simple_scenario()
-    assert samples
+    log = run_simple_scenario()
+    assert log.samples
     path = tmp_path / "stats.csv"
     with open_stats_csv(path) as fh:
         # Appended poll by poll, as a run writes them.
-        for t in record.poll_times:
-            write_stats_csv([s for s in samples if s.timestamp == t], fh)
+        for _, batch in log.polls:
+            write_stats_csv(batch, fh)
     header = path.read_text().splitlines()[0]
     assert header == "timestamp,switch,src_ip,dst_ip,packets_total,bytes_total"
-    assert list(read_stats_csv(path)) == samples
+    assert list(read_stats_csv(path)) == log.samples
 
 
 def test_stats_file_is_read_one_sample_at_a_time(tmp_path):
