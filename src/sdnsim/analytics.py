@@ -371,10 +371,10 @@ def decompose_gaussian_1d(values, bandwidth: float | None = None) -> list[GaussC
             cut = s - 1 if boundary_density[s - 1] >= boundary_density[s] else s
         del boundaries[cut], boundary_density[cut]
 
+    # No segment is empty: with no boundary left one holds all n >= 2
+    # values, and otherwise each holds at least MIN_WEIGHT * n > 0.
     components = []
     for s, count in enumerate(counts):
-        if count == 0:
-            continue
         part = [v for v, t in zip(data, segment) if t == s]
         spread = std(part)
         degenerate = spread == 0.0

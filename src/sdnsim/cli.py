@@ -26,10 +26,11 @@ where the report is assembled. ``write_json`` encodes a ``Table``
 ``TABLE_CHUNK`` rows per call (poll entries and flow snapshots, whose size
 follows the network, one per call), building the rows of nodes, links,
 samples, snapshots, flows and rules as it goes, and anything else in one
-call. The rule dump and the counters sort the table's entry list in place.
-The run keeps no samples: ``run.samples`` is read back from the stats file
-written during the run, and each flow snapshot is a compact array until its
-row is written.
+call. The rule table's entries are sorted once, for ``rules_final`` and
+``run.counters`` alike, and the flows once, for ``run.flows`` and each flow
+snapshot's keys alike. The run keeps no samples: ``run.samples`` is read
+back from the stats file written during the run, and each flow snapshot is
+a compact array until its row is written.
 
 Exit codes: 0 clean run, 2 configuration problems, 3 internal invariant
 violations.
@@ -287,7 +288,6 @@ class ScenarioPipeline:
         self.prev_clustering: analytics.Clustering | None = None
         self.polls: list[dict] = []
         self.plan: mitigation.MitigationPlan | None = None
-        self.mitigation_time: float | None = None
 
     def analyse(self, t: float, samples) -> dict:
         """The poll entry of the samples taken at ``t``; its ``detection``
@@ -336,7 +336,6 @@ class ScenarioPipeline:
         self.plan = mitigation.plan_scrubber(
             self.server_ip, verdict["suspicious_sources"], state.topology, state.rules)
         mitigation.apply(self.plan, state.topology, state.rules)
-        self.mitigation_time = t
         state.events.append({"t": t, "event": "mitigation_applied"})
 
 
@@ -415,15 +414,18 @@ def rule_row(rule: FlowRule | RuleEntry) -> dict:
             "out_port": rule.out_port, "priority": rule.priority}
 
 
-def rule_rows(rules: RuleTable) -> Iterator[dict]:
-    """Rule lines with their counters, sorted by (switch, priority desc,
-    install order). Each line is built as it is drawn, from the table as it
-    stands when the first is drawn."""
-    entries = rules.all_entries()
-    # Three stable sorts, with no key tuple per entry.
-    entries.sort(key=attrgetter("seq"))
+def rule_order(rules: RuleTable) -> list[RuleEntry]:
+    """The table's entries by (switch, priority desc, install order): the
+    one order of ``rules_final`` and ``run.counters``."""
+    entries = rules.all_entries()  # in install order
+    # Two stable sorts, with no key tuple per entry.
     entries.sort(key=attrgetter("priority"), reverse=True)
     entries.sort(key=attrgetter("switch"))
+    return entries
+
+
+def rule_rows(entries: list[RuleEntry]) -> Iterator[dict]:
+    """Rule lines with their counters, each built as it is drawn."""
     for e in entries:
         yield dict(rule_row(e), packets=e.packets, bytes=e.bytes)
 
@@ -460,55 +462,40 @@ def link_state_row(ls: simnet.LinkState) -> dict:
     }
 
 
-def sample_rows(samples: Iterable[telemetry.StatSample]) -> Iterator[dict]:
-    """Each sample as a dict of its fields, built as it is drawn."""
-    for t, switch, src, dst, packets, bytes_ in samples:
-        yield {"timestamp": t, "switch": switch, "src": src, "dst": dst,
-               "packets_total": packets, "bytes_total": bytes_}
+def _flow_rows(flows: dict[FlowKey, simnet.FlowTally], order) -> Iterator[tuple[str, dict]]:
+    for _, key in order:
+        yield "%s->%s" % key, vars(flows[key])
 
 
-def _flow_rows(flows: dict[FlowKey, simnet.FlowTally]) -> Iterator[tuple[str, dict]]:
-    for src, dst in sorted(flows, key=lambda pair: (topology.ip_key(pair[0]),
-                                                     topology.ip_key(pair[1]))):
-        yield f"{src}->{dst}", vars(flows[src, dst])
-
-
-def _counter_rows(rules: RuleTable) -> Iterator[tuple[str, list[int]]]:
-    # Ordered by the string of the (switch, src, dst, priority) tuple, which
-    # install keeps unique.
-    def key(e):
-        return e.switch.name, e.match_src, e.match_dst, e.priority
-
-    entries = rules.all_entries()
-    entries.sort(key=lambda e: str(key(e)))
-    for e in entries:
-        yield "|".join(map(str, key(e))), [e.packets, e.bytes]
-
-
-def _snapshot_rows(state: simnet.SimState) -> Iterator[dict[str, list[int]]]:
-    # Each snapshot as {"src->dst": [packets, bytes]} in (src, dst) order,
-    # over the first len/2 flows of state.flows, whose counts it holds.
-    pairs = list(state.flows)
-    order = sorted(range(len(pairs)), key=pairs.__getitem__)
+def _snapshot_rows(state: simnet.SimState, order) -> Iterator[dict[str, list[int]]]:
+    # Each snapshot as {"src->dst": [packets, bytes]} over the first len/2
+    # flows of state.flows, whose counts it holds.
     for counts in state.flow_snapshots:
         known = len(counts) // 2
-        yield {"%s->%s" % pairs[i]: [counts[2 * i], counts[2 * i + 1]]
-               for i in order if i < known}
+        yield {"%s->%s" % key: [counts[2 * i], counts[2 * i + 1]]
+               for i, key in order if i < known}
 
 
-def run_section(state: simnet.SimState, samples: Iterable[telemetry.StatSample]) -> dict:
+def run_section(state: simnet.SimState, samples: Iterable[telemetry.StatSample],
+                entries: list[RuleEntry]) -> dict:
     """report.json's ``run`` section of a finished run, with the run's
-    ``samples`` in poll order. Each list that grows with the run's length is
-    a ``Table``, and so are the flow tallies and the rule table's final
-    counters; the rows of samples, flow snapshots (one per encode call),
-    flows and counters are built as they are written."""
+    ``samples`` in poll order and the rule table's ``entries`` in
+    ``rules_final`` order. Each list that grows with the run's length is a
+    ``Table``, and so are the flow tallies and the rules' final counters;
+    the rows of samples, flow snapshots (one per encode call), flows and
+    counters are built as they are written."""
+    # Each flow with its index in state.flows, by numeric (src, dst)
+    # address: the order of run.flows and of each snapshot's keys.
+    order = sorted(enumerate(state.flows), key=lambda item: (topology.ip_key(item[1].src),
+                                                             topology.ip_key(item[1].dst)))
     return {
         "poll_times": Table(state.poll_times),
-        "samples": Table(sample_rows(samples)),
-        "flow_snapshots": Table(_snapshot_rows(state), chunk=1),
+        "samples": Table(map(telemetry.StatSample._asdict, samples)),
+        "flow_snapshots": Table(_snapshot_rows(state, order), chunk=1),
         "events": Table(state.events),
-        "flows": Table(_flow_rows(state.flows), keyed=True),
-        "counters": Table(_counter_rows(state.rules), keyed=True),
+        "flows": Table(_flow_rows(state.flows, order), keyed=True),
+        "counters": Table(((f"{e.switch.name}|{e.match_src}|{e.match_dst}|{e.priority}",
+                            [e.packets, e.bytes]) for e in entries), keyed=True),
         "links": [link_state_row(ls) for ls in state.link_states.values()],
     }
 
@@ -574,14 +561,16 @@ def run_scenario(cfg: ScenarioConfig) -> int:
         # raised the in-process peak RSS of a `fabric` run by 3.8 MB
         # (36.0 -> 39.8). A poll entry grows with the network, so each is
         # encoded on its own.
+        entries = rule_order(rules)
         report = {
             "config": vars(cfg),
             "topology": topology_row(topo),
             "polls": Table(pipeline.polls, chunk=1),
             "mitigation": plan_row(pipeline.plan) if pipeline.plan else None,
-            "mitigation_time": pipeline.mitigation_time,
-            "rules_final": Table(rule_rows(rules)),
-            "run": run_section(state, telemetry.read_stats_csv(temporaries[0])),
+            "mitigation_time": next((e["t"] for e in state.events
+                                     if e["event"] == "mitigation_applied"), None),
+            "rules_final": Table(rule_rows(entries)),
+            "run": run_section(state, telemetry.read_stats_csv(temporaries[0]), entries),
         }
         with open(temporaries[1], "w") as fh:
             write_json(fh, report)

@@ -151,7 +151,9 @@ class RuleTable:
         return best
 
     def all_entries(self) -> list[RuleEntry]:
-        """Every installed entry, in no promised order."""
+        """Every installed entry, in install order (``seq`` ascending):
+        ``_index`` is a dict, ``install`` adds only a free match and
+        ``delete`` removes its key, so a re-installed match comes last."""
         return list(self._index.values())
 
     def polled(self) -> list[RuleEntry]:

@@ -10,8 +10,8 @@ compilation and nothing is written into the given trees. For each scenario
 (all of them unless some are named), runs ``python -m sdnsim.cli run`` from
 each copy in turn with the same ``--out`` directory, and compares the exit
 codes and the sha256 of ``stats.csv`` and ``report.json``. Prints one line
-per scenario, with each tree's peak RSS and wall time, and exits 1 if any
-of them differs or fails.
+per scenario, naming what differs (``DIFFERENT (report.json)``), with each
+tree's peak RSS and wall time, and exits 1 if any of them differs or fails.
 
 The named scenarios come from ``perfbench/workloads.py``. The
 ``generated-<i>`` ones are drawn from a fixed seed over small grids, server
@@ -150,7 +150,10 @@ def main(argv: list[str]) -> int:
             config.write_text(json.dumps(SCENARIOS[name]))
             (old, *old_cost), (new, *new_cost) = (
                 run_tree(src, config, work / "out") for src in trees)
-            verdict = "DIFFERENT" if old != new else "FAILED" if old[0] else "identical"
+            changed = [part for part, a, b in zip(("exit code", *ARTIFACTS),
+                                                  (old[0], *old[1]), (new[0], *new[1])) if a != b]
+            verdict = (f"DIFFERENT ({', '.join(changed)})" if changed
+                       else "FAILED" if old[0] else "identical")
             differ += verdict != "identical"
             mitigated += name in GENERATED and new_cost[2]
             code, digests = new

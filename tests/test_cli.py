@@ -34,7 +34,6 @@ from sdnsim.cli import (
     matrix_rates,
     reference_template,
     run_scenario,
-    sample_rows,
     topology_row,
     validate_config,
     write_json,
@@ -44,7 +43,7 @@ from sdnsim.simnet import SimConfig, SimulationError
 from sdnsim.telemetry import StatSample, read_stats_csv
 from sdnsim.topology import MAX_HOSTS_PER_EDGE, NodeId, build_grid
 
-from test_simnet import simple_scenario
+from test_simnet import run_json, simple_scenario
 
 
 def small_raw(**overrides):
@@ -217,7 +216,6 @@ def test_an_attack_verdict_that_flags_no_cluster_mitigates_nothing():
         (5.0, "attack_detected"), (10.0, "attack_detected"), (10.0, "mitigation_applied")]
     assert plans[:2] == [None, None] and plans[2] is pipeline.plan
     assert pipeline.plan.suspicious_sources == [attacker]
-    assert pipeline.mitigation_time == 10.0
 
 
 # -- run_scenario ----------------------------------------------------------
@@ -321,6 +319,38 @@ def test_mitigation_fires_once_in_attack_scenario(tmp_path, duration):
     assert report["mitigation"]["scrubber"] == "s200"
     assert report["mitigation_time"] == 25.0
     assert all(p["detection"]["attack"] for p in report["polls"] if p["t"] > 25.0)
+
+
+def twelve_edge_report(tmp_path) -> dict:
+    """The report of a mitigating run on 12 edges, whose addresses
+    10.0.10.* and 10.0.11.* sort apart by number and by string."""
+    cfg, _ = validate_config(small_raw(grid_n=3, grid_m=5, output_dir=str(tmp_path / "out")))
+    assert run_scenario(cfg) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["mitigation"] is not None
+    return report
+
+
+def test_counters_hold_the_rule_dump_in_its_order(tmp_path):
+    report = twelve_edge_report(tmp_path)
+    rules = report["rules_final"]
+    # The redirects and return rules of the mitigation outrank the base rules.
+    assert len({rule["priority"] for rule in rules}) > 1
+    assert list(report["run"]["counters"].items()) == [
+        ("|".join(str(rule[k]) for k in ("switch", "match_src", "match_dst", "priority")),
+         [rule["packets"], rule["bytes"]])
+        for rule in rules]
+
+
+def test_flow_snapshots_follow_the_flows_order(tmp_path):
+    run = twelve_edge_report(tmp_path)["run"]
+    flows = list(run["flows"])
+    assert flows != sorted(flows)
+    snapshots = run["flow_snapshots"]
+    # The attackers' flows, which start at t = 20, join the later snapshots.
+    assert len(snapshots[0]) < len(snapshots[-1]) == len(flows)
+    for snapshot in snapshots:
+        assert list(snapshot) == [flow for flow in flows if flow in snapshot]
 
 
 # -- command line ----------------------------------------------------------
@@ -695,7 +725,8 @@ def test_invariant_violation_mid_run_leaves_no_partial_artifact(tmp_path, monkey
 def test_sample_rows_hold_each_field_in_order():
     samples = [StatSample(5.0, "e0", "10.0.1.0", "10.0.0.0", 100, 20_000),
                StatSample(10.0, "e1", "10.0.2.0", "10.0.0.0", 7, 1_400)]
-    rows = list(sample_rows(samples))
+    topo, rules, rates, cfg, _, _ = simple_scenario()
+    rows = json.loads(run_json(simnet.SimState(topo, rules, rates, cfg), samples))["samples"]
     assert rows == [s._asdict() for s in samples]
     assert [list(row) for row in rows] == [list(StatSample._fields)] * 2
 
@@ -908,7 +939,7 @@ def test_request_rate_does_not_drive_run_time(tmp_path):
 # sha256 of stats.csv + report.json (report's output_dir echo normalized)
 # for small_raw(), and of `sdnsim init-config --template reference`. Any
 # change to these artifacts must update the constants and say why.
-SMALL_RAW_DIGEST = "e16d1c11889ffa8ca919fb9afd1103f65f263865d5a3f9825333890e39abfa19"
+SMALL_RAW_DIGEST = "52860188bdb84962ee103a774f0697be2b7cea1e8f6c3e67ab7f4788b022debb"
 REFERENCE_TEMPLATE_DIGEST = "6fabaca1e4c5a2b8f59b8bdcc651f5da1a87a121a6c70476358c0d1939b8bb1f"
 
 
@@ -1180,10 +1211,13 @@ def test_rule_table_write_holds_little_per_installed_rule():
                                f"10.0.{i // 200}.{i % 200}" if i % 3 else None,
                                f"10.1.{i % 13}.{i}", i % 5, BASE_PRIORITY + i % 2))
     sink = type("Sink", (), {"write": staticmethod(len)})
+    state = simnet.SimState(build_grid(2, 2, 1), rules, {}, SimConfig())
 
     def write():
-        write_json(sink, {"rules_final": Table(cli.rule_rows(rules)),
-                          "run": {"counters": Table(cli._counter_rows(rules), keyed=True)}})
+        # As run_scenario writes them: one sort for the dump and the counters.
+        entries = cli.rule_order(rules)
+        write_json(sink, {"rules_final": Table(cli.rule_rows(entries)),
+                          "run": cli.run_section(state, [], entries)})
 
     write()  # fills the process-wide name cache
     tracemalloc.start()
@@ -1193,10 +1227,11 @@ def test_rule_table_write_holds_little_per_installed_rule():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # 115 B measured: the counters' sort keys. A key tuple per rule for the
-    # rules' sort, a dict of key tuples for the counters and 256 rows per
-    # encode call made it 202.
-    assert peak / n <= 150
+    # 25.7 B measured: the one sorted entry list and a chunk of rows. The
+    # counters' own string sort keys made it 115; a key tuple per rule for
+    # the rules' sort, a dict of key tuples for the counters and 256 rows
+    # per encode call made it 202.
+    assert peak / n <= 28
 
 
 class Recorder:

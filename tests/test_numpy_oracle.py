@@ -138,3 +138,21 @@ def test_gaussian_split_matches_numpy(n, seed, scale, ties, bandwidth):
     assert same(grid, oracle_grid.tolist())
     for got, want in zip(density, oracle_density.tolist()):
         assert abs(got - want) <= DENSITY_ULPS * math.ulp(want)
+
+
+def test_gaussian_split_merges_an_undersized_lowest_segment_as_numpy_does():
+    # A low outlier below two clusters of 100: of the two density minima,
+    # the lower leaves the outlier a segment of its own, under MIN_WEIGHT
+    # of the sample, so that boundary goes and the outlier joins the low
+    # cluster. Dropping the other boundary instead would leave the outlier
+    # alone again, and then one component.
+    rng = np.random.default_rng(5)
+    values = np.concatenate([[1.0], rng.normal(50.0, 2.0, 100), rng.normal(80.0, 2.0, 100)])
+    data = values.tolist()
+    _, density = analytics.kernel_density(data, analytics.silverman_bandwidth(data))
+    assert len(analytics.density_minima(density)) == 2
+    with mock.patch.object(np, "exp", libm_exp):
+        want = oracle.decompose_gaussian_1d(values)
+    got = analytics.decompose_gaussian_1d(data)
+    assert same(got, want)
+    assert [c.count for c in got] == [101, 100]

@@ -462,6 +462,24 @@ def test_delete_names_the_rule_its_match_holds():
     assert rules.find(edge, "10.0.0.0", "10.0.1.0") is None
 
 
+def test_all_entries_keep_install_order_across_a_delete_and_a_reinstall():
+    # The report's rule dump orders rules of one switch and priority by
+    # this list alone, with no sort on seq.
+    rules = RuleTable()
+    edge, core = NodeId.edge(0), NodeId.core(1, 1)
+    specs = [FlowRule(core, None, "10.0.1.0", 2, BASE_PRIORITY),
+             FlowRule(edge, "10.0.0.0", "10.0.1.0", 1, BASE_PRIORITY),
+             FlowRule(core, None, "10.0.0.0", 3, BASE_PRIORITY)]
+    for spec in specs:
+        rules.install(spec)
+    rules.delete(core, None, "10.0.1.0", BASE_PRIORITY)
+    rules.install(FlowRule(core, None, "10.0.1.0", 4, BASE_PRIORITY))
+    entries = rules.all_entries()
+    assert [(e.switch, e.match_dst, e.out_port) for e in entries] == [
+        (edge, "10.0.1.0", 1), (core, "10.0.0.0", 3), (core, "10.0.1.0", 4)]
+    assert [e.seq for e in entries] == [1, 2, 3]
+
+
 def test_rule_records_keep_no_instance_dict():
     # A run's state is mostly its rule table: `fabric` holds 1 610 records.
     entry = RuleTable().install(FlowRule(NodeId.edge(0), None, "10.0.1.0", 1, BASE_PRIORITY))

@@ -11,9 +11,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from sdnsim import routing, simnet
-from sdnsim.cli import (
-    EXIT_OK, ScenarioPipeline, _snapshot_rows, build_scenario, run_scenario, validate_config,
-)
+from sdnsim.cli import EXIT_OK, ScenarioPipeline, build_scenario, run_scenario, validate_config
 from sdnsim.mitigation import SCRUBBER_CAPACITY_BPS, MitigationError
 from sdnsim.routing import (
     BASE_PRIORITY, FlowKey, FlowRule, RoutingError, RuleTable, handle_packet_in,
@@ -464,9 +462,10 @@ def test_random_grids_cap_scrubbed_flows_after_mitigation(doc):
         return
     # Delivered bytes at each poll after mitigation and at the end, as
     # {"src->dst": bytes}; the scrubbed requests all share the throttled link.
-    t0 = pipeline.mitigation_time
+    t0 = next(e["t"] for e in record.events if e["event"] == "mitigation_applied")
+    snapshots = json.loads(run_json(record, []))["flow_snapshots"]
     delivered = {t: {flow: n for flow, (_, n) in snapshot.items()}
-                 for t, snapshot in zip(record.poll_times, _snapshot_rows(record))}
+                 for t, snapshot in zip(record.poll_times, snapshots)}
     delivered[sim_cfg.duration] = {f"{src}->{dst}": tally.delivered_bytes
                                    for (src, dst), tally in record.flows.items()}
     scrubbed = [f"{src}->{pipeline.plan.target}" for src in pipeline.plan.suspicious_sources]

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdnsim import simnet
-from sdnsim.cli import run_section, write_json
+from sdnsim import mitigation, simnet
+from sdnsim.cli import rule_order, run_section, write_json
 from sdnsim.routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, handle_packet_in
 from sdnsim.mitigation import MitigationError
 from sdnsim.simnet import (
@@ -154,7 +154,7 @@ def run_json(state, samples) -> str:
     """The report's ``run`` section for a run and the samples its polls
     took, as report.json holds it."""
     fh = io.StringIO()
-    write_json(fh, run_section(state, samples))
+    write_json(fh, run_section(state, samples, rule_order(state.rules)))
     return fh.getvalue()
 
 
@@ -431,3 +431,32 @@ def test_engine_and_trace_path_share_the_loop_bound():
     assert record.flows[(key.dst, key.src)].delivered_packets == 20
     path = trace_path(topo, rules, key)
     assert [node.name for node in path] == ["h0s2", *loop, "h0s0"]
+
+
+def test_a_loop_through_a_throttled_link_ends_once_the_link_passed_it():
+    # The scrubber detour of a flow on the server's own edge, less its
+    # return rule: e0 sends what comes back over the throttled link to the
+    # scrubber again, two switch hops a lap.
+    topo = build_grid(2, 2, 2)
+    server, client = NodeId.host(0, 0), NodeId.host(0, 1)
+    topo.server = server
+    rules = RuleTable()
+    key = FlowKey(topo.ip_of[client], topo.ip_of[server])
+    handle_packet_in(rules, topo, key)
+    plan = mitigation.plan_scrubber(key.dst, [key.src], topo, rules)
+    mitigation.apply(plan, topo, rules)
+    (back,) = [edit.rule for edit in plan.rule_edits if edit.rule.in_port is not None]
+    assert back.in_port == 201
+    rules.delete(back.switch, back.match_src, back.match_dst, back.priority)
+    assert topo.hop_limit == 11
+
+    state = SimState(topo, rules, {client: 1.0}, SimConfig(attack_start=0.0))
+    with pytest.raises(SimulationError, match="forwarding loop"):
+        step(state)
+    # The 12th hop is the one onto the throttled link: the walk stops once
+    # the link has passed the packet, not a lap later.
+    (ls,) = state.link_states.values()
+    assert (ls.entered_packets, ls.passed_packets) == (6, 6)
+    redirect = rules.find(plan.attach_to, key.src, key.dst)
+    loop = rules.find(plan.scrubber, key.src, key.dst)
+    assert redirect.packets == loop.packets == 6
