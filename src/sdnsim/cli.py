@@ -278,6 +278,12 @@ class ScenarioPipeline:
     in ``last_seen`` and ``prev_clustering``. It reads no run state, so it
     is the one way to build a poll entry, in a run and in a replay of
     ``stats.csv``. ``on_poll`` analyses each poll, then acts on the verdict.
+
+    k-means and the Gaussian split are pure functions of their input, which
+    on steady traffic repeats from poll to poll. The pipeline keeps the last
+    input of each with its result, and reuses the result when the next input
+    compares equal (``FeatureVector`` compares by value). ``detect`` and
+    ``compare_clusterings`` run on every poll.
     """
 
     def __init__(self, cfg: ScenarioConfig, topo):
@@ -286,6 +292,9 @@ class ScenarioPipeline:
         self.server_edge = topo.edge_of_host(topo.server).name
         self.last_seen: dict[tuple[str, str, str], tuple[int, int]] = {}
         self.prev_clustering: analytics.Clustering | None = None
+        # The last input of k-means and of the Gaussian split, with its result.
+        self._clustered: tuple[list, analytics.Clustering | None] = ([], None)
+        self._split: tuple[list, list] = ([], [])
         self.polls: list[dict] = []
         self.plan: mitigation.MitigationPlan | None = None
 
@@ -302,15 +311,18 @@ class ScenarioPipeline:
         vectors = analytics.build_features(local, self.server_ip, self.cfg.poll_interval)
         clustering = report = None
         if vectors:
-            clustering = analytics.kmeans(vectors, min(self.cfg.k_clusters, len(vectors)))
+            if self._clustered[0] != vectors:
+                self._clustered = (vectors, analytics.kmeans(
+                    vectors, min(self.cfg.k_clusters, len(vectors))))
+            clustering = self._clustered[1]
             report = analytics.detect(byte_rate, self.cfg.threshold, clustering)
         up_rates = [v.byte_rate_up for v in vectors]
+        if len(up_rates) >= 2 and self._split[0] != up_rates:
+            self._split = (up_rates, analytics.decompose_gaussian_1d(up_rates, self.cfg.bandwidth))
         entry = {
             "t": t,
             "aggregate": {"packets": packets, "bytes": size, "byte_rate": byte_rate},
-            "gaussian": [
-                vars(c) for c in analytics.decompose_gaussian_1d(up_rates, self.cfg.bandwidth)
-            ] if len(up_rates) >= 2 else None,
+            "gaussian": [vars(c) for c in self._split[1]] if len(up_rates) >= 2 else None,
             # Cluster-history matching within a tenth of the largest known
             # centroid magnitude, floored at 1 to survive all-idle polls.
             "new_clusters": analytics.compare_clusterings(

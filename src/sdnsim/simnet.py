@@ -64,6 +64,22 @@ a destination it installs a dst-only rule for, but no other. Rule lookups
 happen only after such a change, not every tick. A flow whose path from its
 first switch matches no rule raises a packet-in.
 
+Steady flows travel in epochs. Between two polls nothing reads a rule
+counter or a flow tally, so a host's tick need not be walked when its
+outcome is known: its request and response tallies exist (``flows`` keeps
+its order), its compiled request path ends at the server and the server's
+response path ends at the host, each within the hop limit and across no
+throttled link. Such a steady tick only adds its count to the host's
+pending segment, which holds both paths, both tallies and a count; a
+steady tick whose paths compile to other ``Path`` objects first replays
+the segment. A replay adds what the walks would have added, along the
+stored paths, so a rule edited since cannot misroute deferred packets.
+``step`` replays every segment at the end of each tick that a poll
+follows, and at the run's last tick. A flow's emitted and delivered counts
+move together, so per-flow conservation holds after every tick; throttled
+flows, queue drains, packet-ins, attack gating, residues and the link
+balance stay per tick.
+
 A packet that crosses more than ``Topology.hop_limit`` switches, counted
 across throttled links, is a forwarding loop and raises
 :class:`SimulationError`; the bound is read from the topology, where it costs
@@ -296,6 +312,9 @@ class SimState:
     # {(src, dst, node, in_port): (rule-table versions of (dst, None) and
     #  (dst, src), compiled path from that node and port)}
     _paths: dict[tuple, tuple[tuple[int, int], Path]] = field(default_factory=dict, repr=False)
+    # host -> pending segment of its steady ticks: [request Path, response
+    #  Path, request tally, response tally, count]
+    _pending: dict[NodeId, list] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.hosts = sorted(self.rates)
@@ -340,7 +359,8 @@ class Path(NamedTuple):
     matches, hop by hop, and where it ends. ``link`` is the throttled link
     the last entry sends onto, and ``node``/``in_port`` is where packets
     resume beyond it. Without a link, ``node`` is the host the walk delivers
-    to, None for a miss, or the switch it reached past the hop limit."""
+    to, None for a miss, or the node it reached past the hop limit (a host,
+    if the loop's last hop happens to deliver)."""
 
     entries: tuple[RuleEntry, ...]
     link: LinkState | None
@@ -427,6 +447,48 @@ def _emit(state: SimState, src_host: NodeId, dst_ip: str, size: int, count: int)
     _walk(state, key, tally, size, count, path)
 
 
+def _defer(state: SimState, host: NodeId, server_ip: str, count: int) -> bool:
+    """Add a host's tick of ``count`` requests to its pending segment if
+    the tick is steady (see the module docstring); return whether it was."""
+    topo = state.topology
+    key = FlowKey(topo.ip_of[host], server_ip)
+    back = key.reversed()
+    request, response = state.flows.get(key), state.flows.get(back)
+    if request is None or response is None:
+        return False
+    limit = topo.hop_limit
+    out = _path(state, key, *topo.peer(host, HOST_PORT))
+    if out.link is not None or out.node != topo.server or len(out.entries) > limit:
+        return False
+    ret = _path(state, back, *topo.peer(topo.server, HOST_PORT))
+    if ret.link is not None or ret.node != host or len(ret.entries) > limit:
+        return False
+    segment = state._pending.get(host)
+    if segment is not None and segment[0] is out and segment[1] is ret:
+        segment[4] += count
+        return True
+    if segment is not None:
+        _replay(state, segment)
+    state._pending[host] = [out, ret, request, response, count]
+    return True
+
+
+def _replay(state: SimState, segment: list) -> None:
+    """Forward a pending segment's requests, then their responses, along
+    its stored paths, all at once."""
+    out, ret, request, response, count = segment
+    for path, tally, size in ((out, request, state.cfg.request_bytes),
+                              (ret, response, state.cfg.response_bytes)):
+        run_bytes = count * size
+        tally.emitted_packets += count
+        tally.emitted_bytes += run_bytes
+        for entry in path.entries:
+            entry.packets += count
+            entry.bytes += run_bytes
+        tally.delivered_packets += count
+        tally.delivered_bytes += run_bytes
+
+
 def _runs(state: SimState, count: int) -> Iterator[int]:
     """The sizes of the runs that ``count`` identical packets go in, by the
     split rule of the module docstring. The caller sends each run before
@@ -444,7 +506,10 @@ def _runs(state: SimState, count: int) -> Iterator[int]:
 
 
 def step(state: SimState) -> None:
-    """Advance the simulation by one tick."""
+    """Advance the simulation by one tick.
+
+    The counters and tallies of steady flows are current at every poll
+    boundary and after the run's last tick, not after every tick."""
     t = state.time
     cfg = state.cfg
     _rebuild(state)
@@ -478,8 +543,16 @@ def step(state: SimState) -> None:
         acc = state.residues.get(host, 0.0) + state.rates[host] * cfg.tick
         count = math.floor(acc + 1e-9)
         state.residues[host] = acc - count
+        if count and _defer(state, host, server_ip, count):
+            continue
         for run in _runs(state, count):
             _emit(state, host, server_ip, cfg.request_bytes, run)
+
+    ticks = state.step_index + 1
+    if ticks % cfg.poll_every == 0 or ticks >= cfg.steps:
+        for segment in state._pending.values():
+            _replay(state, segment)
+        state._pending.clear()
 
     # Exact conservation, checked every tick from an empty start: every
     # packet that entered has passed, been dropped, or is still queued.

@@ -186,6 +186,45 @@ def test_analyse_builds_each_poll_entry_from_its_samples_alone():
     assert pipeline.polls == [] and pipeline.plan is None
 
 
+# Near 2**52 consecutive integers are consecutive floats: with a 1 s poll
+# interval, one byte more in a poll is a byte rate one ulp higher.
+ULP_BASE = 2**52
+
+
+@settings(max_examples=60, deadline=None)
+@given(clients=st.integers(1, 4), k_clusters=st.integers(1, 3),
+       polls=st.lists(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)),
+                               min_size=4, max_size=4), min_size=2, max_size=6))
+# a repeat of the first poll, then one byte more from the second client
+@example(clients=2, k_clusters=3, polls=[[(0, 0), (1, 0)] * 2, [(0, 0), (1, 0)] * 2,
+                                         [(0, 0), (2, 0)] * 2])
+def test_analyse_reuses_results_only_for_an_equal_input(clients, k_clusters, polls):
+    # Each poll, client i sends ULP_BASE + up bytes and gets down kB back,
+    # for the (up, down) of its column. A pipeline that keeps its last
+    # k-means and Gaussian results must build the entries that a fresh one
+    # builds from the same history.
+    cfg, _ = validate_config({"grid_n": 2, "grid_m": 2, "hosts_per_edge": 2,
+                              "poll_interval": 1.0, "k_clusters": k_clusters})
+    topo = build_scenario(cfg)[0]
+    server = topo.ip_of[topo.server]
+    edge = topo.edge_of_host(topo.server).name
+    ips = sorted(ip for ip in topo.host_of_ip if ip != server)[:clients]
+    memoised = ScenarioPipeline(cfg, topo)
+    totals = {}
+    for n, poll in enumerate(polls, 1):
+        samples = []
+        for ip, (up, down) in zip(ips, poll):
+            for key, size in (((ip, server), ULP_BASE + up), ((server, ip), 1_000 * down)):
+                packets, total = totals.get(key, (0, 0))
+                totals[key] = packets + 1, total + size
+                samples.append(StatSample(float(n), edge, *key, *totals[key]))
+        fresh = ScenarioPipeline(cfg, topo)
+        fresh.last_seen = dict(memoised.last_seen)
+        fresh.prev_clustering = memoised.prev_clustering
+        expected = json.dumps(fresh.analyse(float(n), samples))
+        assert json.dumps(memoised.analyse(float(n), samples)) == expected
+
+
 def test_an_attack_verdict_that_flags_no_cluster_mitigates_nothing():
     # The cluster at least as intense as the mean is sharper than the
     # median, so detect flags no cluster.
@@ -447,6 +486,38 @@ def test_poll_interval_below_tick_exits_2(tmp_path):
     code, err = run_document({"poll_interval": 1e-9}, tmp_path / "out")
     assert code == EXIT_CONFIG
     assert "poll_interval must be at least one tick" in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"output_dir": ""}, "output_dir must be a non-empty string"),
+    ({"output_dir": 5}, "output_dir must be a non-empty string"),
+    ({"grid_n": 2, "grid_m": 2, "server_edge": 4}, "server_edge must be < 4"),
+    ({"hosts_per_edge": 2, "server_slot": 2}, "server_slot must be < 2"),
+    ({"attackers": "h1s2"}, "attackers must be a list of host names"),
+    ({"attackers": ["h1s2", 7]}, "attackers must be a list of host names"),
+])
+def test_each_config_error_exits_2_with_its_message(tmp_path, doc, message):
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps({"output_dir": str(tmp_path / "out"), **doc}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(config_path)])
+    assert code == EXIT_CONFIG
+    assert err.getvalue() == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_output_dir_under_a_regular_file_exits_2(tmp_path):
+    config_path = tmp_path / "scenario.json"
+    config_path.write_text(json.dumps(small_raw(duration=5.0)))
+    (tmp_path / "file").write_text("kept")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "file" / "out")])
+    assert code == EXIT_CONFIG
+    assert err.getvalue().startswith("cannot create output directory:")
+    assert err.getvalue().count("\n") == 1
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_hosts_per_edge_capped_at_topology_limit(tmp_path):

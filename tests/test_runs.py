@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
@@ -18,14 +19,16 @@ from sdnsim.routing import (
 )
 from sdnsim.simnet import SimConfig, SimulationError
 from sdnsim.telemetry import CounterRegressionError, delta
-from sdnsim.topology import Link, NodeId, attach_switch, build_grid
+from sdnsim.topology import (
+    HOST_FACING_BASE, HOST_PORT, Link, NodeId, attach_switch, build_grid,
+)
 
 import heap_paths
 import per_packet
 from rule_paths import trace_path
 from conftest import SampleLog, destination_tree_ok
 from test_cli import POLL_KEYS, replayed_polls, small_raw
-from test_simnet import run_json
+from test_simnet import LOOP, install_walk, run_json, simple_scenario
 
 # The per-packet differential tests report a failing example without
 # shrinking it: a broken engine or writer fails every example, and
@@ -202,6 +205,135 @@ def test_runs_match_the_per_packet_engine_under_rule_edits(doc, seed):
         with mock.patch.object(routing, "shortest_path", search):
             records.append(outcome(engine_run, topo, rules, rates, sim_cfg, on_poll=on_poll))
     assert records[0] == records[1]
+
+
+def after_each_step(module, edit):
+    """Patch ``module.step`` to call ``edit(state)`` after every tick.
+    ``per_packet.run`` installs ``per_packet.step`` as ``simnet.step`` when
+    it starts, so patching either module's ``step`` reaches its run."""
+    inner = module.step
+
+    def step(state):
+        inner(state)
+        edit(state)
+
+    return mock.patch.object(module, "step", step)
+
+
+@settings(max_examples=60, deadline=None, phases=FAIL_FAST)
+@given(doc=cli_scenarios(), seed=st.integers(0, 2**32 - 1),
+       poll_ticks=st.integers(3, 6), ticks=st.integers(6, 14))
+# two clients' first-switch rules are deleted mid-epoch and reinstalled by
+# their next packet-ins: their next ticks go over the new rules
+@example(doc={"grid_n": 2, "grid_m": 2, "hosts_per_edge": 2, "server_edge": 0,
+              "server_slot": 0, "client_matrix": 1, "base_rate": 2.0,
+              "request_bytes": 100, "response_bytes": 300, "attackers": [],
+              "attacker_rate": None, "attack_start": 0.0, "tick": 1.0, "duration": 1.0,
+              "poll_interval": 1.0, "threshold": None, "k_clusters": 1},
+         seed=4, poll_ticks=6, ticks=12)
+def test_runs_match_the_per_packet_engine_under_rule_edits_between_polls(
+    doc, seed, poll_ticks, ticks
+):
+    # Polls are several ticks apart, and the rules change after any tick,
+    # so steady flows meet rule edits inside an epoch.
+    doc = dict(doc, poll_interval=poll_ticks * doc["tick"], duration=ticks * doc["tick"])
+    records = []
+    for module in (simnet, per_packet):
+        topo, rules, rates, sim_cfg, _ = build(doc)
+        rng = random.Random(seed)
+
+        def edit(state):
+            if rng.random() < 0.4:
+                edit_rules(rng, state.topology, state.rules)
+
+        with after_each_step(module, edit):
+            records.append(outcome(module.run, topo, rules, rates, sim_cfg))
+    assert records[0] == records[1]
+
+
+def test_a_packet_in_inside_an_epoch_restarts_a_steady_flows_segment():
+    # The packet-in of test_packet_in_keeps_compiled_paths_toward_other_
+    # destinations, three ticks into a six-tick epoch: the server's
+    # responses to a recompile, so a's segment is replayed and a new one
+    # begins on the new path.
+    doc = small_raw(attackers=[], base_rate=1.0, client_matrix=1,
+                    duration=6.0, poll_interval=6.0)
+    records, segments = [], []
+    for module in (simnet, per_packet):
+        topo, rules, rates, sim_cfg, _ = build(doc)
+        server_ip = topo.ip_of[topo.server]
+        a, b = sorted(ip for ip in topo.host_of_ip if ip != server_ip)[:2]
+
+        def edit(state):
+            if module is simnet:
+                # a's segment after each tick: its response path and count
+                segment = state._pending.get(topo.host_of_ip[a])
+                segments.append(segment and (segment[1], segment[4]))
+            if state.step_index == 3:
+                assert handle_packet_in(rules, topo, FlowKey(a, b))
+
+        with after_each_step(module, edit):
+            records.append(outcome(module.run, topo, rules, rates, sim_cfg))
+    assert records[0] == records[1]
+    # a is steady from its second tick, and the run's last tick replays
+    # every segment.
+    assert segments[0] is None and segments[5] is None
+    (before, n1), (same, n2), (after, n3), (again, n4) = segments[1:5]
+    assert before is same and (n1, n2) == (1, 2)
+    assert after is again and after is not before and (n3, n4) == (1, 2)
+
+
+def test_a_loop_installed_inside_an_epoch_raises_as_per_packet_does():
+    # The client's requests are steady from their second tick. After two
+    # ticks their rules are replaced by LOOP, which still ends at the
+    # server but one switch visit past the hop limit: the next tick raises.
+    records = []
+    for module in (simnet, per_packet):
+        topo, rules, rates, cfg, server, client = simple_scenario()
+        key = FlowKey(topo.ip_of[client], topo.ip_of[server])
+
+        def edit(state):
+            if state.step_index == 2:
+                for entry in list(rules.all_entries()):
+                    if entry.match_dst == key.dst:
+                        rules.delete(entry.switch, entry.match_src, entry.match_dst,
+                                     entry.priority)
+                install_walk(topo, rules, key, LOOP)
+
+        with after_each_step(module, edit):
+            records.append(outcome(module.run, topo, rules, rates, cfg))
+    assert records[0] == records[1] == (
+        "SimulationError", f"forwarding loop for {key.src}->{key.dst}")
+
+
+@pytest.mark.parametrize("throttled", ["server", "client"])
+def test_runs_match_the_per_packet_engine_over_a_throttled_host_link(throttled):
+    # The server, or one client, hangs off its edge switch by a throttled
+    # link: every request path, or that client's response path, ends by
+    # crossing it onto the host, so no such tick is steady. The link's
+    # budget passes fewer packets a tick than arrive.
+    records, entered = [], []
+    for engine_run in (simnet.run, per_packet.run):
+        topo = build_grid(2, 2, 1)
+        server, client = NodeId.host(0, 1), NodeId.host(1, 1)
+        for host, name in ((server, "server"), (client, "client")):
+            u = host.index[0]
+            topo.add_node(host)
+            topo.add_link(Link(host, HOST_PORT, NodeId.edge(u), HOST_FACING_BASE + 1,
+                               **({"capacity": 2_500.0, "queue_cap": 20}
+                                  if name == throttled else {})))
+            topo.register_host(host, f"10.0.{u}.1")
+        topo.server = server
+        rates = {host: 5.0 for host in topo.hosts() if host != server}
+        cfg = SimConfig(duration=10.0, poll_interval=5.0, attack_start=0.0,
+                        request_bytes=200, response_bytes=1000)
+        records.append(outcome(engine_run, topo, RuleTable(), rates, cfg))
+        (link,) = json.loads(records[-1])["links"]
+        entered.append((link["entered_packets"], link["passed_packets"]))
+    assert records[0] == records[1]
+    # 25 requests a tick toward the server, of which 12 pass; or a response
+    # to each of the client's 5 requests a tick, of which 2 pass.
+    assert entered[0] == {"server": (250, 120), "client": (50, 20)}[throttled]
 
 
 def detour_scenario(capacity, queue_cap, responses, feed_capacity):

@@ -388,30 +388,35 @@ def test_two_switch_rule_cycle_is_a_forwarding_loop():
         trace_path(topo, rules, FlowKey(c_ip, s_ip))
 
 
+# The requests of simple_scenario's client through the 2x2 core on a walk
+# of 11 switch visits, one more than the grid's hop limit, ending at the
+# server.
+LOOP = "e2 c1_1 c1_0 e3 c1_0 c0_0 c0_1 c1_1 c0_1 c0_0 e0".split()
+
+
+def install_walk(topo, rules, key, names):
+    """One rule for ``key`` per switch visit of ``names``, each at a higher
+    priority than the last, and in_port-qualified on a switch the walk
+    visits twice. A match holds one rule, so a switch's first visit takes
+    the src-qualified match and its second the dst-only one."""
+    by_name = {node.name: node for node in topo.nodes}
+    walk = [topo.host_of_ip[key.src], *(by_name[n] for n in names), topo.host_of_ip[key.dst]]
+    for i in range(1, len(walk) - 1):
+        switch = walk[i]
+        in_port = topo.port_toward(switch, walk[i - 1]) if names.count(switch.name) > 1 else None
+        out_port = topo.port_toward(switch, walk[i + 1])
+        match_src = None if switch in walk[1:i] else key.src
+        rules.install(FlowRule(switch, match_src, key.dst, out_port, BASE_PRIORITY + i, in_port))
+
+
 def test_engine_and_trace_path_share_the_loop_bound():
-    # Requests loop through the 2x2 core on a walk of 11 switch visits;
-    # responses take the shortest way back.
+    # Requests loop through the 2x2 core on LOOP; responses take the
+    # shortest way back.
     topo, rules, rates, cfg, server, client = simple_scenario()
     key = FlowKey(topo.ip_of[client], topo.ip_of[server])
     by_name = {node.name: node for node in topo.nodes}
-    loop = "e2 c1_1 c1_0 e3 c1_0 c0_0 c0_1 c1_1 c0_1 c0_0 e0".split()
-
-    def install(key, names):
-        # One rule per visit, each at a higher priority than the last, and
-        # in_port-qualified on a switch the walk visits twice. A match holds
-        # one rule, so a switch's first visit takes the src-qualified match
-        # and its second the dst-only one.
-        walk = [topo.host_of_ip[key.src], *(by_name[n] for n in names), topo.host_of_ip[key.dst]]
-        for i in range(1, len(walk) - 1):
-            switch = walk[i]
-            in_port = topo.port_toward(switch, walk[i - 1]) if names.count(switch.name) > 1 else None
-            out_port = topo.port_toward(switch, walk[i + 1])
-            match_src = None if switch in walk[1:i] else key.src
-            rules.install(
-                FlowRule(switch, match_src, key.dst, out_port, BASE_PRIORITY + i, in_port))
-
-    install(key, loop)
-    install(key.reversed(), ["e0", "c0_0", "c0_1", "c1_1", "e2"])
+    install_walk(topo, rules, key, LOOP)
+    install_walk(topo, rules, key.reversed(), ["e0", "c0_0", "c0_1", "c1_1", "e2"])
 
     # 8 switches: a walk of more than 10 switch visits is a loop.
     assert topo.hop_limit == 10
@@ -419,7 +424,7 @@ def test_engine_and_trace_path_share_the_loop_bound():
         run(topo, rules, rates, cfg)
     with pytest.raises(MitigationError) as caught:
         trace_path(topo, rules, key)
-    walk = " -> ".join(["h0s2", *loop])
+    walk = " -> ".join(["h0s2", *LOOP])
     assert str(caught.value) == f"forwarding loop for {key.src}->{key.dst}: {walk}"
 
     scrub = NodeId.scrubber(0)
@@ -430,7 +435,7 @@ def test_engine_and_trace_path_share_the_loop_bound():
     assert requests.delivered_packets == requests.emitted_packets == 20
     assert record.flows[(key.dst, key.src)].delivered_packets == 20
     path = trace_path(topo, rules, key)
-    assert [node.name for node in path] == ["h0s2", *loop, "h0s0"]
+    assert [node.name for node in path] == ["h0s2", *LOOP, "h0s0"]
 
 
 def test_a_loop_through_a_throttled_link_ends_once_the_link_passed_it():
