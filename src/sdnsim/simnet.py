@@ -18,13 +18,13 @@ balance exactly: entered = passed + dropped + queued.
 
 Packets travel in runs. Within a tick, every packet a host emits has the
 same flow, size and rule path, so the engine forwards them as one
-``(flow, count)`` run: counters and tallies grown by ``count`` and
-``count * size`` at each hop, one response run per request run delivered to
-the server. At a throttled link a run splits: the packets this tick's budget
-admits go on (the budget is still spent packet by packet, so float budgets
-decide exactly as one packet at a time would), the rest queue as one run up
-to ``queue_cap`` and the excess drops. The queue is
-a run-length FIFO that still counts and pops single packets.
+``(flow, count)`` run: tallies and carried counts grown by ``count`` and
+``count * size`` once per compiled path, one response run per request run
+delivered to the server. At a throttled link a run splits: the packets
+this tick's budget admits go on (the budget is still spent packet by
+packet, so float budgets decide exactly as one packet at a time would), the
+rest queue as one run up to ``queue_cap`` and the excess drops. The queue
+is a run-length FIFO that still counts and pops single packets.
 
 The split rule keeps runs exact. The first packet of each host's tick, and
 of each run drained from a queue, walks alone. The rest go as one run only
@@ -42,18 +42,19 @@ In-tick order: every throttled link's budget is refreshed, then the links'
 queues drain in link order (a drained run may cross another link, or be
 answered by a response that does), then hosts emit in host order, each
 host's run (and its response run) forwarded to its end before the next host
-emits. Per-tick cost therefore scales with flows x hops, not with packets.
+emits. Per-tick cost therefore scales with flows, not with packets.
 
 Runs follow compiled paths. The walk of a flow from a switch port,
 :func:`~sdnsim.routing.walk_rules`, is compiled once into the rule entries it
 matches and its end: a host to deliver to, a miss, or a
 throttled link with the port where packets resume beyond it. Each entry is
 the installed rule's one record, holding its out port and its counters.
-Every run that enters there replays it: it grows the entries' counters and
-settles the end, and what a throttled link passes goes on along the
-compiled path from the far side. A compiled path, keyed by (source,
-destination, switch, in_port), reads only the rules toward its destination
-that match its source or any source, so it is valid for one pair of
+Every run that enters there follows it: it adds its packets and bytes to
+the path's carried counts and meets its end, and what a throttled link
+passes goes on along the compiled path from the far side. A compiled path,
+keyed by (source, destination, switch, in_port), reads only the rules
+toward its destination that match its source or any source, so it is valid
+for one pair of
 ``RuleTable.versions[destination, None]`` and
 ``RuleTable.versions[destination, source]`` (an install or delete of a
 dst-only rule toward the destination changes the first, one of a rule
@@ -64,21 +65,20 @@ a destination it installs a dst-only rule for, but no other. Rule lookups
 happen only after such a change, not every tick. A flow whose path from its
 first switch matches no rule raises a packet-in.
 
-Steady flows travel in epochs. Between two polls nothing reads a rule
-counter or a flow tally, so a host's tick need not be walked when its
-outcome is known: its request and response tallies exist (``flows`` keeps
-its order), its compiled request path ends at the server and the server's
-response path ends at the host, each within the hop limit and across no
-throttled link. Such a steady tick only adds its count to the host's
-pending segment, which holds both paths, both tallies and a count; a
-steady tick whose paths compile to other ``Path`` objects first replays
-the segment. A replay adds what the walks would have added, along the
-stored paths, so a rule edited since cannot misroute deferred packets.
-``step`` replays every segment at the end of each tick that a poll
-follows, and at the run's last tick. A flow's emitted and delivered counts
-move together, so per-flow conservation holds after every tick; throttled
-flows, queue drains, packet-ins, attack gating, residues and the link
-balance stay per tick.
+Rule counters grow in one place. Between two polls nothing reads them, so
+a compiled path carries the packets and bytes that walked it since the last
+settle, and :func:`_settle` adds them to its entries' counters at the end
+of each tick that a poll follows and at the run's last tick. A path
+recompiled meanwhile still settles into the entries its packets matched.
+So a host's tick need not be walked when its outcome is known: its
+compiled request path ends at the server and the server's response path
+ends at the host, each within the hop limit and across no throttled link.
+Such a steady tick takes the request tally, then the response tally (the
+order a walk makes them in), and adds its count to each tally's emitted
+and delivered counts and to each path's carried counts. Flow tallies, link
+counters, queues and events are exact after every tick, and rule counters
+at every poll and after the last tick; throttled flows, queue drains,
+packet-ins, attack gating and residues stay per tick.
 
 A packet that crosses more than ``Topology.hop_limit`` switches, counted
 across throttled links, is a forwarding loop and raises
@@ -99,7 +99,6 @@ from array import array
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from . import telemetry
 from .routing import FlowKey, RuleEntry, RuleTable, handle_packet_in, walk_rules
@@ -312,9 +311,8 @@ class SimState:
     # {(src, dst, node, in_port): (rule-table versions of (dst, None) and
     #  (dst, src), compiled path from that node and port)}
     _paths: dict[tuple, tuple[tuple[int, int], Path]] = field(default_factory=dict, repr=False)
-    # host -> pending segment of its steady ticks: [request Path, response
-    #  Path, request tally, response tally, count]
-    _pending: dict[NodeId, list] = field(default_factory=dict, repr=False)
+    # The compiled paths that carry packets not yet added to rule counters
+    _carried: list[Path] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         self.hosts = sorted(self.rates)
@@ -354,18 +352,22 @@ def _deliver(
         _emit(state, host, key.src, state.cfg.response_bytes, count)
 
 
-class Path(NamedTuple):
+@dataclass(slots=True, eq=False)
+class Path:
     """A flow's compiled walk from one switch port: the rule entries it
     matches, hop by hop, and where it ends. ``link`` is the throttled link
     the last entry sends onto, and ``node``/``in_port`` is where packets
     resume beyond it. Without a link, ``node`` is the host the walk delivers
     to, None for a miss, or the node it reached past the hop limit (a host,
-    if the loop's last hop happens to deliver)."""
+    if the loop's last hop happens to deliver). ``packets`` and ``bytes``
+    walked it since the last :func:`_settle`."""
 
     entries: tuple[RuleEntry, ...]
     link: LinkState | None
     node: NodeId | None
     in_port: int | None
+    packets: int = 0
+    bytes: int = 0
 
 
 def _compile(state: SimState, key: FlowKey, node: NodeId, in_port: int) -> Path:
@@ -401,18 +403,19 @@ def _walk(
     state: SimState, key: FlowKey, tally: FlowTally, size: int, count: int, path: Path
 ) -> None:
     """Forward a run of ``count`` packets along its compiled path until a
-    host, a miss, or a throttled link that admits none of them. A walk of
-    more than ``hop_limit`` switch hops, counted across throttled links, is
-    a forwarding loop."""
+    host, a miss, or a throttled link that admits none of them, carrying the
+    run on each path it takes. A walk of more than ``hop_limit`` switch
+    hops, counted across throttled links, is a forwarding loop."""
     limit = state.topology.hop_limit
     hops = 0
     while True:
-        entries, ls, node, in_port = path
+        if not path.packets:
+            state._carried.append(path)
         run_bytes = count * size
-        for entry in entries:
-            entry.packets += count
-            entry.bytes += run_bytes
-        hops += len(entries)
+        path.packets += count
+        path.bytes += run_bytes
+        hops += len(path.entries)
+        ls, node = path.link, path.node
         # The hop onto a throttled link counts once the link passed packets.
         if hops - (ls is not None) > limit:
             raise SimulationError(f"forwarding loop for {key.src}->{key.dst}")
@@ -423,12 +426,12 @@ def _walk(
             else:
                 _deliver(state, key, tally, size, count, node)
             return
-        count = ls.admit(key, tally, size, count, node, in_port)
+        count = ls.admit(key, tally, size, count, node, path.in_port)
         if not count:
             return
         if hops > limit:
             raise SimulationError(f"forwarding loop for {key.src}->{key.dst}")
-        path = _path(state, key, node, in_port)
+        path = _path(state, key, node, path.in_port)
 
 
 def _emit(state: SimState, src_host: NodeId, dst_ip: str, size: int, count: int) -> None:
@@ -448,14 +451,11 @@ def _emit(state: SimState, src_host: NodeId, dst_ip: str, size: int, count: int)
 
 
 def _defer(state: SimState, host: NodeId, server_ip: str, count: int) -> bool:
-    """Add a host's tick of ``count`` requests to its pending segment if
+    """Count a host's tick of ``count`` requests without walking it, if
     the tick is steady (see the module docstring); return whether it was."""
     topo = state.topology
     key = FlowKey(topo.ip_of[host], server_ip)
     back = key.reversed()
-    request, response = state.flows.get(key), state.flows.get(back)
-    if request is None or response is None:
-        return False
     limit = topo.hop_limit
     out = _path(state, key, *topo.peer(host, HOST_PORT))
     if out.link is not None or out.node != topo.server or len(out.entries) > limit:
@@ -463,30 +463,30 @@ def _defer(state: SimState, host: NodeId, server_ip: str, count: int) -> bool:
     ret = _path(state, back, *topo.peer(topo.server, HOST_PORT))
     if ret.link is not None or ret.node != host or len(ret.entries) > limit:
         return False
-    segment = state._pending.get(host)
-    if segment is not None and segment[0] is out and segment[1] is ret:
-        segment[4] += count
-        return True
-    if segment is not None:
-        _replay(state, segment)
-    state._pending[host] = [out, ret, request, response, count]
-    return True
-
-
-def _replay(state: SimState, segment: list) -> None:
-    """Forward a pending segment's requests, then their responses, along
-    its stored paths, all at once."""
-    out, ret, request, response, count = segment
-    for path, tally, size in ((out, request, state.cfg.request_bytes),
-                              (ret, response, state.cfg.response_bytes)):
+    cfg = state.cfg
+    for path, flow, size in ((out, key, cfg.request_bytes), (ret, back, cfg.response_bytes)):
+        tally = state.tally(flow)
         run_bytes = count * size
         tally.emitted_packets += count
         tally.emitted_bytes += run_bytes
-        for entry in path.entries:
-            entry.packets += count
-            entry.bytes += run_bytes
         tally.delivered_packets += count
         tally.delivered_bytes += run_bytes
+        if not path.packets:
+            state._carried.append(path)
+        path.packets += count
+        path.bytes += run_bytes
+    return True
+
+
+def _settle(state: SimState) -> None:
+    """Add each carried path's counts to its rule entries and zero them."""
+    for path in state._carried:
+        packets, run_bytes = path.packets, path.bytes
+        for entry in path.entries:
+            entry.packets += packets
+            entry.bytes += run_bytes
+        path.packets = path.bytes = 0
+    state._carried.clear()
 
 
 def _runs(state: SimState, count: int) -> Iterator[int]:
@@ -508,8 +508,9 @@ def _runs(state: SimState, count: int) -> Iterator[int]:
 def step(state: SimState) -> None:
     """Advance the simulation by one tick.
 
-    The counters and tallies of steady flows are current at every poll
-    boundary and after the run's last tick, not after every tick."""
+    Flow tallies, throttled links and events are current after every tick;
+    rule counters at every poll boundary and after the run's last tick,
+    when :func:`_settle` adds what the compiled paths carried."""
     t = state.time
     cfg = state.cfg
     _rebuild(state)
@@ -550,9 +551,7 @@ def step(state: SimState) -> None:
 
     ticks = state.step_index + 1
     if ticks % cfg.poll_every == 0 or ticks >= cfg.steps:
-        for segment in state._pending.values():
-            _replay(state, segment)
-        state._pending.clear()
+        _settle(state)
 
     # Exact conservation, checked every tick from an empty start: every
     # packet that entered has passed, been dropped, or is still queued.

@@ -38,62 +38,216 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+SIMNET, CLI = "src/sdnsim/simnet.py", "src/sdnsim/cli.py"
+MITIGATION, ROUTING = "src/sdnsim/mitigation.py", "src/sdnsim/routing.py"
+RUNS = "tests/test_runs.py::"
+DIGESTS = "tests/test_cli.py::test_artifacts_match_pinned_digests"
+ORACLE = "tests/test_cli.py::test_analyse_builds_each_poll_entry_from_its_samples_alone"
+NO_CLUSTER = "tests/test_cli.py::test_an_attack_verdict_that_flags_no_cluster_mitigates_nothing"
+
 MUTANTS = [
+    # Steady ticks and carried rule counts (simnet)
     Mutant(
-        "epoch-merges-other-paths",
-        "src/sdnsim/simnet.py",
-        "if segment is not None and segment[0] is out and segment[1] is ret:",
-        "if segment is not None:",
-        ("tests/test_runs.py::test_runs_match_the_per_packet_engine_under_rule_edits_between_polls",),
+        "walked-path-never-carried",
+        SIMNET,
+        "            state._carried.append(path)\n        run_bytes = count * size\n",
+        "            pass\n        run_bytes = count * size\n",
+        (DIGESTS,),
+    ),
+    Mutant(
+        "steady-path-never-carried",
+        SIMNET,
+        "        tally.delivered_bytes += run_bytes\n        if not path.packets:\n"
+        "            state._carried.append(path)\n",
+        "        tally.delivered_bytes += run_bytes\n",
+        (DIGESTS,),
+    ),
+    Mutant(
+        "settle-keeps-the-carried-counts",
+        SIMNET,
+        "        path.packets = path.bytes = 0\n",
+        "",
+        (DIGESTS,),
+    ),
+    Mutant(
+        "steady-tallies-before-the-path-checks",
+        SIMNET,
+        "    back = key.reversed()\n    limit = topo.hop_limit\n",
+        "    back = key.reversed()\n    state.tally(key), state.tally(back)\n"
+        "    limit = topo.hop_limit\n",
+        (RUNS + "test_runs_match_the_per_packet_engine_on_throttled_links",),
     ),
     Mutant(
         "epoch-defers-throttled-requests",
-        "src/sdnsim/simnet.py",
+        SIMNET,
         "if out.link is not None or out.node != topo.server",
         "if out.node != topo.server",
-        ("tests/test_runs.py::test_runs_match_the_per_packet_engine_over_a_throttled_host_link",),
+        (RUNS + "test_runs_match_the_per_packet_engine_over_a_throttled_host_link",),
     ),
     Mutant(
         "epoch-defers-throttled-responses",
-        "src/sdnsim/simnet.py",
+        SIMNET,
         "if ret.link is not None or ret.node != host",
         "if ret.node != host",
-        ("tests/test_runs.py::test_runs_match_the_per_packet_engine_over_a_throttled_host_link",),
+        (RUNS + "test_runs_match_the_per_packet_engine_over_a_throttled_host_link",),
     ),
     Mutant(
         "epoch-hides-a-loop-to-the-server",
-        "src/sdnsim/simnet.py",
+        SIMNET,
         "or out.node != topo.server or len(out.entries) > limit:",
         "or out.node != topo.server:",
-        ("tests/test_runs.py::test_a_loop_installed_inside_an_epoch_raises_as_per_packet_does",),
-    ),
-    Mutant(
-        "epoch-creates-missing-tallies",
-        "src/sdnsim/simnet.py",
-        "request, response = state.flows.get(key), state.flows.get(back)",
-        "request, response = state.tally(key), state.tally(back)",
-        ("tests/test_runs.py::test_runs_match_the_per_packet_engine_on_throttled_links",),
+        (RUNS + "test_a_loop_installed_inside_an_epoch_raises_as_per_packet_does",),
     ),
     Mutant(
         "epoch-flushes-only-at-the-end",
-        "src/sdnsim/simnet.py",
+        SIMNET,
         "if ticks % cfg.poll_every == 0 or ticks >= cfg.steps:",
         "if ticks >= cfg.steps:",
-        ("tests/test_cli.py::test_artifacts_match_pinned_digests",),
+        (DIGESTS,),
+    ),
+    # Derived engine state (simnet._rebuild)
+    Mutant(
+        "rebuild-never-reruns",
+        SIMNET,
+        "if state._topology_version == state.topology.version:",
+        "if state._topology_version != -1:",
+        (DIGESTS,),
+    ),
+    Mutant(
+        "rebuild-gives-links-fresh-states",
+        SIMNET,
+        "{link: state.link_states.get(link) or LinkState(link) for link in links}",
+        "{link: LinkState(link) for link in links}",
+        (RUNS + "test_runs_match_the_per_packet_engine_under_rule_edits",),
+    ),
+    # The forwarding-loop raise after a throttled link passed packets
+    Mutant(
+        "loop-raises-a-lap-later",
+        SIMNET,
+        "        if hops > limit:\n"
+        "            raise SimulationError(f\"forwarding loop for {key.src}->{key.dst}\")\n"
+        "        path = _path(",
+        "        path = _path(",
+        ("tests/test_simnet.py::test_a_loop_through_a_throttled_link_ends_once_the_link_passed_it",),
+    ),
+    # The report writer (cli)
+    Mutant(
+        "links-written-as-fresh-states",
+        CLI,
+        "[link_state_row(ls) for ls in state.link_states.values()]",
+        "[link_state_row(simnet.LinkState(ls.link)) for ls in state.link_states.values()]",
+        (DIGESTS,),
+    ),
+    Mutant(
+        "counters-in-destination-order",
+        CLI,
+        "[e.packets, e.bytes]) for e in entries), keyed=True),",
+        "[e.packets, e.bytes]) for e in sorted(entries, key=lambda e: e.match_dst)), keyed=True),",
+        ("tests/test_cli.py::test_counters_hold_the_rule_dump_in_its_order",),
+    ),
+    Mutant(
+        "snapshot-keys-in-string-order",
+        CLI,
+        "for i, key in order if i < known}",
+        "for i, key in sorted(order, key=lambda item: \"%s->%s\" % item[1]) if i < known}",
+        ("tests/test_cli.py::test_flow_snapshots_follow_the_flows_order",),
+    ),
+    # The analysis and its one-shot mitigation (cli.ScenarioPipeline)
+    Mutant(
+        "new-clusters-against-the-poll-before-last",
+        CLI,
+        "            self.prev_clustering = clustering\n",
+        "            self.prev_clustering, self._last = getattr(self, \"_last\", clustering), "
+        "clustering\n",
+        (ORACLE,),
+    ),
+    Mutant(
+        "aggregate-over-every-edge",
+        CLI,
+        "if d.switch == self.server_edge]",
+        "if True]",
+        (ORACLE,),
+    ),
+    Mutant(
+        "aggregate-bytes-toward-any-destination",
+        CLI,
+        "size = sum(d.d_bytes for d in local if d.dst == self.server_ip)",
+        "size = sum(d.d_bytes for d in local)",
+        (ORACLE,),
+    ),
+    Mutant(
+        "analyse-at-a-later-time",
+        CLI,
+        "self.polls.append(self.analyse(t, samples))",
+        "self.polls.append(self.analyse(t + 1.0, samples))",
+        ("tests/test_cli.py::test_csv_replay_rebuilds_report_aggregates_and_analytics",),
+    ),
+    Mutant(
+        "mitigate-with-no-source",
+        CLI,
+        "        if not verdict[\"suspicious_sources\"]:\n            return\n",
+        "",
+        (NO_CLUSTER,),
+    ),
+    Mutant(
+        "mitigate-more-than-once",
+        CLI,
+        "if verdict is None or not verdict[\"attack\"] or self.plan is not None:",
+        "if verdict is None or not verdict[\"attack\"]:",
+        (NO_CLUSTER,),
     ),
     Mutant(
         "kmeans-memo-keyed-on-clients",
-        "src/sdnsim/cli.py",
+        CLI,
         "if self._clustered[0] != vectors:",
         "if [v.client for v in self._clustered[0]] != [v.client for v in vectors]:",
         ("tests/test_cli.py::test_analyse_reuses_results_only_for_an_equal_input",),
     ),
     Mutant(
         "gaussian-memo-keyed-on-length",
-        "src/sdnsim/cli.py",
+        CLI,
         "if len(up_rates) >= 2 and self._split[0] != up_rates:",
         "if len(up_rates) >= 2 and len(self._split[0]) != len(up_rates):",
         ("tests/test_cli.py::test_analyse_reuses_results_only_for_an_equal_input",),
+    ),
+    # The rule table and mitigation's edits of it
+    Mutant(
+        "apply-dry-run-keyed-by-priority",
+        MITIGATION,
+        "if edit.op == \"add\" and held[match] is not None:",
+        "if edit.op == \"add\" and held[match] == r.priority:",
+        ("tests/test_mitigation.py::"
+         "test_apply_rejects_an_add_onto_a_match_taken_at_another_priority",),
+    ),
+    Mutant(
+        "plan-takes-any-rule-on-the-match",
+        MITIGATION,
+        "if existing is None or existing.priority != BASE_PRIORITY:",
+        "if existing is None:",
+        ("tests/test_mitigation.py::test_plan_refuses_a_flow_whose_match_holds_a_redirect",),
+    ),
+    Mutant(
+        "install-onto-a-taken-match",
+        ROUTING,
+        "        if rules.find(switch, match_src, key.dst):\n            continue\n",
+        "",
+        ("tests/test_routing.py::test_shared_core_suffix_adds_no_duplicate_dst_rules",),
+    ),
+    Mutant(
+        "all-entries-in-destination-order",
+        ROUTING,
+        "return list(self._index.values())",
+        "return sorted(self._index.values(), key=lambda e: e.match_dst)",
+        ("tests/test_routing.py::test_all_entries_keep_install_order_across_a_delete_and_a_reinstall",),
+    ),
+    # The Gaussian split's merge of an undersized segment
+    Mutant(
+        "merge-the-lowest-segment-upward",
+        "src/sdnsim/analytics.py",
+        "        if s == 0:\n            cut = 0\n",
+        "        if s == 0:\n            cut = len(boundaries) - 1\n",
+        ("tests/test_numpy_oracle.py::"
+         "test_gaussian_split_merges_an_undersized_lowest_segment_as_numpy_does",),
     ),
 ]
 

@@ -249,3 +249,13 @@ def test_plan_serialization_is_stable():
     plan = plan_scrubber(server_ip, suspicious_ips, topo, rules)
     assert json.dumps(plan_row(plan)) == json.dumps(plan_row(plan))
     assert plan_row(plan)["scrubber"] == "s200"
+
+
+def test_plan_for_an_unknown_target_is_refused():
+    topo = build_grid(2, 2, 1)
+    rules = RuleTable()
+    handle_packet_in(rules, topo, FlowKey("10.0.1.0", topo.ip_of[topo.server]))
+    before = copy.deepcopy((topo, rules))
+    with pytest.raises(MitigationError, match="unknown target 10.9.9.9"):
+        plan_scrubber("10.9.9.9", ["10.0.1.0"], topo, rules)
+    assert (topo, rules) == before

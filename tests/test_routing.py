@@ -518,3 +518,13 @@ def test_rule_table_and_path_memo_hold_little_per_installed_rule():
     installed = len(rules.all_entries())
     assert installed == 1610
     assert held / installed < 300
+
+
+def test_packet_in_for_an_unknown_address_installs_nothing():
+    topo = build_grid(2, 2, 1)
+    rules = RuleTable()
+    server_ip = topo.ip_of[topo.server]
+    for key in (FlowKey("10.9.9.9", server_ip), FlowKey(server_ip, "10.9.9.9")):
+        with pytest.raises(RoutingError, match=f"unknown address in flow {key.src} -> {key.dst}"):
+            handle_packet_in(rules, topo, key)
+    assert rules.all_entries() == []

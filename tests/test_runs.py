@@ -235,30 +235,39 @@ def test_runs_match_the_per_packet_engine_under_rule_edits_between_polls(
     doc, seed, poll_ticks, ticks
 ):
     # Polls are several ticks apart, and the rules change after any tick,
-    # so steady flows meet rule edits inside an epoch.
+    # so steady flows meet rule edits inside an epoch. Only rule counters
+    # wait for a poll: every flow tally and throttled link is current after
+    # every tick.
     doc = dict(doc, poll_interval=poll_ticks * doc["tick"], duration=ticks * doc["tick"])
-    records = []
+    records, ticks_seen = [], []
     for module in (simnet, per_packet):
         topo, rules, rates, sim_cfg, _ = build(doc)
         rng = random.Random(seed)
+        seen = []
+        ticks_seen.append(seen)
 
         def edit(state):
+            seen.append((
+                [(key, vars(tally).copy()) for key, tally in state.flows.items()],
+                [(vars(ls) | {"queue": len(ls.queue)}) for ls in state.link_states.values()],
+            ))
             if rng.random() < 0.4:
                 edit_rules(rng, state.topology, state.rules)
 
         with after_each_step(module, edit):
             records.append(outcome(module.run, topo, rules, rates, sim_cfg))
     assert records[0] == records[1]
+    assert ticks_seen[0] == ticks_seen[1]
 
 
 def test_a_packet_in_inside_an_epoch_restarts_a_steady_flows_segment():
     # The packet-in of test_packet_in_keeps_compiled_paths_toward_other_
     # destinations, three ticks into a six-tick epoch: the server's
-    # responses to a recompile, so a's segment is replayed and a new one
-    # begins on the new path.
+    # responses to a compile to a new path, and each of the old and the new
+    # path carries its own ticks until the last tick settles both.
     doc = small_raw(attackers=[], base_rate=1.0, client_matrix=1,
                     duration=6.0, poll_interval=6.0)
-    records, segments = [], []
+    records, seen, carried = [], [], []
     for module in (simnet, per_packet):
         topo, rules, rates, sim_cfg, _ = build(doc)
         server_ip = topo.ip_of[topo.server]
@@ -266,21 +275,25 @@ def test_a_packet_in_inside_an_epoch_restarts_a_steady_flows_segment():
 
         def edit(state):
             if module is simnet:
-                # a's segment after each tick: its response path and count
-                segment = state._pending.get(topo.host_of_ip[a])
-                segments.append(segment and (segment[1], segment[4]))
+                # what each response path to a has carried after each tick
+                path = simnet._path(state, FlowKey(server_ip, a),
+                                    *topo.peer(topo.server, HOST_PORT))
+                if path not in seen:
+                    seen.append(path)
+                carried.append([(p.packets, p in state._carried) for p in seen])
             if state.step_index == 3:
                 assert handle_packet_in(rules, topo, FlowKey(a, b))
 
         with after_each_step(module, edit):
             records.append(outcome(module.run, topo, rules, rates, sim_cfg))
     assert records[0] == records[1]
-    # a is steady from its second tick, and the run's last tick replays
-    # every segment.
-    assert segments[0] is None and segments[5] is None
-    (before, n1), (same, n2), (after, n3), (again, n4) = segments[1:5]
-    assert before is same and (n1, n2) == (1, 2)
-    assert after is again and after is not before and (n3, n4) == (1, 2)
+    # a's first tick is walked and the next two are steady on its path; the
+    # packet-in moves the last three onto a new path, and the last tick
+    # settles both.
+    assert carried == [
+        [(1, True)], [(2, True)], [(3, True)],
+        [(3, True), (1, True)], [(3, True), (2, True)], [(0, False), (0, False)],
+    ]
 
 
 def test_a_loop_installed_inside_an_epoch_raises_as_per_packet_does():

@@ -11,6 +11,9 @@ from sdnsim.cli import rule_order, run_section, write_json
 from sdnsim.routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, handle_packet_in
 from sdnsim.mitigation import MitigationError
 from sdnsim.simnet import (
+    FlowTally,
+    QueuedRun,
+    RunQueue,
     SimConfig,
     SimState,
     SimulationError,
@@ -459,9 +462,23 @@ def test_a_loop_through_a_throttled_link_ends_once_the_link_passed_it():
     with pytest.raises(SimulationError, match="forwarding loop"):
         step(state)
     # The 12th hop is the one onto the throttled link: the walk stops once
-    # the link has passed the packet, not a lap later.
+    # the link has passed the packet, not a lap later. Rule counters are
+    # settled at polls, which a raising tick never reaches.
+    simnet._settle(state)
     (ls,) = state.link_states.values()
     assert (ls.entered_packets, ls.passed_packets) == (6, 6)
     redirect = rules.find(plan.attach_to, key.src, key.dst)
     loop = rules.find(plan.scrubber, key.src, key.dst)
     assert redirect.packets == loop.packets == 6
+
+
+def test_a_run_queue_pops_only_from_its_head_run():
+    queue = RunQueue()
+    head = QueuedRun(FlowKey("10.0.1.0", "10.0.0.0"), FlowTally(), 200, NodeId.edge(0), 201, 2)
+    queue.append(head)
+    for count in (0, 3):
+        with pytest.raises(ValueError, match=f"cannot pop {count} of a run of 2"):
+            queue.popleft(count)
+    assert len(queue) == 2 and queue.head() is head and head.count == 2
+    queue.popleft(2)
+    assert not queue and head.count == 0

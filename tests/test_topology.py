@@ -8,6 +8,7 @@ from sdnsim.mitigation import apply, plan_scrubber
 from sdnsim.routing import FlowKey, RuleTable, handle_packet_in
 from sdnsim.topology import (
     HOST_FACING_BASE,
+    MAX_HOSTS_PER_EDGE,
     Link,
     NodeId,
     NodeKind,
@@ -148,6 +149,57 @@ def test_attach_dangling_endpoint_rejected():
 def test_link_constraint_fields_must_pair():
     with pytest.raises(TopologyError):
         Link(NodeId.edge(0), 200, NodeId.scrubber(0), 1, capacity=100.0)
+
+
+# Each guard of the topology API, with a call that trips it on a 2x2 grid
+# and a fragment of its message.
+GUARDS = {
+    "link-port-not-positive": (
+        lambda topo: Link(NodeId.core(0, 0), 0, NodeId.core(0, 1), 1),
+        "port numbers must be positive"),
+    "link-capacity-not-positive": (
+        lambda topo: Link(NodeId.edge(0), 200, NodeId.scrubber(0), 1, capacity=0.0, queue_cap=5),
+        "capacity and queue_cap must be positive"),
+    "link-queue-not-positive": (
+        lambda topo: Link(NodeId.edge(0), 200, NodeId.scrubber(0), 1, capacity=9.0, queue_cap=0),
+        "capacity and queue_cap must be positive"),
+    "add-node-duplicate": (
+        lambda topo: topo.add_node(NodeId.core(0, 0)),
+        "duplicate node"),
+    "add-link-unknown-endpoint": (
+        lambda topo: topo.add_link(Link(NodeId.core(0, 0), 50, NodeId.edge(99), 1)),
+        "not in topology"),
+    "add-link-port-in-use": (
+        lambda topo: topo.add_link(Link(NodeId.core(0, 0), 1, NodeId.core(1, 1), 50)),
+        "port 1 already in use"),
+    "register-host-duplicate-address": (
+        lambda topo: topo.register_host(NodeId.host(0, 5), "10.0.1.0"),
+        "duplicate address 10.0.1.0"),
+    "peer-of-an-unlinked-port": (
+        lambda topo: topo.peer(NodeId.core(0, 0), 99),
+        "port 99"),
+    "grid-too-many-hosts-per-edge": (
+        lambda topo: build_grid(2, 2, MAX_HOSTS_PER_EDGE + 1),
+        f"at most {MAX_HOSTS_PER_EDGE} hosts per edge switch"),
+    "attach-without-links": (
+        lambda topo: attach_switch(topo, NodeId.scrubber(0), []),
+        "a new switch needs at least one link"),
+    "attach-link-not-joining-the-new-switch": (
+        lambda topo: attach_switch(topo, NodeId.scrubber(0),
+                                   [Link(NodeId.edge(0), 200, NodeId.core(0, 0), 50)]),
+        "to an existing node"),
+}
+
+
+@pytest.mark.parametrize("guard", list(GUARDS))
+def test_each_topology_guard_raises_and_changes_nothing(guard):
+    topo = build_grid(2, 2, 1)
+    before = copy.deepcopy(topo)
+    call, message = GUARDS[guard]
+    with pytest.raises(TopologyError, match=message):
+        call(topo)
+    assert topo == before
+    assert topo.version == before.version
 
 
 @pytest.mark.parametrize("name", [
