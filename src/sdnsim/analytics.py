@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import reduce
 from operator import add
 
@@ -139,16 +139,12 @@ def _sq_dist(p, q) -> float:
     return 0.0 + a * a + b * b + c * c + d * d
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    client: str
-    pkt_rate_up: float
-    pkt_rate_down: float
-    byte_rate_up: float
-    byte_rate_down: float
+class FeatureVector(namedtuple(
+        "FeatureVector", "client pkt_rate_up pkt_rate_down byte_rate_up byte_rate_down")):
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.pkt_rate_up, self.pkt_rate_down, self.byte_rate_up, self.byte_rate_down)
+        return self[1:]
 
 
 def build_features(
@@ -185,13 +181,9 @@ def build_features(
     return vectors
 
 
-@dataclass
-class Clustering:
-    k: int
-    centroids: list[tuple[float, float, float, float]]
-    members: list[list[str]]
-    stds: list[tuple[float, float, float, float]]
-    wcss_history: list[float] = field(default_factory=list)
+# k clusters: each one's centroid, members and per-dimension stds, and the
+# within-cluster sum of squares after each Lloyd iteration.
+Clustering = namedtuple("Clustering", "k centroids members stds wcss_history", defaults=((),))
 
 
 def kmeans(features: list[FeatureVector], k: int) -> Clustering:
@@ -267,13 +259,8 @@ def compare_clusterings(
     ]
 
 
-@dataclass(frozen=True)
-class GaussComponent:
-    mean: float
-    std: float
-    weight: float
-    count: int
-    degenerate: bool = False
+GaussComponent = namedtuple("GaussComponent", "mean std weight count degenerate",
+                            defaults=(False,))
 
 
 def silverman_bandwidth(values) -> float:
@@ -390,12 +377,9 @@ def decompose_gaussian_1d(values, bandwidth: float | None = None) -> list[GaussC
     return components
 
 
-@dataclass
-class DetectionReport:
-    attack: bool
-    suspicious_clusters: list[int]
-    suspicious_sources: list[str]
-    sharpness: list[float]  # per cluster, whether or not the gate opened
+# ``sharpness`` holds every cluster's, whether or not the gate opened.
+DetectionReport = namedtuple(
+    "DetectionReport", "attack suspicious_clusters suspicious_sources sharpness")
 
 
 def cluster_sharpness(centroid, std) -> float:

@@ -13,11 +13,11 @@ the run, and the same method on a fresh pipeline, fed the samples of
 ``telemetry.read_stats_csv`` poll by poll, rebuilds each entry from
 ``stats.csv``.
 
-This module alone knows the report's format. Config, Gaussian components,
-verdicts and flow tallies are written as ``vars(record)`` and events as
-they were logged; every other row is built from the live object by one
-``*_row`` or ``*_rows`` function here as it is written, and the classes
-they read carry no report form of their own.
+This module alone knows the report's format. Config and flow tallies are
+written as ``vars(record)``, Gaussian components and verdicts as
+``record._asdict()``, and events as they were logged; every other row is
+built from the live object by one ``*_row`` or ``*_rows`` function here as
+it is written, and the classes they read carry no report form of their own.
 
 ``report.json`` is written from the live run state and never exists in
 memory as a whole. Each section that grows with the run's length, and each
@@ -45,8 +45,8 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import MISSING, dataclass, field, fields
 from functools import reduce
 from operator import add, attrgetter
 from pathlib import Path
@@ -62,50 +62,44 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 
 
-def _bounded(default, minimum, maximum=None):
-    """A numeric config field: its default and its valid range."""
-    return field(default=default, metadata={"range": (minimum, maximum)})
-
-
-@dataclass
-class ScenarioConfig:
-    """The config document's fields with their defaults and ranges, plus
-    the designed legitimate aggregate that validation derives.
-
-    A field typed ``int`` takes integers only; a field defaulting to None
-    may be left null, and validation then derives its value.
-    """
-
-    grid_n: int = _bounded(3, 2)
-    grid_m: int = _bounded(4, 2)
-    hosts_per_edge: int = _bounded(3, 1, MAX_HOSTS_PER_EDGE)
-    server_edge: int = _bounded(0, 0)
-    server_slot: int = _bounded(0, 0)
-    client_matrix: int = _bounded(5, 1)
-    base_rate: float = _bounded(2.0, 1e-9)
-    request_bytes: int = _bounded(200, 1)
-    response_bytes: int = _bounded(1000, 1)
-    attackers: list[str] = field(default_factory=list)
-    attacker_rate: float | None = _bounded(None, 1e-9)
-    attack_start: float = _bounded(20.0, 0)
-    duration: float = _bounded(60.0, 0)
-    tick: float = _bounded(1.0, 1e-9)
-    poll_interval: float = _bounded(5.0, 1e-9)
-    seed: int = _bounded(1, 0)  # recorded in the report; nothing draws from it
-    threshold: float | None = _bounded(None, 1e-9)
-    k_clusters: int = _bounded(5, 1)
-    bandwidth: float | None = _bounded(None, 1e-9)
-    output_dir: str = "out"
-    designed_legit_aggregate: float = field(default=0.0, init=False)
-
-
-DEFAULTS = {
-    f.name: f.default_factory() if f.default is MISSING else f.default
-    for f in fields(ScenarioConfig)
-    if f.init
+# The config document's fields, in order: each one's default and, for a
+# number, its valid range (minimum, then maximum or None). A number whose
+# default is an int takes integers only; one defaulting to None may be left
+# null, and validation then derives its value.
+CONFIG_FIELDS = {
+    "grid_n": (3, 2, None),
+    "grid_m": (4, 2, None),
+    "hosts_per_edge": (3, 1, MAX_HOSTS_PER_EDGE),
+    "server_edge": (0, 0, None),
+    "server_slot": (0, 0, None),
+    "client_matrix": (5, 1, None),
+    "base_rate": (2.0, 1e-9, None),
+    "request_bytes": (200, 1, None),
+    "response_bytes": (1000, 1, None),
+    "attackers": ([], None, None),
+    "attacker_rate": (None, 1e-9, None),
+    "attack_start": (20.0, 0, None),
+    "duration": (60.0, 0, None),
+    "tick": (1.0, 1e-9, None),
+    "poll_interval": (5.0, 1e-9, None),
+    "seed": (1, 0, None),  # recorded in the report; nothing draws from it
+    "threshold": (None, 1e-9, None),
+    "k_clusters": (5, 1, None),
+    "bandwidth": (None, 1e-9, None),
+    "output_dir": ("out", None, None),
 }
+DEFAULTS = {name: default for name, (default, _, _) in CONFIG_FIELDS.items()}
 # The engine's values, which the config holds under the same names.
-SIM_FIELDS = [f.name for f in fields(SimConfig)]
+SIM_FIELDS = SimConfig._fields
+
+
+class ScenarioConfig:
+    """A validated config: every field of ``CONFIG_FIELDS``, in its order,
+    then the designed legitimate aggregate that validation derives."""
+
+    def __init__(self, values: dict, designed_legit_aggregate: float) -> None:
+        vars(self).update(values)
+        self.designed_legit_aggregate = designed_legit_aggregate
 
 
 def matrix_rates(n_clients: int, k_matrix: int, base: float) -> list[float]:
@@ -153,14 +147,13 @@ def validate_config(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
     values = dict(DEFAULTS)
     values.update({k: v for k, v in raw.items() if k in DEFAULTS})
 
-    for f in fields(ScenarioConfig):
-        if "range" not in f.metadata:
+    for name, (default, minimum, maximum) in CONFIG_FIELDS.items():
+        if minimum is None:
             continue
-        name, v = f.name, values[f.name]
-        minimum, maximum = f.metadata["range"]
-        integer = f.type == "int"  # annotations are strings in this module
+        v = values[name]
+        integer = isinstance(default, int)
         if v is None:
-            if f.default is not None:
+            if default is not None:
                 errors.append(f"{name} must be set")
         elif not _is_number(v) or (integer and not isinstance(v, int)):
             errors.append(f"{name} must be {'an integer' if integer else 'a number'}")
@@ -246,13 +239,11 @@ def validate_config(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
               for name, value in derived.items() if not _is_number(value)]
     if errors:
         return None, errors
-    for f in fields(ScenarioConfig):
-        if f.init and f.type.startswith("float") and values[f.name] is not None:
-            values[f.name] = float(values[f.name])
+    for name, (default, minimum, _) in CONFIG_FIELDS.items():
+        if minimum is not None and not isinstance(default, int) and values[name] is not None:
+            values[name] = float(values[name])
     values["attackers"] = list(attackers)
-    cfg = ScenarioConfig(**values)
-    cfg.designed_legit_aggregate = designed
-    return cfg, []
+    return ScenarioConfig(values, designed), []
 
 
 def build_scenario(cfg: ScenarioConfig):
@@ -282,8 +273,8 @@ class ScenarioPipeline:
     k-means and the Gaussian split are pure functions of their input, which
     on steady traffic repeats from poll to poll. The pipeline keeps the last
     input of each with its result, and reuses the result when the next input
-    compares equal (``FeatureVector`` compares by value). ``detect`` and
-    ``compare_clusterings`` run on every poll.
+    compares equal (``FeatureVector``, a named tuple, compares by value).
+    ``detect`` and ``compare_clusterings`` run on every poll.
     """
 
     def __init__(self, cfg: ScenarioConfig, topo):
@@ -322,7 +313,7 @@ class ScenarioPipeline:
         entry = {
             "t": t,
             "aggregate": {"packets": packets, "bytes": size, "byte_rate": byte_rate},
-            "gaussian": [vars(c) for c in self._split[1]] if len(up_rates) >= 2 else None,
+            "gaussian": [c._asdict() for c in self._split[1]] if len(up_rates) >= 2 else None,
             # Cluster-history matching within a tenth of the largest known
             # centroid magnitude, floored at 1 to survive all-idle polls.
             "new_clusters": analytics.compare_clusterings(
@@ -330,7 +321,7 @@ class ScenarioPipeline:
                 max([1.0] + [0.1 * math.hypot(*c) for c in self.prev_clustering.centroids]),
             ) if clustering is not None and self.prev_clustering is not None else None,
             "clustering": clustering_row(clustering) if clustering is not None else None,
-            "detection": vars(report) if report is not None else None,
+            "detection": report._asdict() if report is not None else None,
         }
         if clustering is not None:
             self.prev_clustering = clustering
@@ -360,16 +351,10 @@ TABLE_CHUNK = 32
 _encode = json.JSONEncoder(check_circular=False).encode
 
 
-@dataclass(frozen=True)
-class Table:
-    """A JSON list, or with ``keyed`` a JSON object, whose items (or
-    ``(key, value)`` pairs) ``write_json`` draws from ``rows`` ``chunk``
-    at a time, as it writes them. A generator as ``rows`` is spent by one
-    write."""
-
-    rows: Iterable
-    keyed: bool = False
-    chunk: int = TABLE_CHUNK
+# A JSON list, or with ``keyed`` a JSON object, whose items (or ``(key,
+# value)`` pairs) ``write_json`` draws from ``rows`` ``chunk`` at a time, as
+# it writes them. A generator as ``rows`` is spent by one write.
+Table = namedtuple("Table", "rows keyed chunk", defaults=(False, TABLE_CHUNK))
 
 
 def write_json(fh, obj) -> None:
@@ -403,7 +388,7 @@ def write_json(fh, obj) -> None:
 
 def link_row(link: topology.Link) -> dict:
     """A link's fields, with node ids replaced by their names."""
-    return {**vars(link), "a": link.a.name, "b": link.b.name}
+    return {**link._asdict(), "a": link.a.name, "b": link.b.name}
 
 
 def topology_row(topo: topology.Topology) -> dict:

@@ -14,7 +14,7 @@ polled totals never step backwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .routing import BASE_PRIORITY, FlowRule, RuleTable
 from .topology import (
@@ -40,20 +40,19 @@ class MitigationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class RuleEdit:
-    op: str  # "delete" | "add"
-    rule: FlowRule
+# ``op`` is "delete" or "add".
+RuleEdit = namedtuple("RuleEdit", "op rule")
 
 
-@dataclass
 class MitigationPlan:
-    scrubber: NodeId
-    attach_to: NodeId
-    links: list[Link]
-    rule_edits: list[RuleEdit]
-    target: str
-    suspicious_sources: list[str] = field(default_factory=list)
+    def __init__(self, scrubber: NodeId, attach_to: NodeId, links: list[Link],
+                 rule_edits: list[RuleEdit], target: str, suspicious_sources: list[str]) -> None:
+        self.scrubber = scrubber
+        self.attach_to = attach_to
+        self.links = links
+        self.rule_edits = rule_edits
+        self.target = target
+        self.suspicious_sources = suspicious_sources
 
 
 def plan_scrubber(

@@ -9,9 +9,8 @@ all traffic toward one destination follows a tree rooted at its edge switch.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .topology import NodeId, NodeKind, Topology, ip_key
@@ -34,37 +33,29 @@ class FlowKey(NamedTuple):
         return FlowKey(self.dst, self.src)
 
 
-@dataclass(frozen=True, slots=True)
-class FlowRule:
-    """Match-action entry: (src?, dst, in_port?) -> out_port at a priority.
-
-    ``match_src`` is set on edge-switch per-flow rules and absent on core
-    dst-only rules; ``in_port`` qualifies the mitigation return rules only.
-    """
-
-    switch: NodeId
-    match_src: str | None
-    match_dst: str
-    out_port: int
-    priority: int
-    in_port: int | None = None
+# Match-action entry: (src?, dst, in_port?) -> out_port at a priority.
+# ``match_src`` is set on edge-switch per-flow rules and absent on core
+# dst-only rules; ``in_port`` qualifies the mitigation return rules only.
+FlowRule = namedtuple("FlowRule", "switch match_src match_dst out_port priority in_port",
+                      defaults=(None,))
 
 
-@dataclass(slots=True)
 class RuleEntry:
     """An installed rule: its match-action fields, its install order
     ``seq`` and its cumulative counters, in one record. A match (switch,
     match_src, match_dst) holds at most one rule."""
 
-    switch: NodeId
-    match_src: str | None
-    match_dst: str
-    out_port: int
-    priority: int
-    in_port: int | None
-    seq: int
-    packets: int = 0
-    bytes: int = 0
+    __slots__ = ("switch", "match_src", "match_dst", "out_port", "priority", "in_port", "seq",
+                 "packets", "bytes")
+
+    def __init__(self, rule: FlowRule, seq: int) -> None:
+        (self.switch, self.match_src, self.match_dst, self.out_port, self.priority,
+         self.in_port) = rule
+        self.seq = seq
+        self.packets = self.bytes = 0
+
+    def __eq__(self, other) -> bool:
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 def _is_polled(switch: NodeId, match_src: str | None) -> bool:
@@ -72,7 +63,6 @@ def _is_polled(switch: NodeId, match_src: str | None) -> bool:
     return match_src is not None and switch.kind is NodeKind.EDGE
 
 
-@dataclass
 class RuleTable:
     """The controller's entire state: one index of installed rules that
     maps each match (switch, match_src, match_dst) to its one rule. An
@@ -92,20 +82,23 @@ class RuleTable:
     address, destination address), only when matches were added since.
     """
 
-    _index: dict[tuple[NodeId, str | None, str], RuleEntry] = field(default_factory=dict)
-    _next_seq: int = 0
-    versions: Counter[tuple[str, str | None]] = field(default_factory=Counter, compare=False)
-    _polled: list[tuple[NodeId, str, str]] = field(default_factory=list, compare=False)
-    _polled_sorted: bool = field(default=True, compare=False)
+    def __init__(self) -> None:
+        self._index: dict[tuple[NodeId, str | None, str], RuleEntry] = {}
+        self._next_seq = 0
+        self.versions: Counter[tuple[str, str | None]] = Counter()
+        self._polled: list[tuple[NodeId, str, str]] = []
+        self._polled_sorted = True
+
+    def __eq__(self, other) -> bool:
+        """The same rules, counters included, and the same next ``seq``."""
+        return (self._index, self._next_seq) == (other._index, other._next_seq)
 
     def install(self, rule: FlowRule) -> RuleEntry:
         key = (rule.switch, rule.match_src, rule.match_dst)
         if key in self._index:
             raise RoutingError(f"duplicate rule ({rule.match_src}, {rule.match_dst}, "
                                f"prio {rule.priority}) on {rule.switch}")
-        entry = self._index[key] = RuleEntry(
-            rule.switch, rule.match_src, rule.match_dst, rule.out_port, rule.priority,
-            rule.in_port, self._next_seq)
+        entry = self._index[key] = RuleEntry(rule, self._next_seq)
         self._next_seq += 1
         self.versions[rule.match_dst, rule.match_src] += 1
         if _is_polled(rule.switch, rule.match_src):

@@ -96,9 +96,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from . import telemetry
 from .routing import FlowKey, RuleEntry, RuleTable, handle_packet_in, walk_rules
@@ -125,16 +124,16 @@ def tick_errors(tick: float, duration: float | None, poll_interval: float | None
     return errors
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    tick: float = 1.0
-    duration: float = 60.0
-    attack_start: float = 20.0
-    poll_interval: float = 5.0
-    request_bytes: int = 200
-    response_bytes: int = 1000
+class SimConfig(namedtuple(
+        "SimConfig", "tick duration attack_start poll_interval request_bytes response_bytes",
+        defaults=(1.0, 60.0, 20.0, 5.0, 200, 1000))):
+    """The engine's settings. The guards below run on every construction,
+    ``_replace`` and ``_make`` included."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        """Check the fields that ``__new__`` has set."""
         if self.request_bytes <= 0 or self.response_bytes <= 0:
             raise ValueError("packet sizes must be positive")
         if self.tick <= 0:
@@ -146,6 +145,10 @@ class SimConfig:
         errors = tick_errors(self.tick, self.duration, self.poll_interval)
         if errors:
             raise ValueError(errors[0])
+
+    @classmethod
+    def _make(cls, iterable) -> SimConfig:
+        return cls(*iterable)
 
     @property
     def steps(self) -> int:
@@ -169,16 +172,18 @@ def legit_rate(i: int, j: int, k: int, base: float) -> float:
     return base * (i + j + 1)
 
 
-@dataclass
 class QueuedRun:
-    """``count`` identical queued packets of one flow."""
+    """``count`` identical queued packets of one flow, to resume at
+    ``node``/``in_port``, the far end of the link."""
 
-    key: FlowKey
-    tally: FlowTally
-    size: int
-    node: NodeId   # where the packets resume (far end of the link)
-    in_port: int
-    count: int
+    def __init__(self, key: FlowKey, tally: FlowTally, size: int, node: NodeId, in_port: int,
+                 count: int) -> None:
+        self.key = key
+        self.tally = tally
+        self.size = size
+        self.node = node
+        self.in_port = in_port
+        self.count = count
 
 
 class RunQueue:
@@ -215,19 +220,16 @@ class RunQueue:
         self._packets -= count
 
 
-@dataclass
 class LinkState:
     """Per constrained link: FIFO queue, per-tick budget, cumulative tallies."""
 
-    link: Link
-    queue: RunQueue = field(default_factory=RunQueue)
-    budget: float = 0.0
-    entered_packets: int = 0
-    entered_bytes: int = 0
-    passed_packets: int = 0
-    passed_bytes: int = 0
-    dropped_packets: int = 0
-    dropped_bytes: int = 0
+    def __init__(self, link: Link) -> None:
+        self.link = link
+        self.queue = RunQueue()
+        self.budget = 0.0
+        self.entered_packets = self.entered_bytes = 0
+        self.passed_packets = self.passed_bytes = 0
+        self.dropped_packets = self.dropped_bytes = 0
 
     def spend(self, size: int, count: int) -> int:
         """Pass up to ``count`` packets of ``size`` bytes on this tick's
@@ -264,19 +266,17 @@ class LinkState:
         return count - rest
 
 
-@dataclass
 class FlowTally:
-    emitted_packets: int = 0
-    emitted_bytes: int = 0
-    delivered_packets: int = 0
-    delivered_bytes: int = 0
-    dropped_packets: int = 0
-    dropped_bytes: int = 0
-    missed_packets: int = 0
-    missed_bytes: int = 0
+    def __init__(self) -> None:
+        self.emitted_packets = self.emitted_bytes = 0
+        self.delivered_packets = self.delivered_bytes = 0
+        self.dropped_packets = self.dropped_bytes = 0
+        self.missed_packets = self.missed_bytes = 0
+
+    def __eq__(self, other) -> bool:
+        return vars(self) == vars(other)
 
 
-@dataclass
 class SimState:
     """One run: the engine's state and everything the run produced besides
     the rule table and the samples, which go to ``on_poll`` and are not
@@ -291,31 +291,30 @@ class SimState:
     flow, in the insertion order of ``flows`` (flows are only ever added).
     """
 
-    topology: Topology
-    rules: RuleTable
-    rates: dict[NodeId, float]
-    cfg: SimConfig
-    poll_times: list[float] = field(default_factory=list)
-    flow_snapshots: list[array | list[int]] = field(default_factory=list)
-    events: list[dict] = field(default_factory=list)
-    flows: dict[FlowKey, FlowTally] = field(default_factory=dict)
-    step_index: int = 0
-    residues: dict[NodeId, float] = field(default_factory=dict)
-    link_states: dict[Link, LinkState] = field(default_factory=dict)
-    attack_logged: bool = False
-    # Emitting order: every host with a rate, sorted once per run.
-    hosts: list[NodeId] = field(init=False, repr=False)
-    _topology_version: int = field(default=-1, repr=False)
-    # (node, local port) -> state of the throttled link on that port
-    _ends: dict[tuple[NodeId, int], LinkState] = field(default_factory=dict)
-    # {(src, dst, node, in_port): (rule-table versions of (dst, None) and
-    #  (dst, src), compiled path from that node and port)}
-    _paths: dict[tuple, tuple[tuple[int, int], Path]] = field(default_factory=dict, repr=False)
-    # The compiled paths that carry packets not yet added to rule counters
-    _carried: list[Path] = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        self.hosts = sorted(self.rates)
+    def __init__(self, topology: Topology, rules: RuleTable, rates: dict[NodeId, float],
+                 cfg: SimConfig) -> None:
+        self.topology = topology
+        self.rules = rules
+        self.rates = rates
+        self.cfg = cfg
+        self.poll_times: list[float] = []
+        self.flow_snapshots: list[array | list[int]] = []
+        self.events: list[dict] = []
+        self.flows: dict[FlowKey, FlowTally] = {}
+        self.step_index = 0
+        self.residues: dict[NodeId, float] = {}
+        self.link_states: dict[Link, LinkState] = {}
+        self.attack_logged = False
+        # Emitting order: every host with a rate, sorted once per run.
+        self.hosts = sorted(rates)
+        self._topology_version = -1
+        # (node, local port) -> state of the throttled link on that port
+        self._ends: dict[tuple[NodeId, int], LinkState] = {}
+        # {(src, dst, node, in_port): (rule-table versions of (dst, None) and
+        #  (dst, src), compiled path from that node and port)}
+        self._paths: dict[tuple, tuple[tuple[int, int], Path]] = {}
+        # The compiled paths that carry packets not yet added to rule counters
+        self._carried: list[Path] = []
 
     @property
     def time(self) -> float:
@@ -352,7 +351,6 @@ def _deliver(
         _emit(state, host, key.src, state.cfg.response_bytes, count)
 
 
-@dataclass(slots=True, eq=False)
 class Path:
     """A flow's compiled walk from one switch port: the rule entries it
     matches, hop by hop, and where it ends. ``link`` is the throttled link
@@ -362,12 +360,15 @@ class Path:
     if the loop's last hop happens to deliver). ``packets`` and ``bytes``
     walked it since the last :func:`_settle`."""
 
-    entries: tuple[RuleEntry, ...]
-    link: LinkState | None
-    node: NodeId | None
-    in_port: int | None
-    packets: int = 0
-    bytes: int = 0
+    __slots__ = ("entries", "link", "node", "in_port", "packets", "bytes")
+
+    def __init__(self, entries: tuple[RuleEntry, ...], link: LinkState | None,
+                 node: NodeId | None, in_port: int | None) -> None:
+        self.entries = entries
+        self.link = link
+        self.node = node
+        self.in_port = in_port
+        self.packets = self.bytes = 0
 
 
 def _compile(state: SimState, key: FlowKey, node: NodeId, in_port: int) -> Path:

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import functools
 import re
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -123,28 +122,28 @@ def parse_host_name(name: str) -> NodeId:
     return NodeId.host(int(match[2]), int(match[1]))
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(namedtuple("Link", "a a_port b b_port capacity queue_cap", defaults=(None, None))):
     """An undirected link between two (node, port) endpoints.
 
     ``capacity`` (bytes/second) and ``queue_cap`` (packets) are either both
-    present (a throttled link) or both absent (unconstrained).
+    present (a throttled link) or both absent (unconstrained). The guards
+    below run on every construction, ``_replace`` and ``_make`` included.
     """
 
-    a: NodeId
-    a_port: int
-    b: NodeId
-    b_port: int
-    capacity: float | None = None
-    queue_cap: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        """Check the fields that ``__new__`` has set."""
         if self.a_port < 1 or self.b_port < 1:
             raise TopologyError("port numbers must be positive")
         if (self.capacity is None) != (self.queue_cap is None):
             raise TopologyError("capacity and queue_cap must be set together")
         if self.capacity is not None and (self.capacity <= 0 or self.queue_cap <= 0):
             raise TopologyError("capacity and queue_cap must be positive")
+
+    @classmethod
+    def _make(cls, iterable) -> Link:
+        return cls(*iterable)
 
     @property
     def constrained(self) -> bool:
@@ -154,25 +153,28 @@ class Link:
         return (self.a, self.a_port), (self.b, self.b_port)
 
 
-@dataclass
 class Topology:
     """The simulated network graph plus host addressing and role markers."""
 
-    nodes: set[NodeId] = field(default_factory=set)
-    links: list[Link] = field(default_factory=list)
-    ip_of: dict[NodeId, str] = field(default_factory=dict)
-    host_of_ip: dict[str, NodeId] = field(default_factory=dict)
-    server: NodeId | None = None
-    attackers: set[NodeId] = field(default_factory=set)
-    switch_count: int = 0
-    # Bumped by add_node and add_link.
-    version: int = field(default=0, compare=False)
-    # node -> {local port: (peer, peer port)}, one entry per link end.
-    _ports: dict[NodeId, dict[int, tuple[NodeId, int]]] = field(default_factory=dict)
-    # (version, {(root, destination): node path}), see path_memo.
-    _paths: tuple[int, dict[tuple[NodeId, NodeId], tuple[NodeId, ...]]] = field(
-        default_factory=lambda: (0, {}), repr=False, compare=False
-    )
+    def __init__(self) -> None:
+        self.nodes: set[NodeId] = set()
+        self.links: list[Link] = []
+        self.ip_of: dict[NodeId, str] = {}
+        self.host_of_ip: dict[str, NodeId] = {}
+        self.server: NodeId | None = None
+        self.attackers: set[NodeId] = set()
+        self.switch_count = 0
+        # Bumped by add_node and add_link.
+        self.version = 0
+        # node -> {local port: (peer, peer port)}, one entry per link end.
+        self._ports: dict[NodeId, dict[int, tuple[NodeId, int]]] = {}
+        # (version, {(root, destination): node path}), see path_memo.
+        self._paths: tuple[int, dict[tuple[NodeId, NodeId], tuple[NodeId, ...]]] = (0, {})
+
+    def __eq__(self, other) -> bool:
+        """The same graph, addresses and roles, at any version and path memo."""
+        return all(value == getattr(other, name) for name, value in vars(self).items()
+                   if name not in ("version", "_paths"))
 
     # -- construction -----------------------------------------------------
 

@@ -8,9 +8,11 @@ tests expected to kill it. For each mutant (all of them unless some are
 named), the ``src`` and ``tests`` trees are copied into a temporary
 directory, the substitution is applied to the copy, and the named tests run
 there under pytest with a fixed hypothesis seed. The unmutated copy must
-pass the same tests first. Prints one line per mutant, "killed" or
-"survived", and exits 1 if a mutant survives, if its text no longer occurs
-exactly once, or if the unmutated copy fails its tests.
+pass the same tests first; each distinct set of tests is run unmutated once,
+in the first copy that needs it, since many mutants name the same tests.
+Prints one line per mutant, "killed" or "survived", and exits 1 if a mutant
+survives, if its text no longer occurs exactly once, or if the unmutated
+copy fails its tests.
 
 This is not part of the tier-1 suite: each mutant is one pytest run. Add
 the mutant a change's fence was proven with here, with the tests that kill
@@ -40,10 +42,12 @@ class Mutant(NamedTuple):
 
 SIMNET, CLI = "src/sdnsim/simnet.py", "src/sdnsim/cli.py"
 MITIGATION, ROUTING = "src/sdnsim/mitigation.py", "src/sdnsim/routing.py"
+ANALYTICS, TOPOLOGY = "src/sdnsim/analytics.py", "src/sdnsim/topology.py"
 RUNS = "tests/test_runs.py::"
 DIGESTS = "tests/test_cli.py::test_artifacts_match_pinned_digests"
 ORACLE = "tests/test_cli.py::test_analyse_builds_each_poll_entry_from_its_samples_alone"
 NO_CLUSTER = "tests/test_cli.py::test_an_attack_verdict_that_flags_no_cluster_mitigates_nothing"
+GUARDS = "tests/test_simnet.py::test_record_guards_raise_on_every_construction_path"
 
 MUTANTS = [
     # Steady ticks and carried rule counts (simnet)
@@ -243,11 +247,58 @@ MUTANTS = [
     # The Gaussian split's merge of an undersized segment
     Mutant(
         "merge-the-lowest-segment-upward",
-        "src/sdnsim/analytics.py",
+        ANALYTICS,
         "        if s == 0:\n            cut = 0\n",
         "        if s == 0:\n            cut = len(boundaries) - 1\n",
         ("tests/test_numpy_oracle.py::"
          "test_gaussian_split_merges_an_undersized_lowest_segment_as_numpy_does",),
+    ),
+    # The records: key order in the report, value equality, guards
+    Mutant(
+        "flow-tally-counters-swapped",
+        SIMNET,
+        "self.emitted_packets = self.emitted_bytes = 0",
+        "self.emitted_bytes = self.emitted_packets = 0",
+        (DIGESTS,),
+    ),
+    Mutant(
+        "config-derived-aggregate-first",
+        CLI,
+        "        vars(self).update(values)\n        self.designed_legit_aggregate = "
+        "designed_legit_aggregate\n",
+        "        self.designed_legit_aggregate = designed_legit_aggregate\n"
+        "        vars(self).update(values)\n",
+        (DIGESTS,),
+    ),
+    Mutant(
+        "feature-vectors-equal-by-client",
+        ANALYTICS,
+        "    __slots__ = ()\n\n    def as_tuple",
+        "    __slots__ = ()\n\n    def __eq__(self, other):\n"
+        "        return self.client == other.client\n\n    def as_tuple",
+        ("tests/test_cli.py::test_analyse_reuses_results_only_for_an_equal_input",),
+    ),
+    Mutant(
+        "link-port-guard-dropped",
+        TOPOLOGY,
+        "        if self.a_port < 1 or self.b_port < 1:\n"
+        "            raise TopologyError(\"port numbers must be positive\")\n",
+        "",
+        ("tests/test_topology.py::test_each_topology_guard_raises_and_changes_nothing",),
+    ),
+    Mutant(
+        "link-replace-skips-the-guards",
+        TOPOLOGY,
+        "    @classmethod\n    def _make(cls, iterable) -> Link:\n        return cls(*iterable)\n",
+        "",
+        (GUARDS,),
+    ),
+    Mutant(
+        "sim-config-replace-skips-the-guards",
+        SIMNET,
+        "    @classmethod\n    def _make(cls, iterable) -> SimConfig:\n        return cls(*iterable)\n",
+        "",
+        (GUARDS,),
     ),
 ]
 
@@ -271,8 +322,10 @@ def run_tests(tree: Path, tests: tuple[str, ...]) -> int:
     ).returncode
 
 
-def check(mutant: Mutant) -> str:
-    """``killed``, ``survived``, or why the mutant could not be checked."""
+def check(mutant: Mutant, baselines: dict[tuple[str, ...], int]) -> str:
+    """``killed``, ``survived``, or why the mutant could not be checked.
+    ``baselines`` holds the unmutated exit code of each set of tests run so
+    far, and gains this mutant's if it is new."""
     with tempfile.TemporaryDirectory(prefix="sdnsim-mutant-") as tmp:
         tree = Path(tmp)
         copy_tree(tree)
@@ -280,7 +333,9 @@ def check(mutant: Mutant) -> str:
         text = target.read_text()
         if text.count(mutant.old) != 1:
             return f"not applied ({text.count(mutant.old)} matches)"
-        if run_tests(tree, mutant.tests) != 0:
+        if mutant.tests not in baselines:
+            baselines[mutant.tests] = run_tests(tree, mutant.tests)
+        if baselines[mutant.tests] != 0:
             return "baseline fails"
         target.write_text(text.replace(mutant.old, mutant.new))
         code = run_tests(tree, mutant.tests)
@@ -296,8 +351,9 @@ def main(argv: list[str]) -> int:
         return 2
     chosen = [known[name] for name in argv] if argv else MUTANTS
     failures = 0
+    baselines: dict[tuple[str, ...], int] = {}
     for mutant in chosen:
-        verdict = check(mutant)
+        verdict = check(mutant, baselines)
         failures += verdict != "killed"
         print(f"{verdict:10}  {mutant.name}", flush=True)
     print(f"{len(chosen) - failures} of {len(chosen)} mutants killed")

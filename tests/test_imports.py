@@ -4,8 +4,10 @@ the layers stay apart.
 Only the standard library is needed. A name bound by an import at module
 level must be read somewhere in the module, or be listed in its
 ``__all__``. Only ``cli`` knows the report's format, so no other module
-gives a class a ``to_dict`` or ``dump`` method; and no module, nor a whole
-run, loads numpy, which only the tests' oracle needs.
+gives a class a ``to_dict`` or ``dump`` method; no module, nor a whole
+run, loads numpy, which only the tests' oracle needs; and importing the
+package generates no dataclass code, which every run would pay for at
+start-up.
 """
 
 import ast
@@ -86,3 +88,22 @@ def test_engine_layers_import_no_numpy(tmp_path):
     polls = json.loads((tmp_path / "report.json").read_text())["polls"]
     assert any(p["detection"] and p["detection"]["attack"] and p["clustering"]["k"] > 1
                for p in polls)
+
+
+def test_import_decorates_no_dataclass():
+    # Each class a @dataclass decoration builds passes through
+    # dataclasses._process_class once; a fresh interpreter counts them.
+    # Every record on the run path is a named tuple or a plain class, so
+    # a new decoration is a visible choice: name its class here.
+    code = ("import dataclasses\n"
+            "built = []\n"
+            "process = dataclasses._process_class\n"
+            "def counted(cls, *args):\n"
+            "    built.append(cls.__qualname__)\n"
+            "    return process(cls, *args)\n"
+            "dataclasses._process_class = counted\n"
+            "import sdnsim.cli\n"
+            "print(built)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
+    assert result.stdout == "[]\n"

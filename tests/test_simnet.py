@@ -1,6 +1,5 @@
 import io
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +20,7 @@ from sdnsim.simnet import (
     run,
     step,
 )
-from sdnsim.topology import Link, NodeId, attach_switch, build_grid
+from sdnsim.topology import Link, NodeId, TopologyError, attach_switch, build_grid
 
 from conftest import SampleLog
 from rule_paths import trace_path
@@ -296,7 +295,7 @@ def test_queued_packets_deliver_on_later_ticks():
     # capacity passes exactly one packet per tick; the queue carries the rest
     topo, rules, rates, cfg, key = throttled_scenario(capacity=1000.0)
     rates[topo.host_of_ip[key[0]]] = 3.0
-    cfg = replace(cfg, duration=4.0, poll_interval=2.0)
+    cfg = cfg._replace(duration=4.0, poll_interval=2.0)
     record = run(topo, rules, rates, cfg)
     tally = record.flows[key]
     assert tally.emitted_packets == 12
@@ -328,7 +327,7 @@ def test_link_gate_catches_a_packet_lost_from_the_queue():
 def test_throttled_link_conserves_every_tick(capacity, queue_cap, rate, size):
     topo, rules, rates, cfg, key = throttled_scenario(capacity, queue_cap)
     rates[topo.host_of_ip[key[0]]] = rate
-    state = SimState(topo, rules, rates, replace(cfg, request_bytes=size))
+    state = SimState(topo, rules, rates, cfg._replace(request_bytes=size))
     before = (0, 0, 0, 0)
     for ticks in range(1, cfg.steps + 1):
         step(state)
@@ -371,6 +370,39 @@ def test_config_validation():
     # 1e-9 ticks is a whole multiple within the tolerance, but zero ticks
     with pytest.raises(ValueError, match="at least one tick"):
         SimConfig(tick=1.0, poll_interval=1e-9)
+
+
+# A valid record, the change that breaks it, and the error its guard raises.
+LINK = Link(NodeId.edge(0), 200, NodeId.scrubber(0), 1)
+BROKEN_RECORDS = {
+    "link-port": (LINK, {"b_port": 0}, TopologyError, "port numbers must be positive"),
+    "link-capacity-alone": (LINK, {"capacity": 5.0}, TopologyError,
+                            "capacity and queue_cap must be set together"),
+    "link-queue": (LINK._replace(capacity=5.0, queue_cap=5), {"queue_cap": 0}, TopologyError,
+                   "capacity and queue_cap must be positive"),
+    "sim-packet-size": (SimConfig(), {"response_bytes": 0}, ValueError,
+                        "packet sizes must be positive"),
+    "sim-tick": (SimConfig(), {"tick": 0.0}, ValueError, "tick must be positive"),
+    "sim-duration": (SimConfig(), {"duration": -1.0}, ValueError, "duration must be >= 0"),
+    "sim-poll-interval": (SimConfig(), {"poll_interval": 0.0}, ValueError,
+                          "poll_interval must be positive"),
+    "sim-off-the-tick": (SimConfig(), {"duration": 1.5}, ValueError,
+                         "duration must be a multiple of tick"),
+    "sim-poll-below-a-tick": (SimConfig(), {"poll_interval": 1e-9}, ValueError,
+                              "poll_interval must be at least one tick"),
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_RECORDS))
+def test_record_guards_raise_on_every_construction_path(case):
+    # Positional and keyword construction, _make and _replace all check.
+    valid, change, error, message = BROKEN_RECORDS[case]
+    fields = {**valid._asdict(), **change}
+    cls = type(valid)
+    for build in (lambda: cls(*fields.values()), lambda: cls(**fields),
+                  lambda: cls._make(fields.values()), lambda: valid._replace(**change)):
+        with pytest.raises(error, match=f"^{message}$"):
+            build()
 
 
 # -- forwarding-loop check -------------------------------------------------
