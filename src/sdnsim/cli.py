@@ -208,6 +208,11 @@ def validate_config(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
 
     if errors:
         return None, errors
+    # A float field takes floats only from here on, so a number reads the
+    # same in every derived value however it was typed.
+    for name, (default, minimum, _) in CONFIG_FIELDS.items():
+        if minimum is not None and not isinstance(default, int) and values[name] is not None:
+            values[name] = float(values[name])
 
     n_legit = k * edge_count - 1 - len(attackers)
     rates = matrix_rates(n_legit, values["client_matrix"], values["base_rate"])
@@ -218,20 +223,19 @@ def validate_config(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
         top = _as_float(2 * values["client_matrix"] - 1)
         values["attacker_rate"] = 10.0 * values["base_rate"] * top
     if values["threshold"] is None:
-        values["threshold"] = 10.0 * _as_float(designed)
+        values["threshold"] = 10.0 * designed
     # In-range inputs can still multiply past the float range.
     peak_rate = max(rates + ([values["attacker_rate"]] if attackers else []), default=0)
     # A flow's poll interval holds at most rate * interval + 1 packets each
     # way; k-means and the Gaussian split sum squares of four such byte
     # rates per client.
-    peak_bytes = (_as_float(peak_rate) + 1.0 / values["poll_interval"]) * _as_float(
-        max(values["request_bytes"], values["response_bytes"])
-    )
+    peak_bytes = (peak_rate + 1.0 / values["poll_interval"]) * max(
+        values["request_bytes"], values["response_bytes"])
     derived = {
         "attacker_rate": values["attacker_rate"],
         "threshold": values["threshold"],
         "designed_legit_aggregate": designed,
-        "peak requests per tick": _as_float(peak_rate) * values["tick"],
+        "peak requests per tick": peak_rate * values["tick"],
         "peak per-flow byte rate": peak_bytes,
         "sum of squared per-flow byte rates": 4.0 * (k * edge_count - 1) * peak_bytes * peak_bytes,
     }
@@ -239,9 +243,6 @@ def validate_config(raw: dict) -> tuple[ScenarioConfig | None, list[str]]:
               for name, value in derived.items() if not _is_number(value)]
     if errors:
         return None, errors
-    for name, (default, minimum, _) in CONFIG_FIELDS.items():
-        if minimum is not None and not isinstance(default, int) and values[name] is not None:
-            values[name] = float(values[name])
     values["attackers"] = list(attackers)
     return ScenarioConfig(values, designed), []
 
@@ -617,7 +618,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run a scenario config")
     run_p.add_argument("--config", required=True, help="path to a JSON scenario")
     run_p.add_argument("--out", help="output directory (overrides config)")
-    run_p.add_argument("--seed", type=int, help="seed to record in the report (overrides config)")
 
     init_p = sub.add_parser("init-config", help="emit a scenario template")
     init_p.add_argument("--template", default="reference", choices=sorted(TEMPLATES))
@@ -647,12 +647,9 @@ def main(argv=None) -> int:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    # Overrides apply to a JSON object only; validation rejects anything else.
-    if isinstance(raw, dict):
-        if args.out is not None:
-            raw["output_dir"] = args.out
-        if args.seed is not None:
-            raw["seed"] = args.seed
+    # The override applies to a JSON object only; validation rejects anything else.
+    if isinstance(raw, dict) and args.out is not None:
+        raw["output_dir"] = args.out
 
     cfg, errors = validate_config(raw)
     if errors:

@@ -1,15 +1,17 @@
 """Scrubber detour: throttle suspicious flows through an added switch.
 
-The scrubber hangs off the target server's edge switch behind two links:
-edge port 200 feeds the scrubber (its port 1), and the scrubber's port 201
-returns into edge port 201 over the throttled link (0.1 Mbit/s = 12 500
-bytes/s, queue of 1000 packets). Per suspicious flow, the edge switch's
-per-flow rule toward the server is deleted and replaced by a redirect to
-port 200 at priority 30001; the scrubber loops the flow back at 30002; a
-shared ingress-qualified rule (in from port 201, priority 40003) hands the
-returning traffic to the server's port. A match holds one rule, so the
-redirect takes the deleted rule's match and inherits its counters, and
-polled totals never step backwards.
+A run has one scrubber, ``s200``. It hangs off the target server's edge
+switch behind two links: edge port 200 feeds the scrubber (its port 1), and
+the scrubber's port 201 returns into edge port 201 over the throttled link
+(0.1 Mbit/s = 12 500 bytes/s, queue of 1000 packets). Those edge ports take
+no second scrubber, so a second plan fails in :func:`apply`.
+
+Per suspicious flow, the edge switch's per-flow rule toward the server is
+deleted and replaced by a redirect to port 200 at priority 30001; the
+scrubber loops the flow back at 30002; a shared ingress-qualified rule (in
+from port 201, priority 40003) hands the returning traffic to the server's
+port. A match holds one rule, so the redirect takes the deleted rule's match
+and inherits its counters, and polled totals never step backwards.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ SCRUBBER_QUEUE_CAP = 1000
 REDIRECT_PRIORITY = 30001
 LOOP_PRIORITY = 30002
 RETURN_PRIORITY = 40003
-MAX_SCRUBBERS = 100
 
 
 class MitigationError(RuntimeError):
@@ -63,11 +64,7 @@ def plan_scrubber(
     if not suspicious_sources:
         raise MitigationError("no suspicious sources to mitigate")
 
-    serial = len(topology.scrubbers())
-    if serial >= MAX_SCRUBBERS:
-        raise MitigationError("scrubber serial numbers exhausted")
-    scrubber = NodeId.scrubber(serial)
-
+    scrubber = NodeId.scrubber(0)
     server_host = topology.host_of_ip.get(target)
     if server_host is None:
         raise MitigationError(f"unknown target {target}")

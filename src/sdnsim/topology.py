@@ -1,13 +1,14 @@
-"""Network graph model: core grid, perimeter edge switches, hosts, scrubbers.
+"""Network graph model: core grid, perimeter edge switches, hosts, the scrubber.
 
 The grid layout is an N x M orthogonal (4-neighbor) mesh of core switches.
 Every perimeter core switch carries exactly one edge switch, giving
 2N + 2M - 4 edge switches, and every edge switch carries K hosts. Hosts sit
 on edge ports 80, 81, ... (their own side is always port 1); an edge switch's
-port 1 is its uplink into the core. Scrubber switches are attached later
-through :func:`attach_switch`. A node's identity, :class:`NodeId`, is a
-plain ``(kind, index)`` named tuple: its hash, equality and order are the
-tuple's. Its name is formatted once per node and shared from then on.
+port 1 is its uplink into the core. A run attaches at most one more switch
+through :func:`attach_switch`: the scrubber ``s200``, on the server's edge
+ports 200 and 201. A node's identity, :class:`NodeId`, is a plain ``(kind,
+index)`` named tuple: its hash, equality and order are the tuple's. Its
+name is formatted once per node and shared from then on.
 
 :class:`Topology` keeps an adjacency index, ``node -> {local port: (peer,
 peer port)}``, that :meth:`Topology.add_link` fills, and a switch count that
@@ -263,17 +264,8 @@ class Topology:
     def by_kind(self, kind: NodeKind) -> list[NodeId]:
         return sorted(n for n in self.nodes if n.kind is kind)
 
-    def core_switches(self) -> list[NodeId]:
-        return self.by_kind(NodeKind.CORE)
-
-    def edge_switches(self) -> list[NodeId]:
-        return self.by_kind(NodeKind.EDGE)
-
     def hosts(self) -> list[NodeId]:
         return self.by_kind(NodeKind.HOST)
-
-    def scrubbers(self) -> list[NodeId]:
-        return self.by_kind(NodeKind.SCRUBBER)
 
     def edge_of_host(self, host: NodeId) -> NodeId:
         edge, _ = self.peer(host, HOST_PORT)

@@ -5,6 +5,8 @@ from collections import deque
 
 import pytest
 
+from sdnsim.topology import NodeKind
+
 SESSION_START = time.monotonic()
 
 
@@ -43,7 +45,7 @@ def destination_tree_ok(topology, rules, dst_ip):
     """Oracle: dst-only core rules for dst_ip are acyclic. The rule table
     holds one rule per match, so each core switch has at most one."""
     next_hop = {}
-    for core in topology.core_switches():
+    for core in topology.by_kind(NodeKind.CORE):
         dst_rules = [
             e for e in rules.all_entries()
             if e.switch == core

@@ -13,11 +13,14 @@ codes and the sha256 of ``stats.csv`` and ``report.json``. Prints one line
 per scenario, naming what differs (``DIFFERENT (report.json)``), with each
 tree's peak RSS and wall time, and exits 1 if any of them differs or fails.
 
-The named scenarios come from ``perfbench/workloads.py``. The
-``generated-<i>`` ones are drawn from a fixed seed over small grids, server
-slots, attacker sets (some on the server's edge), ticks, rates, thresholds
-and cluster counts; the summary line counts how many of them mitigate, and
-when all of them run, a third of them at least must.
+The named scenarios are ``perfbench/workloads.py``'s, some with fields
+changed, and one written out. Five of them each reach a branch that no
+other scenario runs (``python tests/unreached.py --cli`` lists what none
+reaches). The ``generated-<i>`` ones are drawn from a fixed seed over
+small grids, server slots, attacker sets (some on the server's edge),
+ticks, rates, thresholds and cluster counts; the summary line counts how
+many of them mitigate, and when all of them run, a third of them at least
+must.
 """
 
 from __future__ import annotations
@@ -97,6 +100,29 @@ SCENARIOS = {
     "template-10x10x10-attack-1e5": _big(attacker_rate=1e5),
     "reference-600s": dict(make_config("reference", 1), duration=600.0),
     "reference-3600s": dict(make_config("reference", 1), duration=3600.0),
+    # Each of these five reaches a branch that no scenario above runs.
+    # The Gaussian split merges an undersized highest segment:
+    "template-10x10x10-one-attacker-1e3": _big(attackers=["h2s5"], attacker_rate=1e3),
+    # ... and an undersized middle, then lowest one: three clients, at 2, 4
+    # and 4 requests/s, and 104 attackers at 3/s from two ticks before a poll:
+    "template-10x10x3-slow-attackers": dict(
+        make_config("reference", 1), grid_n=10, grid_m=10, client_matrix=2,
+        attackers=[f"h{s}s{u}" for u in range(1, 36) for s in range(3) if (u, s) != (1, 0)],
+        attacker_rate=3.0, attack_start=18.0, duration=30.0),
+    # A flow snapshot's byte count goes beyond 64 bits:
+    "reference-request-1e19": dict(make_config("reference", 1), request_bytes=10**19),
+    # A tick's budget drains a queued run only in part:
+    "reference-10kB": dict(make_config("reference", 1),
+                           request_bytes=10_000, response_bytes=10_000),
+    # An attack verdict flags no cluster, so it names no source to scrub
+    # (drawn as _generated(300, seed=31)["generated-199"]):
+    "verdict-without-source": {
+        "grid_n": 3, "grid_m": 4, "hosts_per_edge": 2, "server_edge": 3, "server_slot": 1,
+        "client_matrix": 6, "base_rate": 1.262, "request_bytes": 200, "response_bytes": 1500,
+        "attackers": ["h0s3", "h0s5", "h0s1", "h1s4", "h1s9", "h0s7"],
+        "attacker_rate": 397.04, "attack_start": 1.5, "tick": 0.5, "poll_interval": 1.5,
+        "duration": 4.5, "threshold": 3618.5, "k_clusters": 4,
+    },
     **GENERATED,
 }
 

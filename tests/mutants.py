@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 SIMNET, CLI = "src/sdnsim/simnet.py", "src/sdnsim/cli.py"
 MITIGATION, ROUTING = "src/sdnsim/mitigation.py", "src/sdnsim/routing.py"
 ANALYTICS, TOPOLOGY = "src/sdnsim/analytics.py", "src/sdnsim/topology.py"
+TELEMETRY = "src/sdnsim/telemetry.py"
 RUNS = "tests/test_runs.py::"
 DIGESTS = "tests/test_cli.py::test_artifacts_match_pinned_digests"
 ORACLE = "tests/test_cli.py::test_analyse_builds_each_poll_entry_from_its_samples_alone"
@@ -299,6 +300,44 @@ MUTANTS = [
         "    @classmethod\n    def _make(cls, iterable) -> SimConfig:\n        return cls(*iterable)\n",
         "",
         (GUARDS,),
+    ),
+    # One mutant per north-star invariant, each killed by the test named
+    # after that invariant.
+    Mutant(
+        "flow-drops-uncounted",
+        SIMNET,
+        "        tally.dropped_packets += dropped\n",
+        "",
+        ("tests/test_simnet.py::test_throttled_link_conserves_every_tick",),
+    ),
+    Mutant(
+        "deltas-against-zero",
+        TELEMETRY,
+        "        last_seen[key] = (sample.packets_total, sample.bytes_total)\n",
+        "",
+        (RUNS + "test_random_grids_poll_monotone_counters_whose_deltas_telescope",),
+    ),
+    Mutant(
+        "every-other-hop-points-back",
+        ROUTING,
+        "out_port = topology.port_toward(switch, path[pos + 2])",
+        "out_port = topology.port_toward(switch, path[pos + 2 if pos % 2 else pos])",
+        ("tests/test_routing.py::test_destination_tree_invariant_after_many_flows",),
+    ),
+    Mutant(
+        "plan-scrubs-every-flow-to-the-target",
+        MITIGATION,
+        "    for src in sorted(suspicious_sources, key=ip_key):\n",
+        "    for src in sorted({e.match_src for e in rules.all_entries() if e.switch == edge\n"
+        "                       and e.match_dst == target and e.match_src}, key=ip_key):\n",
+        ("tests/test_mitigation.py::test_legit_paths_and_reverse_paths_untouched",),
+    ),
+    Mutant(
+        "poll-entries-shared-across-runs",
+        CLI,
+        "        self.polls: list[dict] = []\n",
+        "        self.polls = globals().setdefault(\"_polls\", [])\n",
+        (RUNS + "test_random_grids_repeat_byte_identical_artifacts",),
     ),
 ]
 

@@ -18,7 +18,7 @@ from sdnsim.mitigation import SCRUBBER_CAPACITY_BPS
 from sdnsim.routing import FlowKey, RuleTable, handle_packet_in, shortest_path
 from sdnsim.simnet import run as run_sim
 from sdnsim.telemetry import delta, read_stats_csv
-from sdnsim.topology import build_grid
+from sdnsim.topology import NodeKind, build_grid
 
 from conftest import SESSION_START, SampleLog, assignment, bfs_distances, destination_tree_ok
 from rule_paths import trace_path
@@ -75,14 +75,14 @@ def reference_control(tmp_path_factory):
 def test_criterion_1_topology_exactness():
     started = time.monotonic()
     topo = build_grid(3, 4, 3)
-    assert len(topo.core_switches()) == 12
-    assert len(topo.edge_switches()) == 10
+    assert len(topo.by_kind(NodeKind.CORE)) == 12
+    assert len(topo.by_kind(NodeKind.EDGE)) == 10
     assert len(topo.hosts()) == 30
     for n in range(2, 7):
         for m in range(2, 7):
             for k in range(1, 5):
                 t = build_grid(n, m, k)
-                assert len(t.edge_switches()) == 2 * n + 2 * m - 4
+                assert len(t.by_kind(NodeKind.EDGE)) == 2 * n + 2 * m - 4
                 assert len(t.hosts()) == k * (2 * n + 2 * m - 4)
     assert time.monotonic() - started < 1.0
 

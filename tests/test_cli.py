@@ -72,6 +72,15 @@ def test_empty_document_yields_valid_defaults():
     assert cfg.attacker_rate == 10.0 * cfg.base_rate * (2 * cfg.client_matrix - 1)
 
 
+def test_engine_defaults_are_the_config_defaults():
+    # SimConfig and CONFIG_FIELDS each hold a default for the engine's fields.
+    def typed(values):
+        return {name: (value, type(value)) for name, value in values.items()}
+
+    assert typed(SimConfig._field_defaults) == typed(
+        {name: DEFAULTS[name] for name in cli.SIM_FIELDS})
+
+
 def test_small_grid_dimension_rejected():
     cfg, errors = validate_config({"grid_n": 1})
     assert cfg is None
@@ -326,6 +335,22 @@ def test_identical_config_and_seed_identical_bytes(tmp_path):
     assert outputs[0][1] == outputs[1][1]
 
 
+def test_a_float_field_written_as_an_integer_gives_the_same_report(tmp_path):
+    # base_rate 2 and 2.0 validate alike, the aggregate derived from it too.
+    reports = []
+    for base_rate in (2, 2.0):
+        cfg, errors = validate_config(small_raw(base_rate=base_rate, output_dir=str(tmp_path)))
+        assert errors == []
+        assert run_scenario(cfg) == EXIT_OK
+        reports.append((tmp_path / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["config"]["designed_legit_aggregate"] == 10_800.0
+    # A grid with no legitimate client designs the integer 0.
+    cfg, _ = validate_config({"grid_n": 2, "grid_m": 2, "hosts_per_edge": 1,
+                              "attackers": ["h0s1", "h0s2", "h0s3"]})
+    assert type(cfg.designed_legit_aggregate) is int and cfg.designed_legit_aggregate == 0
+
+
 def test_cluster_count_clamps_to_client_count(tmp_path):
     cfg, errors = validate_config(
         {
@@ -462,12 +487,15 @@ def test_empty_config_file_means_defaults(tmp_path):
 
 
 def test_seed_override_recorded(tmp_path):
+    # The config's seed is recorded; `sdnsim run` has no option to set it.
     config_path = tmp_path / "scenario.json"
-    config_path.write_text(json.dumps(small_raw()))
+    config_path.write_text(json.dumps(small_raw(seed=99)))
     out = tmp_path / "out"
-    main(["run", "--config", str(config_path), "--out", str(out), "--seed", "99"])
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["seed"] == 99
+    with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+        main(["run", "--config", str(config_path), "--out", str(out), "--seed", "99"])
 
 
 # -- bad documents end with exit 2, never a traceback ----------------------

@@ -91,7 +91,7 @@ def attach_scrubber(topo, edge):
 def test_shortest_path_matches_the_heap_search(n, m, k, scrub_edge, seed):
     topo = build_grid(n, m, k)
     if scrub_edge is not None:
-        edges = topo.edge_switches()
+        edges = topo.by_kind(NodeKind.EDGE)
         attach_scrubber(topo, edges[scrub_edge % len(edges)])
     nodes = sorted(topo.nodes)
     if len(nodes) <= 40:

@@ -20,7 +20,7 @@ from sdnsim.routing import (
 from sdnsim.simnet import SimConfig, SimulationError
 from sdnsim.telemetry import CounterRegressionError, delta
 from sdnsim.topology import (
-    HOST_FACING_BASE, HOST_PORT, Link, NodeId, attach_switch, build_grid,
+    HOST_FACING_BASE, HOST_PORT, Link, NodeId, NodeKind, attach_switch, build_grid,
 )
 
 import heap_paths
@@ -151,7 +151,7 @@ def edit_rules(rng, topo, rules):
             rules.delete(near.switch, near.match_src, near.match_dst, near.priority)
         elif op == "shortcut":
             a = topo.peer(topo.edge_of_host(topo.server), 1)[0]
-            b = rng.choice(topo.core_switches())
+            b = rng.choice(topo.by_kind(NodeKind.CORE))
             if b != a and b not in {peer for peer, _ in topo.neighbors(a)}:
                 topo.add_link(Link(a, max(topo.used_ports(a)) + 1,
                                    b, max(topo.used_ports(b)) + 1, **throttle(rng)))
@@ -168,7 +168,7 @@ def edit_rules(rng, topo, rules):
             if not per_flow:
                 continue
             near = rng.choice(per_flow)
-            switch, new = near.switch, NodeId.scrubber(len(topo.scrubbers()))
+            switch, new = near.switch, NodeId.scrubber(len(topo.by_kind(NodeKind.SCRUBBER)))
             out = max(topo.used_ports(switch)) + 1
             attach_switch(topo, new, [Link(switch, out, new, 1),
                                       Link(new, 2, switch, out + 1, **throttle(rng))])

@@ -25,22 +25,22 @@ from conftest import bfs_distances, is_connected, link_ends
 
 def test_reference_grid_counts():
     topo = build_grid(3, 4, 3)
-    assert len(topo.core_switches()) == 12
-    assert len(topo.edge_switches()) == 10
+    assert len(topo.by_kind(NodeKind.CORE)) == 12
+    assert len(topo.by_kind(NodeKind.EDGE)) == 10
     assert len(topo.hosts()) == 30
 
 
 def test_smallest_grid_counts():
     topo = build_grid(2, 2, 1)
-    assert len(topo.core_switches()) == 4
-    assert len(topo.edge_switches()) == 4  # 2*2 + 2*2 - 4
+    assert len(topo.by_kind(NodeKind.CORE)) == 4
+    assert len(topo.by_kind(NodeKind.EDGE)) == 4  # 2*2 + 2*2 - 4
     assert len(topo.hosts()) == 4
 
 
 def test_grid_connected_by_bfs_oracle():
     topo = build_grid(3, 3, 2)
-    assert len(topo.core_switches()) == 9
-    assert len(topo.edge_switches()) == 8
+    assert len(topo.by_kind(NodeKind.CORE)) == 9
+    assert len(topo.by_kind(NodeKind.EDGE)) == 8
     assert len(topo.hosts()) == 16
     assert is_connected(topo)
 
@@ -51,7 +51,7 @@ def test_grid_connected_by_bfs_oracle():
 def test_edge_and_host_formula(n, m, k):
     topo = build_grid(n, m, k)
     edges = 2 * n + 2 * m - 4
-    assert len(topo.edge_switches()) == edges
+    assert len(topo.by_kind(NodeKind.EDGE)) == edges
     assert len(topo.hosts()) == k * edges
     assert is_connected(topo)
 
@@ -255,7 +255,7 @@ def test_adjacency_index_matches_link_list(n, m, k, client):
     if client is not None:
         hosts = [h for h in topo.hosts() if h != topo.server]
         _attach_scrubber_for(topo, hosts[client % len(hosts)])
-        assert len(topo.scrubbers()) == 1
+        assert len(topo.by_kind(NodeKind.SCRUBBER)) == 1
 
     ends = link_ends(topo)
     for node in topo.nodes:
@@ -268,7 +268,7 @@ def test_adjacency_index_matches_link_list(n, m, k, client):
         assert topo.distances(node) == bfs_distances(topo, node)
     # A host's only link goes to its edge switch, never to a core.
     with pytest.raises(TopologyError):
-        topo.port_toward(topo.hosts()[0], topo.core_switches()[0])
+        topo.port_toward(topo.hosts()[0], topo.by_kind(NodeKind.CORE)[0])
 
     switches = sum(1 for node in topo.nodes if node.kind is not NodeKind.HOST)
     assert topo.switch_count == switches
