@@ -13,24 +13,28 @@ the run, and the same method on a fresh pipeline, fed the samples of
 ``telemetry.read_stats_csv`` poll by poll, rebuilds each entry from
 ``stats.csv``.
 
-This module alone knows the report's format. Config and flow tallies are
-written as ``vars(record)``, Gaussian components and verdicts as
-``record._asdict()``, and events as they were logged; every other row is
-built from the live object by one ``*_row`` or ``*_rows`` function here as
-it is written, and the classes they read carry no report form of their own.
+This module alone knows the report's format. The config is written as
+``vars(cfg)``, Gaussian components and verdicts as ``record._asdict()``,
+and events as they were logged; every other row is built from the live
+object by one ``*_row`` or ``*_rows`` function here as it is written, and
+the classes they read carry no report form of their own. A ``run.samples``
+row is JSON text, formatted by one template from a sample's six fields.
 
 ``report.json`` is written from the live run state and never exists in
 memory as a whole. Each section that grows with the run's length, and each
 per-node, per-link, per-flow or per-rule table, is named as a ``Table``
-where the report is assembled. ``write_json`` encodes a ``Table``
-``TABLE_CHUNK`` rows per call (poll entries and flow snapshots, whose size
-follows the network, one per call), building the rows of nodes, links,
-samples, snapshots, flows and rules as it goes, and anything else in one
-call. The rule table's entries are sorted once, for ``rules_final`` and
-``run.counters`` alike, and the flows once, for ``run.flows`` and each flow
-snapshot's keys alike. The run keeps no samples: ``run.samples`` is read
-back from the stats file written during the run, and each flow snapshot is
-a compact array until its row is written.
+where the report is assembled. ``write_json`` writes a ``Table``
+``TABLE_CHUNK`` rows or pairs per call, building the rows of nodes, links,
+addresses, samples, snapshot pairs, flows and rules as it goes, and
+anything else in one call. Poll entries and flow snapshots, whose size
+follows the network, are written one at a time: a poll entry key by key,
+and a flow snapshot as a keyed ``Table`` of its own. The rule table's
+entries are sorted once, for ``rules_final`` and ``run.counters`` alike,
+and the flows once, for ``run.flows`` and each flow snapshot's keys alike.
+The run keeps no samples: ``run.samples`` is formatted from the text
+fields of the stats file written during the run, with no record, dict or
+encoder call per row, and each flow snapshot is a compact array until its
+pairs are written.
 
 Exit codes: 0 clean run, 2 configuration problems, 3 internal invariant
 violations.
@@ -48,6 +52,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import reduce
+from json.encoder import encode_basestring_ascii
 from operator import add, attrgetter
 from pathlib import Path
 
@@ -354,24 +359,33 @@ _encode = json.JSONEncoder(check_circular=False).encode
 
 # A JSON list, or with ``keyed`` a JSON object, whose items (or ``(key,
 # value)`` pairs) ``write_json`` draws from ``rows`` ``chunk`` at a time, as
-# it writes them. A generator as ``rows`` is spent by one write.
-Table = namedtuple("Table", "rows keyed chunk", defaults=(False, TABLE_CHUNK))
+# it writes them; with ``text``, a list whose items are already JSON text.
+# A generator as ``rows`` is spent by one write.
+Table = namedtuple("Table", "rows keyed chunk text", defaults=(False, TABLE_CHUNK, False))
 
 
 def write_json(fh, obj) -> None:
     """Write ``obj`` as ``json.dump(obj, fh)`` does, with the C encoder; a
     ``Table`` is written as the list or dict of its rows.
 
-    A ``Table`` is encoded ``chunk`` rows per call, and a dict is written
-    key by key. Anything else is encoded in one call, so a list that grows
-    with the run belongs in a ``Table``.
+    A ``Table`` is written ``chunk`` rows per call: joined if they are
+    text, written by ``write_json`` if they are a list's rows one at a
+    time (so such a row may be or hold a ``Table``), and encoded otherwise.
+    A dict is written key by key. Anything else is encoded in one call, so
+    a list that grows with the run belongs in a ``Table``.
     """
     if isinstance(obj, Table):
         rows = iter(obj.rows)
         fh.write("{" if obj.keyed else "[")
         separator = ""
         while chunk := (dict if obj.keyed else list)(itertools.islice(rows, obj.chunk)):
-            fh.write(separator + _encode(chunk)[1:-1])
+            if obj.text:
+                fh.write(separator + ", ".join(chunk))
+            elif obj.chunk == 1 and not obj.keyed:
+                fh.write(separator)
+                write_json(fh, chunk[0])
+            else:
+                fh.write(separator + _encode(chunk)[1:-1])
             separator = ", "
         fh.write("}" if obj.keyed else "]")
     elif isinstance(obj, dict):
@@ -401,7 +415,8 @@ def topology_row(topo: topology.Topology) -> dict:
         "roles": {
             "server": topo.server.name if topo.server else None,
             "attackers": sorted(a.name for a in topo.attackers),
-            "addresses": {n.name: topo.ip_of[n] for n in sorted(topo.ip_of)},
+            "addresses": Table(((n.name, topo.ip_of[n]) for n in sorted(topo.ip_of)),
+                               keyed=True),
         },
     }
 
@@ -460,36 +475,60 @@ def link_state_row(ls: simnet.LinkState) -> dict:
     }
 
 
+# A flow tally's counters, in the order of its run.flows row. Read one by
+# one: vars(tally) would give every tally a __dict__ to keep.
+FLOW_FIELDS = ("emitted_packets", "emitted_bytes", "delivered_packets", "delivered_bytes",
+               "dropped_packets", "dropped_bytes", "missed_packets", "missed_bytes")
+
+
 def _flow_rows(flows: dict[FlowKey, simnet.FlowTally], order) -> Iterator[tuple[str, dict]]:
+    counts = attrgetter(*FLOW_FIELDS)
     for _, key in order:
-        yield "%s->%s" % key, vars(flows[key])
+        yield "%s->%s" % key, dict(zip(FLOW_FIELDS, counts(flows[key])))
 
 
-def _snapshot_rows(state: simnet.SimState, order) -> Iterator[dict[str, list[int]]]:
-    # Each snapshot as {"src->dst": [packets, bytes]} over the first len/2
-    # flows of state.flows, whose counts it holds.
-    for counts in state.flow_snapshots:
-        known = len(counts) // 2
-        yield {"%s->%s" % key: [counts[2 * i], counts[2 * i + 1]]
-               for i, key in order if i < known}
+def _snapshot_pairs(counts, order) -> Iterator[tuple[str, list[int]]]:
+    # A snapshot's ("src->dst", [packets, bytes]) pairs over the first
+    # len/2 flows of state.flows, whose counts it holds.
+    known = len(counts) // 2
+    for i, key in order:
+        if i < known:
+            yield "%s->%s" % key, [counts[2 * i], counts[2 * i + 1]]
 
 
-def run_section(state: simnet.SimState, samples: Iterable[telemetry.StatSample],
+# A run.samples row, with each field's text in the place of its %s.
+SAMPLE_ROW = "{%s}" % ", ".join('"%s": %%s' % name for name in telemetry.StatSample._fields)
+
+
+def _sample_rows(samples) -> Iterator[str]:
+    # The JSON text of each sample's row, the same as json.dumps of its
+    # _asdict(): a number's text is its repr (the stats file holds no
+    # infinity or NaN), and each string is quoted by the C encoder's own
+    # function.
+    quote = encode_basestring_ascii
+    for t, switch, src, dst, packets, size in samples:
+        yield SAMPLE_ROW % (t, quote(switch), quote(src), quote(dst), packets, size)
+
+
+def run_section(state: simnet.SimState, samples: Iterable[Iterable],
                 entries: list[RuleEntry]) -> dict:
     """report.json's ``run`` section of a finished run, with the run's
     ``samples`` in poll order and the rule table's ``entries`` in
-    ``rules_final`` order. Each list that grows with the run's length is a
-    ``Table``, and so are the flow tallies and the rules' final counters;
-    the rows of samples, flow snapshots (one per encode call), flows and
-    counters are built as they are written."""
+    ``rules_final`` order. A sample is any six fields in ``StatSample``
+    order: a ``StatSample``, or a stats file row's text fields. Each list
+    that grows with the run's length is a ``Table``, and so are each flow
+    snapshot, the flow tallies and the rules' final counters; the rows of
+    samples, snapshots, flows and counters are built as they are
+    written."""
     # Each flow with its index in state.flows, by numeric (src, dst)
     # address: the order of run.flows and of each snapshot's keys.
     order = sorted(enumerate(state.flows), key=lambda item: (topology.ip_key(item[1].src),
                                                              topology.ip_key(item[1].dst)))
     return {
         "poll_times": Table(state.poll_times),
-        "samples": Table(map(telemetry.StatSample._asdict, samples)),
-        "flow_snapshots": Table(_snapshot_rows(state, order), chunk=1),
+        "samples": Table(_sample_rows(samples), text=True),
+        "flow_snapshots": Table((Table(_snapshot_pairs(counts, order), keyed=True)
+                                 for counts in state.flow_snapshots), chunk=1),
         "events": Table(state.events),
         "flows": Table(_flow_rows(state.flows, order), keyed=True),
         "counters": Table(((f"{e.switch.name}|{e.match_src}|{e.match_dst}|{e.priority}",
@@ -568,7 +607,7 @@ def run_scenario(cfg: ScenarioConfig) -> int:
             "mitigation_time": next((e["t"] for e in state.events
                                      if e["event"] == "mitigation_applied"), None),
             "rules_final": Table(rule_rows(entries)),
-            "run": run_section(state, telemetry.read_stats_csv(temporaries[0]), entries),
+            "run": run_section(state, telemetry.read_stats_rows(temporaries[0]), entries),
         }
         with open(temporaries[1], "w") as fh:
             write_json(fh, report)

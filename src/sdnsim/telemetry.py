@@ -5,13 +5,18 @@ rules; the cumulative totals become per-interval deltas by subtracting the
 last-seen totals per (switch, src, dst).
 
 A run keeps no sample history: each poll's samples are appended to the
-stats file as they are taken, and ``read_stats_csv`` draws them back one
-at a time.
+stats file as they are taken, and ``read_stats_rows`` draws them back one
+at a time as their text fields (``read_stats_csv`` as samples).
+
+The stats file holds the bytes that ``csv.writer``'s default dialect
+writes, with no ``csv`` module: each sample is one ``CSV_LINE``, ending in
+``\r\n``. A timestamp is written as ``repr(float)``, which is what
+``str`` gives, and no switch name or address holds a character that CSV
+quotes.
 """
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import NamedTuple, TextIO
@@ -75,30 +80,35 @@ def delta(
 
 
 CSV_HEADER = ["timestamp", "switch", "src_ip", "dst_ip", "packets_total", "bytes_total"]
+CSV_LINE = "%r,%s,%s,%s,%d,%d\r\n"
 
 
 def open_stats_csv(path: str | Path) -> TextIO:
     """Create a stats file holding just the header; ``write_stats_csv``
     appends each poll's rows to it."""
     fh = open(path, "w", newline="")
-    csv.writer(fh).writerow(CSV_HEADER)
+    fh.write(",".join(CSV_HEADER) + "\r\n")
     return fh
 
 
 def write_stats_csv(samples: Iterable[StatSample], fh: TextIO) -> None:
     """Append one poll's samples to a stats file from ``open_stats_csv``."""
-    csv.writer(fh).writerows(
-        [str(float(s.timestamp)), s.switch, s.src, s.dst, s.packets_total, s.bytes_total]
-        for s in samples
-    )
+    fh.writelines(CSV_LINE % (float(t), sw, src, dst, p, b) for t, sw, src, dst, p, b in samples)
+
+
+def read_stats_rows(path: str | Path) -> Iterator[list[str]]:
+    """The rows of a stats file, one at a time as they are read, each as
+    its text fields."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header != CSV_HEADER:
+            raise ValueError(f"unexpected stats header: {header}")
+        for line in fh:
+            yield line.rstrip("\n").split(",")
 
 
 def read_stats_csv(path: str | Path) -> Iterator[StatSample]:
-    """The samples of a stats file, one at a time, as they are read."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected stats header: {header}")
-        for t, sw, src, dst, p, b in reader:
-            yield StatSample(float(t), sw, src, dst, int(p), int(b))
+    """The samples of a stats file, one at a time, as they are read. A row
+    that is not six fields raises ``ValueError``."""
+    for t, sw, src, dst, p, b in read_stats_rows(path):
+        yield StatSample(float(t), sw, src, dst, int(p), int(b))

@@ -153,8 +153,8 @@ MUTANTS = [
     Mutant(
         "snapshot-keys-in-string-order",
         CLI,
-        "for i, key in order if i < known}",
-        "for i, key in sorted(order, key=lambda item: \"%s->%s\" % item[1]) if i < known}",
+        "    for i, key in order:\n",
+        "    for i, key in sorted(order, key=lambda item: \"%s->%s\" % item[1]):\n",
         ("tests/test_cli.py::test_flow_snapshots_follow_the_flows_order",),
     ),
     # The analysis and its one-shot mitigation (cli.ScenarioPipeline)
@@ -257,9 +257,9 @@ MUTANTS = [
     # The records: key order in the report, value equality, guards
     Mutant(
         "flow-tally-counters-swapped",
-        SIMNET,
-        "self.emitted_packets = self.emitted_bytes = 0",
-        "self.emitted_bytes = self.emitted_packets = 0",
+        CLI,
+        'FLOW_FIELDS = ("emitted_packets", "emitted_bytes",',
+        'FLOW_FIELDS = ("emitted_bytes", "emitted_packets",',
         (DIGESTS,),
     ),
     Mutant(
@@ -300,6 +300,28 @@ MUTANTS = [
         "    @classmethod\n    def _make(cls, iterable) -> SimConfig:\n        return cls(*iterable)\n",
         "",
         (GUARDS,),
+    ),
+    # The artifacts' text, written without a csv module or a row per record
+    Mutant(
+        "sample-string-unescaped",
+        CLI,
+        "quote(switch)",
+        "'\"%s\"' % switch",
+        ("tests/test_cli.py::test_sample_rows_are_json_dumps_of_each_sample",),
+    ),
+    Mutant(
+        "stats-line-ends-in-lf",
+        TELEMETRY,
+        'CSV_LINE = "%r,%s,%s,%s,%d,%d\\r\\n"',
+        'CSV_LINE = "%r,%s,%s,%s,%d,%d\\n"',
+        ("tests/test_telemetry.py::test_stats_file_holds_the_csv_writers_bytes",),
+    ),
+    Mutant(
+        "snapshot-chunk-skips-a-flow",
+        CLI,
+        "        if i < known:\n",
+        "        if i < known - 1:\n",
+        ("tests/test_cli.py::test_flow_snapshots_follow_the_flows_order",),
     ),
     # One mutant per north-star invariant, each killed by the test named
     # after that invariant.

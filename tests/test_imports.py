@@ -6,8 +6,8 @@ level must be read somewhere in the module, or be listed in its
 ``__all__``. Only ``cli`` knows the report's format, so no other module
 gives a class a ``to_dict`` or ``dump`` method; no module, nor a whole
 run, loads numpy, which only the tests' oracle needs; and importing the
-package generates no dataclass code, which every run would pay for at
-start-up.
+package generates no dataclass code and loads no ``csv`` module, which
+every run would pay for at start-up.
 """
 
 import ast
@@ -107,3 +107,19 @@ def test_import_decorates_no_dataclass():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_import_and_run_load_no_csv_module(tmp_path):
+    # telemetry writes and reads the stats file's lines itself; csv is the
+    # tests' oracle alone (test_telemetry). A fresh interpreter tells.
+    code = ("import sys\n"
+            "import sdnsim.cli\n"
+            "loaded = [m for m in ('csv', '_csv') if m in sys.modules]\n"
+            "cfg, _ = sdnsim.cli.validate_config(\n"
+            f"    dict(sdnsim.cli.reference_template(), output_dir={str(tmp_path)!r}))\n"
+            "assert sdnsim.cli.run_scenario(cfg) == 0\n"
+            "print(loaded, [m for m in ('csv', '_csv') if m in sys.modules])\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True)
+    assert result.stdout == "[] []\n"
+    assert (tmp_path / "stats.csv").stat().st_size > 0

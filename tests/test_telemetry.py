@@ -1,16 +1,21 @@
+import csv
+import io
+
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sdnsim.routing import BASE_PRIORITY, FlowKey, FlowRule, RuleTable, handle_packet_in
 from sdnsim.simnet import SimConfig, run
 from sdnsim.telemetry import (
+    CSV_HEADER,
     CounterRegressionError,
     StatSample,
     delta,
     open_stats_csv,
     poll,
     read_stats_csv,
+    read_stats_rows,
     write_stats_csv,
 )
 from sdnsim.topology import NodeId, build_grid
@@ -221,6 +226,57 @@ def test_stats_file_is_read_one_sample_at_a_time(tmp_path):
     samples = read_stats_csv(path)
     assert next(samples) == sample
     assert list(samples) == []
+
+
+# Switch names and addresses as sdnsim names them.
+SWITCHES = st.one_of(
+    st.integers(0, 999).map(NodeId.edge),
+    st.tuples(st.integers(0, 99), st.integers(0, 99)).map(lambda ij: NodeId.core(*ij)),
+    st.integers(0, 9).map(NodeId.scrubber),
+).map(lambda node: node.name)
+ADDRESSES = st.tuples(*[st.integers(0, 255)] * 4).map(lambda a: "%d.%d.%d.%d" % a)
+TIMESTAMPS = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2**60, 2**60)
+STAT_SAMPLES = st.lists(st.builds(StatSample, TIMESTAMPS, SWITCHES, ADDRESSES, ADDRESSES,
+                                  st.integers(min_value=0), st.integers(min_value=0)),
+                        max_size=6)
+
+
+def csv_writer_text(samples) -> str:
+    """A stats file as the csv module's default dialect writes it."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(CSV_HEADER)
+    writer.writerows([str(float(s.timestamp)), s.switch, s.src, s.dst, s.packets_total,
+                      s.bytes_total] for s in samples)
+    return fh.getvalue()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(samples=STAT_SAMPLES)
+@example(samples=[StatSample(0.1, "e0", "10.0.1.0", "10.0.0.0", 2**64, 10**30),
+                  StatSample(1e16, "c0_1", "10.0.0.0", "10.0.1.0", 0, 1),
+                  StatSample(-0.0, "s200", "10.0.11.2", "10.0.0.0", 7, 1_400),
+                  StatSample(5, "e11", "10.0.2.1", "10.0.0.0", 1, 2)])
+def test_stats_file_holds_the_csv_writers_bytes(tmp_path, samples):
+    path = tmp_path / "stats.csv"
+    with open_stats_csv(path) as fh:
+        write_stats_csv(samples, fh)
+    assert path.read_bytes() == csv_writer_text(samples).encode()
+    assert list(read_stats_csv(path)) == [s._replace(timestamp=float(s.timestamp))
+                                          for s in samples]
+    rows = list(csv.reader(io.StringIO(csv_writer_text(samples))))
+    assert list(read_stats_rows(path)) == rows[1:]
+
+
+@pytest.mark.parametrize("row", ["5.0,e0,10.0.1.0,10.0.0.0,100",
+                                 "5.0,e0,10.0.1.0,10.0.0.0,100,1,2"])
+def test_a_stats_row_that_is_not_six_fields_is_rejected(tmp_path, row):
+    path = tmp_path / "stats.csv"
+    with open_stats_csv(path) as fh:
+        fh.write(row + "\r\n")
+    with pytest.raises(ValueError):
+        next(read_stats_csv(path))
 
 
 def test_bad_stats_header_is_rejected(tmp_path):
